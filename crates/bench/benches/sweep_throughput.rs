@@ -11,12 +11,10 @@
 //! history.
 //!
 //! Besides the sequential headline row, the baseline records a
-//! batched-lanes row (the same grid through the lane-batched driver at
-//! the sweep's default lane width), a multi-threaded row (as many
-//! workers as the machine offers), and an adaptive row: the
-//! high-resolution latency figure measured through knee-finding
-//! refinement + dominance pruning against its own dense grid. The
-//! sequential, batched and adaptive throughputs each gate independently
+//! multi-threaded row (as many workers as the machine offers) and an
+//! adaptive row: the high-resolution latency figure measured through
+//! knee-finding refinement + dominance pruning against its own dense
+//! grid. The sequential and adaptive throughputs each gate independently
 //! under `PERF_GATE`, and the adaptive sampling fraction — which is
 //! deterministic — gates exactly against its ≤40% budget.
 //!
@@ -88,8 +86,7 @@ fn adaptive_session() -> AdaptiveSweep {
             ])
             .benchmarks(Benchmark::ALL)
             .scale(Scale::Quick)
-            .threads(1)
-            .lanes(1),
+            .threads(1),
         1..=100,
     )
     .seeds(7)
@@ -141,9 +138,7 @@ fn median_run_secs(sweep: &Sweep, samples: usize, warm: &SweepResults) -> f64 {
 
 fn main() {
     let smoke = criterion::smoke_mode();
-    // The headline row stays sequential (one lane) so the figure remains
-    // comparable with baselines that predate lane batching.
-    let sweep = grid().lanes(1);
+    let sweep = grid();
     let points = sweep.len();
 
     // Warmup: populate the program and compiled-program caches and touch
@@ -158,20 +153,6 @@ fn main() {
         "sweep_throughput: {points} points in {:.1}ms -> {points_per_sec:.1} points/sec \
          (1 thread, median of {samples}; pre-compiled-programs baseline {PRE_COMPILED_POINTS_PER_SEC:.1})",
         1e3 * median,
-    );
-
-    // Batched-lanes row: the same grid through the lane-batched driver at
-    // the sweep's default lane width. Results are asserted identical to
-    // the sequential warmup inside `median_run_secs`.
-    let batched = grid();
-    let lanes = batched.effective_lanes();
-    let batched_median = median_run_secs(&batched, samples, &warm);
-    let batched_points_per_sec = points as f64 / batched_median;
-    println!(
-        "sweep_throughput: batched x{lanes} {points} points in {:.1}ms -> \
-         {batched_points_per_sec:.1} points/sec ({:.2}x sequential)",
-        1e3 * batched_median,
-        batched_points_per_sec / points_per_sec,
     );
 
     // Multi-threaded row: every core the machine offers (at least two
@@ -260,8 +241,6 @@ fn main() {
                 median,
                 points_per_sec,
                 warm_points_per_sec,
-                lanes,
-                batched_points_per_sec,
                 workers,
                 threaded_points_per_sec,
                 &adaptive_row,
@@ -274,15 +253,12 @@ fn main() {
 
     // Regression check against the checked-in baseline: warn inside the
     // noise band, fail (under PERF_GATE) beyond it. The sequential and
-    // the batched figures gate independently — a scheduler regression in
-    // the lane-batched driver must not hide behind a healthy sequential
-    // number, or vice versa.
+    // the adaptive figures gate independently.
     let gated = std::env::var_os("PERF_GATE").is_some();
     let doc = std::fs::read_to_string(path).ok();
     let mut failed = false;
     let rows = [
         ("points_per_sec", points_per_sec),
-        ("batched_lanes_points_per_sec", batched_points_per_sec),
         ("adaptive_points_per_sec", adaptive_row.points_per_sec),
     ];
     for (key, measured) in rows {
@@ -350,14 +326,11 @@ fn json_f64(doc: &str, key: &str) -> Option<f64> {
     rest[..end].trim().parse().ok()
 }
 
-#[allow(clippy::too_many_arguments)]
 fn render_json(
     points: usize,
     median_secs: f64,
     points_per_sec: f64,
     warm_cache_points_per_sec: f64,
-    batched_lanes: usize,
-    batched_lanes_points_per_sec: f64,
     multi_thread_workers: usize,
     multi_thread_points_per_sec: f64,
     adaptive: &AdaptiveRow,
@@ -379,11 +352,6 @@ fn render_json(
     let _ = writeln!(
         out,
         "  \"warm_cache_points_per_sec\": {warm_cache_points_per_sec:.1},"
-    );
-    let _ = writeln!(out, "  \"batched_lanes\": {batched_lanes},");
-    let _ = writeln!(
-        out,
-        "  \"batched_lanes_points_per_sec\": {batched_lanes_points_per_sec:.1},"
     );
     let _ = writeln!(out, "  \"multi_thread_workers\": {multi_thread_workers},");
     let _ = writeln!(

@@ -1,25 +1,12 @@
-//! Support crate for the Criterion benchmarks.
+//! Support crate for the benchmarks under `benches/`:
 //!
-//! One bench target exists per table/figure of the paper
-//! (`benches/table1.rs`, `benches/fig1_unit_usage.rs`, …). Each target
-//! exercises the code path that regenerates its artifact on reduced
-//! inputs, so `cargo bench --workspace` both times the simulators and
-//! re-derives every result. The *full* regeneration (paper-scale traces,
-//! full latency grids) is done by the `dva-experiments` binaries.
+//! * `engine_fastforward` times the engines' fast-forward against naive
+//!   stepping and records `BENCH_engine.json`;
+//! * `sweep_throughput` times `Sweep::run` (sequential, multi-threaded,
+//!   warm cache, adaptive) and records `BENCH_sweep.json`.
+//!
+//! The paper's tables and figures are regenerated and golden-checked by
+//! the `dva-experiments` binaries, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use dva_workloads::{Benchmark, Scale};
-
-/// The trace size benchmarks run at.
-pub const BENCH_SCALE: Scale = Scale::Quick;
-
-/// A small representative program pair: one long-vector memory-bound
-/// program and one short-vector scalar-heavy program.
-pub fn bench_programs() -> Vec<(Benchmark, dva_isa::Program)> {
-    [Benchmark::Arc2d, Benchmark::Trfd]
-        .into_iter()
-        .map(|b| (b, b.program(BENCH_SCALE)))
-        .collect()
-}

@@ -173,9 +173,8 @@ impl DvaSim {
 /// ```
 #[derive(Debug, Default)]
 pub struct DvaRunner {
-    /// The engine pool: one per batch lane, all reused across runs.
-    /// Sequential runs use the first engine only.
-    engines: Vec<engine::Engine>,
+    /// The reusable engine, built by the first run.
+    engine: Option<engine::Engine>,
 }
 
 impl DvaRunner {
@@ -191,92 +190,30 @@ impl DvaRunner {
     ///
     /// Panics if the engine detects a deadlock.
     pub fn run(&mut self, sim: &DvaSim, compiled: &Arc<CompiledProgram>) -> DvaResult {
-        self.arm(std::slice::from_ref(sim), compiled);
-        engine::drive(&mut self.engines[0], sim.fast_forward)
+        engine::drive(self.arm(sim, compiled), sim.fast_forward)
     }
 
     /// [`run`](DvaRunner::run), but a detected deadlock comes back as a
-    /// [`SimError`](dva_engine::SimError) instead of a panic. The pooled
-    /// engine is left mid-flight on error; the next run's reset restores
-    /// it, so the runner stays reusable.
+    /// [`SimError`](dva_engine::SimError) instead of a panic. The engine
+    /// is left mid-flight on error; the next run's reset restores it, so
+    /// the runner stays reusable.
     pub fn try_run(
         &mut self,
         sim: &DvaSim,
         compiled: &Arc<CompiledProgram>,
     ) -> Result<DvaResult, dva_engine::SimError> {
-        self.arm(std::slice::from_ref(sim), compiled);
-        engine::try_drive(&mut self.engines[0], sim.fast_forward)
+        engine::try_drive(self.arm(sim, compiled), sim.fast_forward)
     }
 
-    /// Runs one compiled program under each of `sims`' configurations in
-    /// a single lockstep pass, returning one result per sim, in order —
-    /// byte-identical to calling [`run`](DvaRunner::run) for each sim in
-    /// sequence.
-    ///
-    /// The compiled bundle stream (with its issue order, hazard ranges
-    /// and store sequence) is the batch's shared read-only structure;
-    /// each lane gets its own engine from this runner's pool — its
-    /// per-configuration queues, unit busy-times and memory model — and
-    /// its own observers. The shared driver advances the lanes in
-    /// lockstep, fast-forwarding to the minimum of their wake times and
-    /// retiring each lane as it completes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any lane's engine detects a deadlock, or if the sims
-    /// disagree on the stepping strategy (a batch runs under one
-    /// fast-forward mode; group by it before batching).
-    pub fn run_batch(
-        &mut self,
-        sims: &[DvaSim],
-        compiled: &Arc<CompiledProgram>,
-    ) -> Vec<DvaResult> {
-        let Some(first) = sims.first() else {
-            return Vec::new();
-        };
-        assert!(
-            sims.iter()
-                .all(|sim| sim.fast_forward == first.fast_forward),
-            "a batch runs under one stepping strategy; group sims by fast-forward first"
-        );
-        self.arm(sims, compiled);
-        engine::drive_batch(&mut self.engines[..sims.len()], first.fast_forward)
-    }
-
-    /// [`run_batch`](DvaRunner::run_batch), but a detected deadlock on
-    /// any lane comes back as a [`SimError`](dva_engine::SimError)
-    /// instead of a panic. On error the whole batch is abandoned; the
-    /// caller re-runs lanes individually via
-    /// [`try_run`](DvaRunner::try_run) to salvage the healthy ones.
-    /// Still panics if the sims disagree on the stepping strategy — that
-    /// is a caller bug, not a simulation fault.
-    pub fn try_run_batch(
-        &mut self,
-        sims: &[DvaSim],
-        compiled: &Arc<CompiledProgram>,
-    ) -> Result<Vec<DvaResult>, dva_engine::SimError> {
-        let Some(first) = sims.first() else {
-            return Ok(Vec::new());
-        };
-        assert!(
-            sims.iter()
-                .all(|sim| sim.fast_forward == first.fast_forward),
-            "a batch runs under one stepping strategy; group sims by fast-forward first"
-        );
-        self.arm(sims, compiled);
-        engine::try_drive_batch(&mut self.engines[..sims.len()], first.fast_forward)
-    }
-
-    /// Readies one pooled engine per sim — reset when it exists, grown
-    /// when it does not — all against one shared compiled program.
-    fn arm(&mut self, sims: &[DvaSim], compiled: &Arc<CompiledProgram>) {
-        for (i, sim) in sims.iter().enumerate() {
-            match self.engines.get_mut(i) {
-                Some(engine) => engine.reset(sim.config, Arc::clone(compiled)),
-                None => self
-                    .engines
-                    .push(engine::Engine::new(sim.config, Arc::clone(compiled))),
+    /// Readies the engine for `sim` — reset when it exists, built when it
+    /// does not.
+    fn arm(&mut self, sim: &DvaSim, compiled: &Arc<CompiledProgram>) -> &mut engine::Engine {
+        match &mut self.engine {
+            Some(engine) => {
+                engine.reset(sim.config, Arc::clone(compiled));
+                engine
             }
+            slot => slot.insert(engine::Engine::new(sim.config, Arc::clone(compiled))),
         }
     }
 }

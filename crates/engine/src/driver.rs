@@ -16,16 +16,15 @@ use std::fmt;
 pub const WATCHDOG_TICKS: u64 = 200_000;
 
 /// A structured simulation failure: the deadlock watchdog's diagnosis,
-/// returned by [`Driver::try_run`] / [`Driver::try_run_batch`] instead
-/// of a panic.
+/// returned by [`Driver::try_run`] instead of a panic.
 ///
 /// A deadlock is an internal invariant violation — a valid machine model
-/// on a valid trace always completes — so the panicking entry points
-/// ([`Driver::run`], [`Driver::run_batch`]) remain the right default for
-/// experiment code. Long-running services use the `try_` variants so one
-/// poisoned simulation becomes a typed error instead of tearing down a
-/// worker thread; [`SimError`]'s [`Display`](fmt::Display) form is
-/// exactly the message the panicking paths would have raised.
+/// on a valid trace always completes — so the panicking entry point
+/// ([`Driver::run`]) remains the right default for experiment code.
+/// Long-running services use [`Driver::try_run`] so one poisoned
+/// simulation becomes a typed error instead of tearing down a worker
+/// thread; [`SimError`]'s [`Display`](fmt::Display) form is exactly the
+/// message the panicking path would have raised.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimError {
     /// The cycle the clock stood at when the watchdog tripped.
@@ -203,51 +202,6 @@ pub trait Processor {
     }
 }
 
-/// One lane of a batched run: a machine model plus the observers its
-/// samples land in. See [`Driver::run_batch`].
-///
-/// A lane owns the *per-configuration timing state* (the processor's
-/// queues, unit busy-times, memory model) and the per-configuration
-/// statistics sink; whatever structure the processors share (a compiled
-/// program, hazard metadata) they share behind their own references —
-/// the driver never looks at it.
-#[derive(Debug)]
-pub struct Lane<'a, P: ?Sized> {
-    /// The machine model this lane advances.
-    pub processor: &'a mut P,
-    /// The statistics sink for this lane's run.
-    pub observers: &'a mut Observers,
-}
-
-/// The driver's per-lane clock: where this lane's simulation time stands
-/// and when it next has something to do.
-struct LaneClock {
-    now: Cycle,
-    /// The cycle this lane's next tick executes at (`== now` until the
-    /// lane fast-forwards past other lanes).
-    due: Cycle,
-    ticks: u64,
-    ticks_since_progress: u64,
-    /// Whether [`Processor::is_done`] could have flipped since it was
-    /// last consulted. Completion is reached only through progress, so
-    /// after a stalled tick the check is skipped outright.
-    check_done: bool,
-    finished: Option<Completion>,
-}
-
-impl LaneClock {
-    fn new() -> LaneClock {
-        LaneClock {
-            now: 0,
-            due: 0,
-            ticks: 0,
-            ticks_since_progress: 0,
-            check_done: true,
-            finished: None,
-        }
-    }
-}
-
 /// What the [`Driver`] measured itself: where the clock stopped and how
 /// many ticks it actually executed to get there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -299,15 +253,7 @@ impl Completion {
 pub struct Driver {
     fast_forward: bool,
     watchdog_ticks: u64,
-    batch_window: Cycle,
 }
-
-/// Default bounded-skew window of the batched scheduler, in cycles: how
-/// far past the other lanes' earliest due cycle one lane may burst
-/// before the driver switches lanes. Results are independent of the
-/// window (lanes never interact); it only trades lane skew against
-/// cache locality and scheduling overhead.
-pub const BATCH_WINDOW: Cycle = 4096;
 
 impl Driver {
     /// A driver with fast-forward enabled and the default
@@ -316,7 +262,6 @@ impl Driver {
         Driver {
             fast_forward: true,
             watchdog_ticks: WATCHDOG_TICKS,
-            batch_window: BATCH_WINDOW,
         }
     }
 
@@ -334,15 +279,6 @@ impl Driver {
     #[must_use]
     pub fn watchdog_ticks(mut self, ticks: u64) -> Driver {
         self.watchdog_ticks = ticks;
-        self
-    }
-
-    /// Overrides the batched scheduler's bounded-skew window (see
-    /// [`BATCH_WINDOW`]). `0` forces strict lockstep — a lane switch at
-    /// every distinct due cycle.
-    #[must_use]
-    pub fn batch_window(mut self, cycles: Cycle) -> Driver {
-        self.batch_window = cycles;
         self
     }
 
@@ -373,173 +309,67 @@ impl Driver {
         processor: &mut P,
         observers: &mut Observers,
     ) -> Result<Completion, SimError> {
-        let mut clock = LaneClock::new();
+        let mut now: Cycle = 0;
+        let mut ticks: u64 = 0;
+        let mut ticks_since_progress: u64 = 0;
+        // Completion is reached only through progress, so after a
+        // stalled tick the `is_done` check is skipped outright.
+        let mut check_done = true;
         loop {
-            if let Some(completion) = clock.finished {
-                return Ok(completion);
-            }
-            self.advance(processor, observers, &mut clock)?;
-        }
-    }
-
-    /// Runs a batch of lanes to completion in lockstep and reports each
-    /// lane's completion, in lane order.
-    ///
-    /// Every lane advances through *exactly* the tick-and-sample sequence
-    /// [`run`](Driver::run) would execute for it alone — the batch only
-    /// chooses the interleaving — so each lane's results are byte-
-    /// identical to a sequential run (the same argument that makes
-    /// fast-forward byte-identical to naive stepping; only the
-    /// `ticks_executed` diagnostic is path-dependent, and it is not).
-    ///
-    /// The scheduling rule is the batched generalization of fast-forward:
-    /// each lane carries its own clock and a *due* cycle (the target its
-    /// last tick fast-forwarded to); the driver repeatedly selects the
-    /// lane with the **minimum** due cycle and advances it, bulk-
-    /// accounting each lane's skipped cycles per lane. To keep one
-    /// lane's machine state hot in cache, the selected lane *bursts*: it
-    /// keeps advancing until its due cycle passes the other live lanes'
-    /// earliest due by more than the bounded-skew window
-    /// ([`batch_window`](Driver::batch_window)) — lanes never interact,
-    /// so the skew is unobservable in the results. A lane whose
-    /// processor reports done drains and retires immediately — a
-    /// structurally finished machine no longer interacts with anything —
-    /// and the batch continues with the survivors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any lane trips the deadlock watchdog, like
-    /// [`run`](Driver::run). Callers that must survive a poisoned lane
-    /// use [`try_run_batch`](Driver::try_run_batch) instead.
-    pub fn run_batch<P: Processor + ?Sized>(&self, lanes: &mut [Lane<'_, P>]) -> Vec<Completion> {
-        self.try_run_batch(lanes).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`run_batch`](Driver::run_batch), but a tripped deadlock watchdog
-    /// on *any* lane comes back as a [`SimError`] instead of a panic.
-    /// On error the whole batch is abandoned mid-flight — lanes and
-    /// observers must be discarded; the caller re-runs survivors
-    /// individually if it wants to salvage them.
-    pub fn try_run_batch<P: Processor + ?Sized>(
-        &self,
-        lanes: &mut [Lane<'_, P>],
-    ) -> Result<Vec<Completion>, SimError> {
-        let mut clocks: Vec<LaneClock> = lanes.iter().map(|_| LaneClock::new()).collect();
-        // Indices of the lanes still running; retirement swap-removes.
-        let mut live: Vec<usize> = (0..lanes.len()).collect();
-        while let Some(slot) = live
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &lane)| clocks[lane].due)
-            .map(|(slot, _)| slot)
-        {
-            let lane = live[slot];
-            // The burst horizon: the earliest the *other* live lanes have
-            // anything to do, plus the bounded-skew window.
-            let horizon = live
-                .iter()
-                .filter(|&&other| other != lane)
-                .map(|&other| clocks[other].due)
-                .min()
-                .unwrap_or(Cycle::MAX)
-                .saturating_add(self.batch_window);
-            let clock = &mut clocks[lane];
-            let Lane {
-                processor,
-                observers,
-            } = &mut lanes[lane];
-            loop {
-                self.advance(*processor, observers, clock)?;
-                if clock.finished.is_some() {
-                    live.swap_remove(slot);
-                    break;
+            if check_done && processor.is_done() {
+                // Drain: run the clock until every unit and register is
+                // quiet.
+                let end = processor.quiesce_at();
+                while now < end {
+                    ticks += 1;
+                    observers.set_weight(1);
+                    processor.drain_sample(now, observers);
+                    now += 1;
                 }
-                if clock.due > horizon {
-                    break;
+                return Ok(Completion { cycles: now, ticks });
+            }
+            let progress = processor.step(now).advanced();
+            ticks += 1;
+            check_done = progress;
+            if progress {
+                ticks_since_progress = 0;
+            } else {
+                ticks_since_progress += 1;
+            }
+            if ticks_since_progress > self.watchdog_ticks {
+                return Err(SimError {
+                    cycle: now,
+                    ticks_stalled: ticks_since_progress,
+                    context: processor.deadlock_context(now),
+                });
+            }
+            // A tick without progress proves every unit is blocked on a
+            // timed condition, so fast-forward jumps straight to the next
+            // event, bulk-accounting the skipped cycles. The per-cycle
+            // samples and stall counters of the skipped cycles are
+            // identical to this tick's — any change in between would
+            // itself be an event — so the tick is sampled once, weighted
+            // by itself plus everything it skips, which is what keeps
+            // the results byte-identical to naive stepping.
+            let mut jump_to = None;
+            if !progress && self.fast_forward {
+                if let Some(target) = processor.next_event_after(now) {
+                    assert!(
+                        target > now,
+                        "Processor contract violation: next_event_after({now}) returned \
+                         {target}, which is not strictly ahead of the stalled tick"
+                    );
+                    jump_to = Some(target);
                 }
             }
-        }
-        Ok(clocks
-            .into_iter()
-            .map(|clock| clock.finished.expect("every lane retired"))
-            .collect())
-    }
-
-    /// One driver iteration for a lane standing at `clock.now`: the
-    /// completion drain when the processor is structurally done, else one
-    /// executed tick with watchdog, fast-forward and bulk accounting.
-    /// [`run`](Driver::run) and [`run_batch`](Driver::run_batch) both
-    /// funnel through here, so the sequential and batched paths cannot
-    /// drift apart.
-    #[inline]
-    fn advance<P: Processor + ?Sized>(
-        &self,
-        processor: &mut P,
-        observers: &mut Observers,
-        clock: &mut LaneClock,
-    ) -> Result<(), SimError> {
-        if clock.check_done && processor.is_done() {
-            // Drain: run the clock until every unit and register is
-            // quiet. The machine no longer interacts with anything, so a
-            // batched lane drains in one tight loop and retires.
-            let end = processor.quiesce_at();
-            let mut now = clock.now;
-            while now < end {
-                clock.ticks += 1;
-                observers.set_weight(1);
-                processor.drain_sample(now, observers);
-                now += 1;
+            let skipped = jump_to.map_or(0, |target| target - (now + 1));
+            observers.set_weight(1 + skipped);
+            processor.sample(now, observers);
+            if skipped > 0 {
+                processor.account_skipped(now, skipped);
             }
-            clock.finished = Some(Completion {
-                cycles: now,
-                ticks: clock.ticks,
-            });
-            return Ok(());
+            now = jump_to.unwrap_or(now + 1);
         }
-        let now = clock.now;
-        let progress = processor.step(now).advanced();
-        clock.ticks += 1;
-        clock.check_done = progress;
-        if progress {
-            clock.ticks_since_progress = 0;
-        } else {
-            clock.ticks_since_progress += 1;
-        }
-        if clock.ticks_since_progress > self.watchdog_ticks {
-            return Err(SimError {
-                cycle: now,
-                ticks_stalled: clock.ticks_since_progress,
-                context: processor.deadlock_context(now),
-            });
-        }
-        // A tick without progress proves every unit is blocked on a
-        // timed condition, so fast-forward jumps straight to the next
-        // event, bulk-accounting the skipped cycles. The per-cycle
-        // samples and stall counters of the skipped cycles are
-        // identical to this tick's — any change in between would
-        // itself be an event — so the tick is sampled once, weighted
-        // by itself plus everything it skips, which is what keeps
-        // the results byte-identical to naive stepping.
-        let mut jump_to = None;
-        if !progress && self.fast_forward {
-            if let Some(target) = processor.next_event_after(now) {
-                assert!(
-                    target > now,
-                    "Processor contract violation: next_event_after({now}) returned \
-                     {target}, which is not strictly ahead of the stalled tick"
-                );
-                jump_to = Some(target);
-            }
-        }
-        let skipped = jump_to.map_or(0, |target| target - (now + 1));
-        observers.set_weight(1 + skipped);
-        processor.sample(now, observers);
-        if skipped > 0 {
-            processor.account_skipped(now, skipped);
-        }
-        clock.now = jump_to.unwrap_or(now + 1);
-        clock.due = clock.now;
-        Ok(())
     }
 }
 
@@ -767,84 +597,6 @@ mod tests {
         let (_, _, completion) = run_toy(true, vec![0, 1_000_000], 1_000_001);
         assert_eq!(completion.cycles, 1_000_001);
         assert!(completion.ticks < 10);
-    }
-
-    /// The batched acceptance bar: running lanes in lockstep produces,
-    /// per lane, exactly the completion and observer bytes a sequential
-    /// run produces — at every lane count and mix of schedules.
-    #[test]
-    fn batched_lanes_equal_sequential_runs() {
-        let schedules: [(Vec<Cycle>, Cycle); 4] = [
-            (vec![0, 3, 3, 40, 41, 100], 107),
-            (vec![0, 1, 2, 3], 4),
-            (vec![5, 500, 501], 600),
-            (Vec::new(), 0), // an empty lane retires without ticking
-        ];
-        let sequential: Vec<(Toy, Observers, Completion)> = schedules
-            .iter()
-            .map(|(schedule, busy)| run_toy(true, schedule.clone(), *busy))
-            .collect();
-        for lane_count in 1..=schedules.len() {
-            let mut toys: Vec<Toy> = schedules[..lane_count]
-                .iter()
-                .map(|(schedule, busy)| Toy::new(schedule.clone(), *busy))
-                .collect();
-            let mut observers: Vec<Observers> = (0..lane_count)
-                .map(|_| Observers::with_occupancy(Histogram::new(8)))
-                .collect();
-            let mut lanes: Vec<Lane<'_, Toy>> = toys
-                .iter_mut()
-                .zip(observers.iter_mut())
-                .map(|(processor, observers)| Lane {
-                    processor,
-                    observers,
-                })
-                .collect();
-            let completions = Driver::new().run_batch(&mut lanes);
-            assert_eq!(completions.len(), lane_count);
-            for (i, completion) in completions.iter().enumerate() {
-                let (seq_toy, seq_obs, seq_completion) = &sequential[i];
-                assert_eq!(completion, seq_completion, "lane {i} of {lane_count}");
-                assert_eq!(&observers[i], seq_obs, "lane {i} observers");
-                assert_eq!(toys[i].stalls, seq_toy.stalls);
-                assert_eq!(toys[i].skipped_stalls, seq_toy.skipped_stalls);
-            }
-        }
-    }
-
-    /// Naive stepping batches too: with fast-forward off every live lane
-    /// is due every cycle, and the results still match lane-for-lane.
-    #[test]
-    fn batched_naive_stepping_equals_sequential_naive_stepping() {
-        let schedules: [(Vec<Cycle>, Cycle); 2] = [(vec![0, 3, 17], 20), (vec![2, 2, 40], 45)];
-        let mut toys: Vec<Toy> = schedules
-            .iter()
-            .map(|(schedule, busy)| Toy::new(schedule.clone(), *busy))
-            .collect();
-        let mut observers: Vec<Observers> = (0..toys.len())
-            .map(|_| Observers::with_occupancy(Histogram::new(8)))
-            .collect();
-        let mut lanes: Vec<Lane<'_, Toy>> = toys
-            .iter_mut()
-            .zip(observers.iter_mut())
-            .map(|(processor, observers)| Lane {
-                processor,
-                observers,
-            })
-            .collect();
-        let completions = Driver::new().fast_forward(false).run_batch(&mut lanes);
-        for (i, (schedule, busy)) in schedules.iter().enumerate() {
-            let (_, seq_obs, seq_completion) = run_toy(false, schedule.clone(), *busy);
-            assert_eq!(completions[i], seq_completion);
-            assert_eq!(observers[i], seq_obs);
-            assert_eq!(completions[i].ticks, completions[i].cycles, "naive ticks");
-        }
-    }
-
-    #[test]
-    fn an_empty_batch_completes_immediately() {
-        let mut lanes: Vec<Lane<'_, Toy>> = Vec::new();
-        assert_eq!(Driver::new().run_batch(&mut lanes), Vec::new());
     }
 
     #[test]

@@ -48,38 +48,6 @@
 //! machine, and by the full-machine grid and property tests in the
 //! workspace's integration suite.
 //!
-//! # The batched driver
-//!
-//! [`Driver::run_batch`] advances N independent processors — *lanes* —
-//! through one scheduling loop. The contract splits each lane in two:
-//!
-//! * **Shared structure** (read-only): whatever the processors reference
-//!   behind shared handles — typically one compiled program per batch,
-//!   its issue order, hazard ranges and store sequence. The driver never
-//!   touches it; sharing it is what makes a batch cheaper than N
-//!   sequential runs (one instruction stream stays hot across all
-//!   lanes).
-//! * **Per-lane timing state**: the processor's own queues, unit
-//!   busy-times and memory model, plus a per-lane [`Observers`] sink and
-//!   a per-lane clock inside the driver.
-//!
-//! Fast-forward generalizes to the batch by scheduling on the
-//! **minimum** of the lanes' wake-up times: each lane's stalled tick
-//! computes its own next event and bulk-accounts its own skipped
-//! cycles, and the scheduler always turns to the earliest-due lane.
-//! Rather than switching lanes at tick grain, it *bursts* that lane —
-//! keeps advancing it until its due time passes the next lane's due
-//! time by a bounded skew window ([`BATCH_WINDOW`] cycles, tunable via
-//! [`Driver::batch_window`]) — so each engine's working set stays hot
-//! across consecutive ticks instead of being reloaded at every event.
-//! Lanes retire independently the moment their machine is structurally
-//! done and drained. Lanes never observe one another, so the schedule
-//! (lockstep, bursts, or any other interleaving) cannot leak into
-//! results: every lane executes exactly the tick-and-sample sequence
-//! [`Driver::run`] would give it alone, and batched results are
-//! byte-identical to sequential runs at every lane count — the same
-//! acceptance bar, enforced by the same grid-diff and property suites.
-//!
 //! # Examples
 //!
 //! A minimal processor that busy-waits for one event at cycle 10:
@@ -129,10 +97,7 @@
 mod driver;
 mod result;
 
-pub use driver::{
-    Completion, Driver, Lane, Observers, Processor, Progress, SimError, BATCH_WINDOW,
-    WATCHDOG_TICKS,
-};
+pub use driver::{Completion, Driver, Observers, Processor, Progress, SimError, WATCHDOG_TICKS};
 pub use result::{Report, ResultCore};
 
 /// Version stamp of the simulation engine's *observable behaviour*.

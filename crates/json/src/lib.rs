@@ -61,6 +61,12 @@ pub enum Json {
     Object(Vec<(String, Json)>),
 }
 
+/// How deeply arrays and objects may nest in a document [`Json::parse`]
+/// accepts. The parser recurses once per level, so the limit keeps a
+/// hostile document (a long run of `[`) from overflowing the stack; the
+/// workspace's own documents nest a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parse or decode error, with a human-readable message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError(pub String);
@@ -239,11 +245,13 @@ impl Json {
     }
 
     /// Parses a JSON document. Trailing whitespace is allowed; trailing
-    /// non-whitespace is an error.
+    /// non-whitespace is an error, and so is nesting arrays and objects
+    /// deeper than [`MAX_DEPTH`] levels.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -281,6 +289,8 @@ fn write_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -325,8 +335,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Parser::array),
+            Some(b'{') => self.nested(Parser::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             Some(other) => Err(JsonError(format!(
                 "unexpected `{}` at byte {}",
@@ -334,6 +344,24 @@ impl<'a> Parser<'a> {
             ))),
             None => Err(JsonError("unexpected end of input".to_string())),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Parser<'a>) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -598,6 +626,19 @@ mod tests {
         assert!(Json::parse("\"unterminated").is_err());
         let missing = Json::obj([("x", Json::Null)]).field("y").unwrap_err();
         assert!(missing.to_string().contains("`y`"));
+    }
+
+    #[test]
+    fn nesting_is_limited_to_max_depth() {
+        let deepest = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(Json::parse(&deepest).is_ok());
+        let too_deep = "[".repeat(MAX_DEPTH) + "{}" + &"]".repeat(MAX_DEPTH);
+        let err = Json::parse(&too_deep).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than"), "{err}");
+        // A hostile run of brackets fails cleanly instead of overflowing
+        // the stack.
+        let err = Json::parse(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than"), "{err}");
     }
 
     #[test]

@@ -46,10 +46,12 @@ impl SweepService {
         }
     }
 
-    /// Submits a job: resolves the sweep's grid against the cache, starts
-    /// simulating only the misses (work-stealing, streaming), and returns
-    /// a [`ServeRun`] yielding every point — hit or miss — in
-    /// deterministic grid order, byte-identical to `sweep.run()`.
+    /// Submits a job: resolves the sweep's grid against the cache and
+    /// returns a [`ServeRun`] yielding every point — hit or miss — in
+    /// deterministic grid order, byte-identical to `sweep.run()`. Only
+    /// the misses are simulated (work-stealing, streaming), and their
+    /// workers start when the run first needs a miss: a fully cached job
+    /// spawns no thread at all.
     ///
     /// # Errors
     ///
@@ -103,14 +105,12 @@ impl SweepService {
             simulated: misses.len(),
             errors: 0,
         };
-        // Misses are submitted in ascending position order, so the
-        // stream yields them that way too — mergeable against the hit
-        // queue.
-        let stream = sweep.run_subset_streaming(misses);
         Ok(ServeRun {
             cache: Arc::clone(&self.cache),
             hits,
-            stream,
+            sweep: sweep.clone(),
+            misses,
+            stream: None,
             miss_keys,
             summary,
             yielded: 0,
@@ -304,11 +304,17 @@ fn interruption_of(cancel: &CancelToken) -> ServeError {
 /// truncates the run (see [`interrupted`](ServeRun::interrupted)).
 pub struct ServeRun {
     cache: Arc<Mutex<ResultCache>>,
-    /// Cached points, ascending grid index.
+    /// Cached points, ascending submission position.
     hits: VecDeque<(usize, SweepPoint)>,
-    /// Simulated points arrive here, also by ascending grid index.
-    stream: IndexedSweepStream,
-    /// Keys of the streamed points, aligned with the stream's order.
+    /// The submitted sweep: threading, fast-forward and cancellation for
+    /// the miss stream.
+    sweep: Sweep,
+    /// The misses, ascending submission position (each spec's `index` is
+    /// its position), until the stream takes them.
+    misses: Vec<PointSpec>,
+    /// Simulates the misses; started when the merge first needs one.
+    stream: Option<IndexedSweepStream>,
+    /// Keys of the misses not yet yielded, in stream order.
     miss_keys: VecDeque<PointKey>,
     summary: JobSummary,
     yielded: usize,
@@ -324,11 +330,10 @@ impl ServeRun {
     }
 
     /// Whether the run stopped early because its sweep's cancel token
-    /// tripped (explicitly, or by deadline). The second clause catches
-    /// jobs interrupted before the stream noticed — e.g. a fully cached
-    /// job whose deadline had already passed at submission.
+    /// tripped (explicitly, or by deadline) — whether or not its miss
+    /// stream had started.
     pub fn interrupted(&self) -> bool {
-        self.stream.cancelled() || (self.cancel.is_cancelled() && self.yielded < self.summary.total)
+        self.cancel.is_cancelled() && self.yielded < self.summary.total
     }
 
     /// The [`ServeError`] describing an interruption; meaningful only
@@ -345,42 +350,37 @@ impl ServeRun {
         if self.cancel.is_cancelled() {
             return None;
         }
-        let take_hit = match (self.hits.front(), self.stream.size_hint().0) {
-            (Some(_), 0) => true,
-            (Some((hit_index, _)), _) => {
-                // The next streamed point has the smallest unseen miss
-                // index; compare against position instead of peeking by
-                // noting indices are yielded in ascending interleaved
-                // order: the next overall index is `yielded`.
-                *hit_index == self.yielded
-            }
-            (None, _) => false,
-        };
-        let outcome = if take_hit {
-            Some(Ok(self.hits.pop_front().expect("checked").1))
-        } else {
-            match self.stream.next_outcome() {
-                Some((_, outcome)) => {
-                    let key = self.miss_keys.pop_front().expect("one key per miss");
-                    match outcome {
-                        Ok(point) => {
-                            self.cache.lock().unwrap().store(key, point.result.clone());
-                            Some(Ok(point))
-                        }
-                        Err(error) => {
-                            self.summary.errors += 1;
-                            Some(Err(error))
-                        }
-                    }
-                }
-                None if self.stream.cancelled() => None,
-                None => self.hits.pop_front().map(|(_, point)| Ok(point)),
-            }
-        };
-        if outcome.is_some() {
+        // Hits and misses partition the submission positions, and both
+        // queues ascend, so the next position overall is `yielded`.
+        if self
+            .hits
+            .front()
+            .is_some_and(|&(position, _)| position == self.yielded)
+        {
             self.yielded += 1;
+            return self.hits.pop_front().map(|(_, point)| Ok(point));
         }
-        outcome
+        if self.miss_keys.is_empty() {
+            return None;
+        }
+        let (sweep, misses) = (&self.sweep, &mut self.misses);
+        let stream = self
+            .stream
+            .get_or_insert_with(|| sweep.run_subset_streaming(std::mem::take(misses)));
+        // `None` here: cancellation truncated the stream.
+        let (_, outcome) = stream.next_outcome()?;
+        self.yielded += 1;
+        let key = self.miss_keys.pop_front().expect("one key per miss");
+        Some(match outcome {
+            Ok(point) => {
+                self.cache.lock().unwrap().store(key, point.result.clone());
+                Ok(point)
+            }
+            Err(error) => {
+                self.summary.errors += 1;
+                Err(error)
+            }
+        })
     }
 }
 
@@ -435,6 +435,47 @@ mod tests {
         assert_eq!(second, fresh, "cached results are byte-identical");
         assert_eq!(cost.cache_hits, 12);
         assert_eq!(cost.simulated, 0, "repeat jobs simulate nothing");
+    }
+
+    /// The miss stream starts only when the in-order merge first needs a
+    /// miss: leading hits stream without a worker, a cancellation before
+    /// the first miss simulates nothing, and a fully cached job never
+    /// starts the stream at all.
+    #[test]
+    fn the_miss_stream_starts_only_when_a_miss_is_due() {
+        let service = SweepService::new(ResultCache::in_memory(1024));
+        // Cache the TRFD half: the job's first six points hit, its
+        // DYFESM points miss.
+        let trfd = Sweep::new()
+            .machines([Machine::reference(1), Machine::dva(1), Machine::ideal()])
+            .benchmark(Benchmark::Trfd)
+            .latencies([1, 30])
+            .scale(Scale::Quick)
+            .threads(2);
+        service.run(&trfd).unwrap();
+        let cached = service.cached_results();
+
+        let token = CancelToken::new();
+        let mut run = service
+            .submit(&sweep().cancel_token(token.clone()))
+            .unwrap();
+        assert_eq!(run.summary().cache_hits, 6);
+        let first = run.next_outcome().unwrap().unwrap();
+        assert_eq!(first, trfd.clone().threads(1).run().points[0]);
+        assert!(run.stream.is_none(), "a hit needs no miss stream");
+        token.cancel();
+        assert!(run.interrupted());
+        assert!(
+            run.next_outcome().is_none(),
+            "a cancelled job yields nothing more"
+        );
+        assert!(run.stream.is_none());
+        assert_eq!(service.cached_results(), cached, "no miss was simulated");
+
+        let mut run = service.submit(&trfd).unwrap();
+        assert_eq!(run.by_ref().count(), 6);
+        assert!(!run.interrupted());
+        assert!(run.stream.is_none(), "a fully cached job starts no stream");
     }
 
     #[test]

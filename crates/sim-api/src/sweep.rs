@@ -43,12 +43,8 @@ pub struct Sweep {
     pub(crate) scale: Scale,
     pub(crate) threads: usize,
     pub(crate) fast_forward: bool,
-    pub(crate) lanes: usize,
     pub(crate) cancel: CancelToken,
 }
-
-/// The lane count [`Sweep::effective_lanes`] resolves `0` (auto) to.
-pub(crate) const DEFAULT_LANES: usize = 16;
 
 impl Default for Sweep {
     /// An empty session with fast-forward enabled.
@@ -62,7 +58,6 @@ impl Default for Sweep {
             scale: Scale::default(),
             threads: 0,
             fast_forward: true,
-            lanes: 0,
             cancel: CancelToken::new(),
         }
     }
@@ -243,30 +238,6 @@ impl Sweep {
         self
     }
 
-    /// Sets the lane-batch width: how many grid points sharing a program
-    /// and machine family one engine pass simulates in lockstep (points
-    /// differing only along the latency and memory axes). `0` (the
-    /// default) resolves to a built-in width when the sweep runs; `1`
-    /// disables batching and runs every point on its own. Results are
-    /// **independent of the lane count** — a batched sweep is
-    /// byte-identical to a per-point one; lanes only trade memory for
-    /// throughput.
-    #[must_use]
-    pub fn lanes(mut self, lanes: usize) -> Sweep {
-        self.lanes = lanes;
-        self
-    }
-
-    /// The lane-batch width [`run`](Sweep::run) will actually use: the
-    /// configured [`lanes`](Sweep::lanes), with `0` resolved to the
-    /// built-in default (currently 16).
-    pub fn effective_lanes(&self) -> usize {
-        match self.lanes {
-            0 => DEFAULT_LANES,
-            n => n,
-        }
-    }
-
     /// Attaches a cooperative cancellation token to the session's
     /// *streaming* runs: once the token is cancelled (explicitly or by
     /// its deadline), workers stop claiming further grid points and the
@@ -376,27 +347,17 @@ impl Sweep {
         if workers <= 1 {
             // Inline sequential path: no threads, no channel — the
             // reference implementation the parallel paths are tested
-            // against. It runs the same job plan as the workers, so the
-            // lane batching is exercised (and verified) here too.
-            let entries = stream::prepare(specs);
-            let jobs = stream::plan_jobs(&entries, self.effective_lanes());
+            // against. The blocking path keeps its all-or-nothing
+            // contract: an isolated point fault re-raises.
             let mut runners = Runners::new();
-            let mut points: Vec<Option<SweepPoint>> = vec![None; entries.len()];
-            for job in &jobs {
-                stream::execute_job(
-                    &entries,
-                    &job.positions,
-                    self.fast_forward,
-                    &mut runners,
-                    // The blocking path keeps its all-or-nothing
-                    // contract: an isolated point fault re-raises.
-                    |pos, outcome| points[pos] = Some(outcome.unwrap_or_else(|e| panic!("{e}"))),
-                );
-            }
             return SweepResults {
-                points: points
-                    .into_iter()
-                    .map(|point| point.expect("every grid position belongs to exactly one job"))
+                points: stream::prepare(specs)
+                    .iter()
+                    .map(|entry| {
+                        entry
+                            .try_measure(self.fast_forward, &mut runners)
+                            .unwrap_or_else(|e| panic!("{e}"))
+                    })
                     .collect(),
             };
         }
@@ -424,7 +385,6 @@ impl Sweep {
             stream::prepare(specs),
             workers,
             self.fast_forward,
-            self.effective_lanes(),
             self.cancel.clone(),
         )
     }
@@ -444,7 +404,6 @@ impl Sweep {
             stream::prepare(specs),
             workers,
             self.fast_forward,
-            self.effective_lanes(),
             self.cancel.clone(),
         )
     }

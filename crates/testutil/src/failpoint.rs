@@ -12,7 +12,7 @@
 //! only for hits whose *detail* string contains `filter`. Combined with
 //! the repo's byte-identical simulation invariant, this makes every
 //! chaos test reproducible: the same failpoint spec fires at the same
-//! hit under any thread or lane count when selected by `filter`.
+//! hit under any thread count when selected by `filter`.
 //!
 //! The environment grammar, one spec per `;`-separated segment:
 //!

@@ -1,8 +1,8 @@
 //! Contract of the adaptive sweep sessions: every point an adaptive run
 //! emits is byte-identical to the dense sweep's, the sampling plan is
-//! deterministic regardless of worker threads or lane batching, and
-//! dominance pruning never drops a configuration that beats the
-//! baseline anywhere on the dense axis.
+//! deterministic regardless of worker threads, and dominance pruning
+//! never drops a configuration that beats the baseline anywhere on the
+//! dense axis.
 
 use dva_serve::{Client, ResultCache, SweepService};
 use dva_sim_api::{AdaptiveSweep, Machine, Sweep};
@@ -65,31 +65,26 @@ proptest! {
 
     /// The sampling plan — which points get measured, in how many
     /// rounds, and what gets pruned — is a function of the measured
-    /// curves alone: worker threads and lane batching never change it,
-    /// and the full outcome (points and report) is identical.
+    /// curves alone: worker threads never change it, and the full
+    /// outcome (points and report) is identical.
     #[test]
-    fn the_sampling_plan_ignores_threads_and_lanes(
+    fn the_sampling_plan_ignores_threads(
         bench_index in 0usize..6,
         seeds in 3usize..=6,
     ) {
-        let session = |threads: usize, lanes: usize| {
-            AdaptiveSweep::over(
-                grid(&[0, 1, 2], benchmark(bench_index))
-                    .threads(threads)
-                    .lanes(lanes),
-                1..=30,
-            )
-            .seeds(seeds)
-            .prune_against("DVA", ["REF", "BYP 4/4", "BYP 256/16"])
-            .run()
+        let session = |threads: usize| {
+            AdaptiveSweep::over(grid(&[0, 1, 2], benchmark(bench_index)).threads(threads), 1..=30)
+                .seeds(seeds)
+                .prune_against("DVA", ["REF", "BYP 4/4", "BYP 256/16"])
+                .run()
         };
-        let reference = session(1, 1);
-        for (threads, lanes) in [(2, 1), (8, 1), (1, 16), (8, 16)] {
-            let outcome = session(threads, lanes);
+        let reference = session(1);
+        for threads in [2, 8] {
+            let outcome = session(threads);
             prop_assert_eq!(&outcome.results, &reference.results,
-                "threads={} lanes={} changed the measured points", threads, lanes);
+                "threads={} changed the measured points", threads);
             prop_assert_eq!(&outcome.report, &reference.report,
-                "threads={} lanes={} changed the sampling report", threads, lanes);
+                "threads={} changed the sampling report", threads);
         }
     }
 

@@ -302,6 +302,39 @@ fn malformed_requests_and_abrupt_hangups_leave_the_daemon_serving() {
 }
 
 #[test]
+fn a_deeply_nested_request_line_gets_one_error_and_the_daemon_survives() {
+    let _guard = chaos_guard();
+    let daemon = Daemon::start(ResultCache::in_memory(1024));
+
+    // A 200,000-deep run of `[` would overflow a recursive parser's
+    // stack and abort the whole process; the depth limit turns it into
+    // one error line, and the same connection keeps answering.
+    let stream = UnixStream::connect(&daemon.socket).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    writeln!(writer, "{}", "[".repeat(200_000)).unwrap();
+    writeln!(writer, "{{\"type\":\"ping\"}}").unwrap();
+    writer.flush().unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"type\":\"error\""), "{line}");
+    assert!(line.contains("nesting deeper than"), "{line}");
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(
+        line.contains("\"type\":\"pong\""),
+        "one error line, then the ping's answer: {line}"
+    );
+    drop((reader, writer));
+
+    // Other connections are unaffected.
+    let mut client = daemon.client();
+    assert_eq!(client.ping().unwrap(), dva_serve::ENGINE_VERSION);
+    drop(client);
+    daemon.stop();
+}
+
+#[test]
 fn injected_cache_write_failures_demote_to_memory_and_serving_continues() {
     let _guard = chaos_guard();
     let dir = std::env::temp_dir().join(format!("dva-chaos-demote-{}", std::process::id()));

@@ -9,15 +9,29 @@
 //! result assembly); if the long run — thousands of additional ticks —
 //! allocates exactly as much as the short one, the per-tick allocation
 //! count is pinned at zero.
+//!
+//! The counter is process-wide and libtest runs tests on parallel
+//! threads, so each test holds [`MEASURING`] for its whole body: one
+//! test's allocations can never land inside the other's window.
 
 use dva_core::{CompiledProgram, DvaConfig, DvaRunner, DvaSim};
 use dva_isa::{Program, VectorReg};
 use dva_ref::{RefParams, RefRunner, RefSim};
 use dva_testutil::{allocation_count, vadd, vload, vstore};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 #[global_allocator]
 static ALLOC: dva_testutil::CountingAllocator = dva_testutil::CountingAllocator;
+
+/// Serializes the measurements (see the module docs).
+static MEASURING: Mutex<()> = Mutex::new(());
+
+fn measuring() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the other test still measures.
+    MEASURING
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// `n` rounds of load → add → store over rotating registers: every
 /// engine structure (AVDQ, store queues, scoreboards, FUs) cycles in
@@ -44,6 +58,7 @@ fn kernel(n: usize) -> Program {
 
 #[test]
 fn steady_state_ticks_do_not_allocate() {
+    let _measuring = measuring();
     let short = Arc::new(CompiledProgram::compile(&kernel(40)));
     let long = Arc::new(CompiledProgram::compile(&kernel(80)));
 
@@ -92,6 +107,7 @@ fn steady_state_ticks_do_not_allocate() {
 
 #[test]
 fn ref_steady_state_ticks_do_not_allocate() {
+    let _measuring = measuring();
     let short = Arc::new(dva_ref::CompiledProgram::compile(&kernel(40)));
     let long = Arc::new(dva_ref::CompiledProgram::compile(&kernel(80)));
     let sim = RefSim::new(RefParams::with_latency(30));
