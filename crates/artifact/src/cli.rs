@@ -14,6 +14,7 @@
 
 use crate::artifact::Artifact;
 use dva_json::ToJson;
+use dva_sim_api::Sweep;
 use dva_workloads::Scale;
 use std::path::{Path, PathBuf};
 
@@ -47,6 +48,11 @@ impl RunOpts {
             full: false,
             threads: 1,
         }
+    }
+
+    /// A [`Sweep`] session preconfigured with these options.
+    pub fn sweep(&self) -> Sweep {
+        Sweep::new().scale(self.scale).threads(self.threads)
     }
 }
 
@@ -161,12 +167,6 @@ pub fn parse_cli() -> CliArgs {
             std::process::exit(2);
         }
     }
-}
-
-/// Parses the process arguments and keeps only the grid options (the
-/// output flags are accepted and dropped — prefer [`parse_cli`]).
-pub fn parse_args() -> RunOpts {
-    parse_cli().run
 }
 
 /// The golden-artifact directory: `$GOLDEN_DIR`, or `artifacts/golden`

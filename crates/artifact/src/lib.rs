@@ -32,8 +32,8 @@ pub mod spec;
 
 pub use artifact::{Artifact, Section, TableData};
 pub use cli::{
-    golden_bytes, golden_check, golden_dir, golden_path, parse_args, parse_cli, try_parse,
-    write_outputs, CliArgs, GoldenStatus, OutputOpts, Parsed, RunOpts,
+    golden_bytes, golden_check, golden_dir, golden_path, parse_cli, try_parse, write_outputs,
+    CliArgs, GoldenStatus, OutputOpts, Parsed, RunOpts,
 };
 pub use runner::{RunError, Runner};
 pub use spec::{ExperimentSpec, Invariant, SpecManifest, SweepPlan};

@@ -109,7 +109,7 @@ impl Runner {
     /// address run directly. Either way every sampled point is
     /// byte-identical to the dense run's.
     fn run_adaptive(&mut self, adaptive: &AdaptiveSweep) -> (SweepResults, AdaptiveReport) {
-        match self.service.run_adaptive(adaptive) {
+        match self.service.run_adaptive_with(adaptive, |_, _| {}) {
             Ok((outcome, job)) => {
                 self.hits += job.cache_hits;
                 self.simulated += job.simulated;

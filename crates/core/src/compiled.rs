@@ -26,14 +26,15 @@ use dva_isa::Program;
 /// # Examples
 ///
 /// ```
-/// use dva_core::{CompiledProgram, DvaConfig, DvaSim};
+/// use dva_core::{CompiledProgram, DvaConfig, DvaRunner, DvaSim};
 /// use dva_workloads::{Benchmark, Scale};
 /// use std::sync::Arc;
 ///
 /// let program = Benchmark::Trfd.program(Scale::Quick);
 /// let compiled = Arc::new(CompiledProgram::compile(&program));
 /// let sim = DvaSim::new(DvaConfig::dva(30));
-/// assert_eq!(sim.run_compiled(&compiled), sim.run(&program));
+/// let result = DvaRunner::new().try_run(&sim, &compiled).unwrap();
+/// assert_eq!(result, sim.run(&program));
 /// ```
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {

@@ -1523,15 +1523,9 @@ impl Processor for Engine {
 /// Drives `engine` (fresh or [`reset`](Engine::reset)) to completion
 /// through the shared [`Driver`] and assembles the decoupled machine's
 /// result. The engine keeps its buffers afterwards, ready for the next
-/// reset.
-pub(crate) fn drive(engine: &mut Engine, fast_forward: bool) -> DvaResult {
-    try_drive(engine, fast_forward).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`drive`], but a tripped deadlock watchdog comes back as a
-/// [`SimError`] instead of a panic. The engine is left mid-flight on
-/// error; [`reset`](Engine::reset) restores it for the next run.
-pub(crate) fn try_drive(engine: &mut Engine, fast_forward: bool) -> Result<DvaResult, SimError> {
+/// reset; on a tripped deadlock watchdog it is left mid-flight, and
+/// [`reset`](Engine::reset) restores it.
+pub(crate) fn drive(engine: &mut Engine, fast_forward: bool) -> Result<DvaResult, SimError> {
     let mut observers = Observers::with_occupancy(Histogram::new(engine.cfg.queues.avdq));
     let completion = Driver::new()
         .fast_forward(fast_forward)
@@ -1558,7 +1552,7 @@ mod tests {
 
     fn run(cfg: DvaConfig, program: &Program, fast_forward: bool) -> DvaResult {
         let compiled = Arc::new(CompiledProgram::compile(program));
-        drive(&mut Engine::new(cfg, compiled), fast_forward)
+        drive(&mut Engine::new(cfg, compiled), fast_forward).unwrap()
     }
 
     /// A long stream of short vector loads rotating over the eight
@@ -1615,7 +1609,7 @@ mod tests {
         let compiled = Arc::new(CompiledProgram::compile(&program));
         let mut engine = Engine::new(DvaConfig::default(), compiled);
         engine.svdq.push(Timed::new((), 0));
-        let _ = drive(&mut engine, true);
+        let _ = drive(&mut engine, true).unwrap();
     }
 
     #[test]
@@ -1679,15 +1673,15 @@ mod tests {
             Arc::new(CompiledProgram::compile(&Program::from_insts("m", insts)))
         };
         let mut engine = Engine::new(DvaConfig::dva(1), Arc::clone(&storm));
-        let _ = drive(&mut engine, true);
+        let _ = drive(&mut engine, true).unwrap();
         for (cfg, compiled) in [
             (DvaConfig::dva(70), &storm),
             (DvaConfig::byp(30, 4, 8), &mixed),
             (DvaConfig::builder().latency(5).avdq(4).build(), &storm),
         ] {
             engine.reset(cfg, Arc::clone(compiled));
-            let reused = drive(&mut engine, true);
-            let fresh = drive(&mut Engine::new(cfg, Arc::clone(compiled)), true);
+            let reused = drive(&mut engine, true).unwrap();
+            let fresh = drive(&mut Engine::new(cfg, Arc::clone(compiled)), true).unwrap();
             assert_eq!(reused, fresh, "cfg={cfg:?}");
         }
     }

@@ -120,25 +120,16 @@ impl DvaSim {
     ///
     /// Translates the program on the fly; when the same program runs more
     /// than once (latency sweeps, model sweeps), compile it once with
-    /// [`CompiledProgram::compile`] and use [`DvaSim::run_compiled`] or a
-    /// [`DvaRunner`] instead.
+    /// [`CompiledProgram::compile`] and reuse a [`DvaRunner`] instead.
     ///
     /// # Panics
     ///
     /// Panics if the engine detects a deadlock (an internal invariant
     /// violation — valid traces always complete).
     pub fn run(&self, program: &Program) -> DvaResult {
-        self.run_compiled(&Arc::new(CompiledProgram::compile(program)))
-    }
-
-    /// Runs a pre-translated program to completion — byte-identical to
-    /// [`DvaSim::run`] on the source program, without re-translating it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine detects a deadlock.
-    pub fn run_compiled(&self, compiled: &Arc<CompiledProgram>) -> DvaResult {
-        DvaRunner::new().run(self, compiled)
+        DvaRunner::new()
+            .try_run(self, &Arc::new(CompiledProgram::compile(program)))
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -146,7 +137,7 @@ impl DvaSim {
 /// architectural queues, the data-ready ring and the bypass machinery,
 /// amortized over any number of runs.
 ///
-/// Each [`run`](DvaRunner::run) resets the engine to its initial state
+/// Each [`try_run`](DvaRunner::try_run) resets the engine to its initial state
 /// (the *reset contract*: a run on a reused engine is byte-identical to a
 /// run on a freshly constructed one — asserted by the engine test suite
 /// and the allocation-regression tests) and drives it to completion.
@@ -162,13 +153,12 @@ impl DvaSim {
 /// use dva_workloads::{Benchmark, Scale};
 /// use std::sync::Arc;
 ///
-/// let compiled = Arc::new(CompiledProgram::compile(
-///     &Benchmark::Trfd.program(Scale::Quick),
-/// ));
+/// let program = Benchmark::Trfd.program(Scale::Quick);
+/// let compiled = Arc::new(CompiledProgram::compile(&program));
 /// let mut runner = DvaRunner::new();
 /// for latency in [1, 30, 100] {
 ///     let sim = DvaSim::new(DvaConfig::dva(latency));
-///     assert_eq!(runner.run(&sim, &compiled), sim.run_compiled(&compiled));
+///     assert_eq!(runner.try_run(&sim, &compiled).unwrap(), sim.run(&program));
 /// }
 /// ```
 #[derive(Debug, Default)]
@@ -184,25 +174,16 @@ impl DvaRunner {
     }
 
     /// Runs `compiled` under `sim`'s configuration and stepping strategy,
-    /// reusing this runner's engine allocations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine detects a deadlock.
-    pub fn run(&mut self, sim: &DvaSim, compiled: &Arc<CompiledProgram>) -> DvaResult {
-        engine::drive(self.arm(sim, compiled), sim.fast_forward)
-    }
-
-    /// [`run`](DvaRunner::run), but a detected deadlock comes back as a
-    /// [`SimError`](dva_engine::SimError) instead of a panic. The engine
-    /// is left mid-flight on error; the next run's reset restores it, so
+    /// reusing this runner's engine allocations. A detected deadlock
+    /// comes back as a [`SimError`](dva_engine::SimError); the engine is
+    /// left mid-flight on error, and the next run's reset restores it, so
     /// the runner stays reusable.
     pub fn try_run(
         &mut self,
         sim: &DvaSim,
         compiled: &Arc<CompiledProgram>,
     ) -> Result<DvaResult, dva_engine::SimError> {
-        engine::try_drive(self.arm(sim, compiled), sim.fast_forward)
+        engine::drive(self.arm(sim, compiled), sim.fast_forward)
     }
 
     /// Readies the engine for `sim` — reset when it exists, built when it

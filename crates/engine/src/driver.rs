@@ -6,7 +6,7 @@ use dva_metrics::{Diag, Histogram, StateTracker, UnitState};
 use std::fmt;
 
 /// How many consecutive ticks without progress before the driver declares
-/// a deadlock (a bug in the machine model) and panics with diagnostics.
+/// a deadlock (a bug in the machine model) and returns a [`SimError`].
 ///
 /// Counted in executed *ticks*, not cycles, so fast-forward jumps over
 /// quiet cycles never trip it early and a genuine deadlock is detected
@@ -16,15 +16,14 @@ use std::fmt;
 pub const WATCHDOG_TICKS: u64 = 200_000;
 
 /// A structured simulation failure: the deadlock watchdog's diagnosis,
-/// returned by [`Driver::try_run`] instead of a panic.
+/// returned by [`Driver::try_run`].
 ///
 /// A deadlock is an internal invariant violation — a valid machine model
-/// on a valid trace always completes — so the panicking entry point
-/// ([`Driver::run`]) remains the right default for experiment code.
-/// Long-running services use [`Driver::try_run`] so one poisoned
-/// simulation becomes a typed error instead of tearing down a worker
-/// thread; [`SimError`]'s [`Display`](fmt::Display) form is exactly the
-/// message the panicking path would have raised.
+/// on a valid trace always completes. Returning it as a value lets one
+/// poisoned simulation become a typed error instead of tearing down a
+/// worker thread; the convenience edges (`DvaSim::run`,
+/// `Machine::simulate`, `Sweep::run`) panic with its
+/// [`Display`](fmt::Display) form instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimError {
     /// The cycle the clock stood at when the watchdog tripped.
@@ -195,7 +194,7 @@ pub trait Processor {
         Report::default()
     }
 
-    /// One line of machine state for the watchdog's deadlock panic.
+    /// One line of machine state for the watchdog's [`SimError`].
     fn deadlock_context(&self, now: Cycle) -> String {
         let _ = now;
         String::new()
@@ -275,7 +274,7 @@ impl Driver {
     }
 
     /// Overrides the watchdog threshold (consecutive no-progress ticks
-    /// before the driver panics).
+    /// before the driver reports a deadlock).
     #[must_use]
     pub fn watchdog_ticks(mut self, ticks: u64) -> Driver {
         self.watchdog_ticks = ticks;
@@ -283,26 +282,9 @@ impl Driver {
     }
 
     /// Runs `processor` to completion, sampling into `observers`, and
-    /// reports where the clock stopped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the processor makes no progress for more than the
-    /// watchdog threshold of consecutive ticks — a deadlock, which for a
-    /// valid machine model and trace is an internal invariant violation.
-    /// Callers that must survive a poisoned simulation use
-    /// [`try_run`](Driver::try_run) instead.
-    pub fn run<P: Processor + ?Sized>(
-        &self,
-        processor: &mut P,
-        observers: &mut Observers,
-    ) -> Completion {
-        self.try_run(processor, observers)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`run`](Driver::run), but a tripped deadlock watchdog comes back
-    /// as a [`SimError`] instead of a panic. The processor and observers
+    /// reports where the clock stopped. A tripped deadlock watchdog — no
+    /// progress for more than the watchdog threshold of consecutive
+    /// ticks — comes back as a [`SimError`]; the processor and observers
     /// are left mid-flight on error and must be discarded.
     pub fn try_run<P: Processor + ?Sized>(
         &self,
@@ -472,7 +454,8 @@ mod tests {
         let mut obs = Observers::with_occupancy(Histogram::new(8));
         let completion = Driver::new()
             .fast_forward(fast_forward)
-            .run(&mut toy, &mut obs);
+            .try_run(&mut toy, &mut obs)
+            .unwrap();
         (toy, obs, completion)
     }
 
@@ -522,7 +505,8 @@ mod tests {
     }
 
     /// The watchdog trips on a processor that claims progress is
-    /// impossible forever (no next event, never done).
+    /// impossible forever (no next event, never done); its error
+    /// displays as the message the convenience edges panic with.
     #[test]
     #[should_panic(expected = "engine deadlock")]
     fn watchdog_trips_on_a_processor_that_never_progresses() {
@@ -546,12 +530,12 @@ mod tests {
         }
         let _ = Driver::new()
             .watchdog_ticks(64)
-            .run(&mut Stuck, &mut Observers::new());
+            .try_run(&mut Stuck, &mut Observers::new())
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 
-    /// `try_run` reports the same deadlock as a typed [`SimError`] whose
-    /// display form is exactly the panic message, so the two entry
-    /// points cannot drift apart.
+    /// `try_run` reports a deadlock as a typed [`SimError`] whose display
+    /// form is the message the convenience edges panic with.
     #[test]
     fn try_run_returns_a_structured_deadlock() {
         struct Stuck;

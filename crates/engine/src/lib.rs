@@ -85,7 +85,9 @@
 //! }
 //!
 //! let mut obs = Observers::new();
-//! let run = Driver::new().run(&mut WaitFor10 { done: false }, &mut obs);
+//! let run = Driver::new()
+//!     .try_run(&mut WaitFor10 { done: false }, &mut obs)
+//!     .unwrap();
 //! assert_eq!(run.cycles, 11);
 //! assert!(run.ticks <= 3); // fast-forward skipped the quiet cycles
 //! assert_eq!(obs.states.total_cycles(), 11);

@@ -2,7 +2,7 @@
 //! of chaining on the reference machine and of the second QMOV unit on
 //! the decoupled machine.
 
-use crate::common::{RunOpts, SweepOpts};
+use crate::common::RunOpts;
 use dva_artifact::{ExperimentSpec, Section, SweepPlan};
 use dva_core::DvaConfig;
 use dva_metrics::Table;

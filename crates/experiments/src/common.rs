@@ -2,15 +2,15 @@
 //! and the REF/DVA/IDEAL sweep shared by Figures 3–5.
 //!
 //! Command-line parsing and the run options live in [`dva_artifact::cli`]
-//! (one parser for all twelve binaries); this module re-exports them so
-//! experiment code keeps one import path. All heavy lifting is delegated
-//! to [`dva_sim_api::Sweep`], which fans the (machine × program ×
-//! latency) grid out over worker threads.
+//! (one parser for all twelve binaries); this module re-exports
+//! [`RunOpts`] so experiment code keeps one import path. All heavy
+//! lifting is delegated to [`dva_sim_api::Sweep`], which fans the
+//! (machine × program × latency) grid out over worker threads.
 
 use dva_sim_api::{Machine, Sweep, SweepResults};
-use dva_workloads::{Benchmark, Scale};
+use dva_workloads::Benchmark;
 
-pub use dva_artifact::{parse_args, parse_cli, CliArgs, OutputOpts, RunOpts};
+pub use dva_artifact::RunOpts;
 
 /// The memory latencies swept, mirroring the paper's x axis (1 to 100
 /// cycles). `full` adds the intermediate decades.
@@ -28,25 +28,6 @@ pub const FIG1_LATENCIES: [u64; 4] = [1, 30, 70, 100];
 /// The latencies Figure 6 uses for its occupancy histograms.
 pub const FIG6_LATENCIES: [u64; 3] = [1, 30, 100];
 
-/// Experiment-side extensions of the shared [`RunOpts`].
-pub trait SweepOpts {
-    /// A [`Sweep`] session preconfigured with these options.
-    fn sweep(&self) -> Sweep;
-}
-
-impl SweepOpts for RunOpts {
-    fn sweep(&self) -> Sweep {
-        Sweep::new().scale(self.scale).threads(self.threads)
-    }
-}
-
-/// Parses `--quick` / `--full` from the process arguments, exiting
-/// nonzero on anything it does not understand (including `--threads`,
-/// which it accepts and applies to nothing — prefer [`parse_args`]).
-pub fn scale_from_args() -> Scale {
-    parse_args().scale
-}
-
 /// The three machines of the paper's central comparison.
 pub fn core_machines() -> [Machine; 3] {
     [Machine::reference(1), Machine::dva(1), Machine::ideal()]
@@ -61,11 +42,6 @@ pub fn latency_sweep_cfg(opts: RunOpts, latencies: &[u64]) -> Sweep {
         .machines(core_machines())
         .benchmarks(Benchmark::ALL)
         .latencies(latencies.iter().copied())
-}
-
-/// [`latency_sweep_cfg`], executed.
-pub fn latency_sweep(opts: RunOpts, latencies: &[u64]) -> SweepResults {
-    latency_sweep_cfg(opts, latencies).run()
 }
 
 /// The IDEAL bound of one benchmark in a sweep that included
@@ -88,6 +64,7 @@ pub fn kcycles(c: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dva_workloads::Scale;
 
     #[test]
     fn latency_grids_are_sorted_and_bounded() {
@@ -102,7 +79,7 @@ mod tests {
 
     #[test]
     fn sweep_collects_every_point() {
-        let sweep = latency_sweep(RunOpts::quick(), &[1, 100]);
+        let sweep = latency_sweep_cfg(RunOpts::quick(), &[1, 100]).run();
         assert_eq!(sweep.points.len(), 3 * Benchmark::ALL.len() * 2);
         for b in Benchmark::ALL {
             assert_eq!(sweep.of(b).count(), 6);

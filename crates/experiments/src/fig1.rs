@@ -2,7 +2,7 @@
 //! the eight (FU2, FU1, LD) machine states, per program and memory
 //! latency.
 
-use crate::common::{RunOpts, SweepOpts, FIG1_LATENCIES};
+use crate::common::{RunOpts, FIG1_LATENCIES};
 use dva_artifact::{ExperimentSpec, Section, SweepPlan};
 use dva_metrics::{Table, UnitState};
 use dva_sim_api::{Machine, Sweep, SweepResults};
@@ -38,14 +38,10 @@ fn spec_render(_: &RunOpts, results: &[SweepResults]) -> Vec<Section> {
     vec![Section::new("fig1", HEADING, &render(&results[0]))]
 }
 
-/// Builds the Figure 1 data: one row per (program, latency) with the total
-/// cycles, the share of each of the eight states, and the paper's headline
-/// quantity — the fraction of cycles in which the memory port sits idle.
-pub fn run(opts: RunOpts) -> Table {
-    render(&sweep_cfg(&opts).run())
-}
-
-/// Renders a precomputed REF sweep into the Figure 1 table.
+/// Renders a REF sweep into the Figure 1 table: one row per (program,
+/// latency) with the total cycles, the share of each of the eight
+/// states, and the paper's headline quantity — the fraction of cycles in
+/// which the memory port sits idle.
 pub fn render(sweep: &SweepResults) -> Table {
     let mut headers = vec!["Program".to_string(), "L".to_string(), "cycles".to_string()];
     headers.extend(UnitState::all().iter().map(|s| s.to_string()));
@@ -77,7 +73,7 @@ mod tests {
 
     #[test]
     fn breakdown_rows_cover_all_latencies() {
-        let t = run(RunOpts::quick());
+        let t = render(&sweep_cfg(&RunOpts::quick()).run());
         assert_eq!(t.len(), Benchmark::ALL.len() * FIG1_LATENCIES.len());
     }
 

@@ -1,7 +1,7 @@
 //! Figure 3: execution time versus memory latency for the IDEAL bound,
 //! the reference architecture and the decoupled architecture.
 
-use crate::common::{ideal_of, kcycles, latencies, latency_sweep, latency_sweep_cfg, RunOpts};
+use crate::common::{ideal_of, kcycles, latencies, latency_sweep_cfg, RunOpts};
 use dva_artifact::{ExperimentSpec, Invariant, Section, SweepPlan};
 use dva_metrics::Table;
 use dva_sim_api::SweepResults;
@@ -29,14 +29,9 @@ fn spec_render(_: &RunOpts, results: &[SweepResults]) -> Vec<Section> {
     vec![Section::new("fig3", HEADING, &render(&results[0]))]
 }
 
-/// Builds the Figure 3 series: per program, one row per latency with
-/// IDEAL/REF/DVA cycle counts (in thousands).
-pub fn run(opts: RunOpts) -> Table {
-    render(&latency_sweep(opts, &latencies(opts.full)))
-}
-
-/// Renders a precomputed sweep (lets the `all` binary reuse one sweep for
-/// Figures 3, 4 and 5).
+/// Renders the Figure 3 series from the REF/DVA/IDEAL sweep: per
+/// program, one row per latency with IDEAL/REF/DVA cycle counts (in
+/// thousands).
 pub fn render(sweep: &SweepResults) -> Table {
     let mut table = Table::new(["Program", "L", "IDEAL (kcyc)", "REF (kcyc)", "DVA (kcyc)"]);
     for benchmark in Benchmark::ALL {
@@ -61,7 +56,7 @@ mod tests {
     #[test]
     fn dva_curves_are_flatter_than_ref() {
         // The paper's second headline: the slopes differ substantially.
-        let sweep = latency_sweep(RunOpts::quick(), &[1, 100]);
+        let sweep = latency_sweep_cfg(RunOpts::quick(), &[1, 100]).run();
         for benchmark in Benchmark::ALL {
             let growth = |label: &str| {
                 sweep.cycles(label, benchmark, 100).unwrap() as f64
@@ -74,11 +69,5 @@ mod tests {
                 benchmark.name()
             );
         }
-    }
-
-    #[test]
-    fn table_shape_is_programs_by_latencies() {
-        let t = run(RunOpts::quick());
-        assert_eq!(t.len(), Benchmark::ALL.len() * latencies(false).len());
     }
 }

@@ -1,7 +1,7 @@
 //! Figure 4: ratio of cycles spent in the all-idle `( , , )` state between
 //! the reference and the decoupled architecture.
 
-use crate::common::{latencies, latency_sweep, RunOpts};
+use crate::common::RunOpts;
 use dva_artifact::{ExperimentSpec, Invariant, Section};
 use dva_metrics::Table;
 use dva_sim_api::SweepResults;
@@ -24,12 +24,6 @@ fn spec_render(_: &RunOpts, results: &[SweepResults]) -> Vec<Section> {
     vec![Section::new("fig4", HEADING, &render(&results[0]))]
 }
 
-/// Builds the Figure 4 series: per program and latency, the REF/DVA ratio
-/// of all-idle cycles (the paper observes up to 5:1 for ARC2D).
-pub fn run(opts: RunOpts) -> Table {
-    render(&latency_sweep(opts, &latencies(opts.full)))
-}
-
 /// REF-over-DVA idle-cycle ratio at one grid point.
 pub fn idle_ratio(sweep: &SweepResults, benchmark: Benchmark, latency: u64) -> f64 {
     let idle = |label: &str| {
@@ -47,7 +41,9 @@ pub fn idle_ratio(sweep: &SweepResults, benchmark: Benchmark, latency: u64) -> f
     }
 }
 
-/// Renders a precomputed sweep.
+/// Renders the Figure 4 series from the REF/DVA/IDEAL sweep: per
+/// program and latency, the REF/DVA ratio of all-idle cycles (the paper
+/// observes up to 5:1 for ARC2D).
 pub fn render(sweep: &SweepResults) -> Table {
     let mut table = Table::new(["Program", "L", "REF idle", "DVA idle", "ratio"]);
     for benchmark in Benchmark::ALL {
@@ -74,10 +70,11 @@ pub fn render(sweep: &SweepResults) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::latency_sweep_cfg;
 
     #[test]
     fn decoupling_reduces_idle_cycles() {
-        let sweep = latency_sweep(RunOpts::quick(), &[30]);
+        let sweep = latency_sweep_cfg(RunOpts::quick(), &[30]).run();
         // At moderate latency every program should stall less on the DVA;
         // require a clear reduction for most.
         let reduced = Benchmark::ALL

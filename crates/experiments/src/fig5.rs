@@ -1,7 +1,7 @@
 //! Figure 5: speedup of the decoupled architecture over the reference
 //! architecture, per memory latency.
 
-use crate::common::{latencies, latency_sweep, RunOpts};
+use crate::common::RunOpts;
 use dva_artifact::{ExperimentSpec, Invariant, Section};
 use dva_metrics::Table;
 use dva_sim_api::SweepResults;
@@ -25,12 +25,6 @@ fn spec_render(_: &RunOpts, results: &[SweepResults]) -> Vec<Section> {
     vec![Section::new("fig5", HEADING, &render(&results[0]))]
 }
 
-/// Builds the Figure 5 series (paper: speedups at latency 100 range from
-/// 1.35 for ARC2D to 2.05 for SPEC77; DYFESM stays at ~1.0).
-pub fn run(opts: RunOpts) -> Table {
-    render(&latency_sweep(opts, &latencies(opts.full)))
-}
-
 /// DVA-over-REF speedup at one grid point.
 pub fn speedup(sweep: &SweepResults, benchmark: Benchmark, latency: u64) -> f64 {
     dva_metrics::speedup(
@@ -39,8 +33,10 @@ pub fn speedup(sweep: &SweepResults, benchmark: Benchmark, latency: u64) -> f64 
     )
 }
 
-/// Renders a precomputed sweep: one row per latency, one column per
-/// program, exactly like the paper's plot.
+/// Renders the Figure 5 series from the REF/DVA/IDEAL sweep: one row per
+/// latency, one column per program, exactly like the paper's plot (the
+/// paper's speedups at latency 100 range from 1.35 for ARC2D to 2.05
+/// for SPEC77; DYFESM stays at ~1.0).
 pub fn render(sweep: &SweepResults) -> Table {
     let mut headers = vec!["L".to_string()];
     headers.extend(Benchmark::ALL.iter().map(|b| b.name().to_string()));
@@ -58,10 +54,11 @@ pub fn render(sweep: &SweepResults) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::{latencies, latency_sweep_cfg};
 
     #[test]
     fn speedup_ordering_matches_the_paper_at_high_latency() {
-        let sweep = latency_sweep(RunOpts::quick(), &[100]);
+        let sweep = latency_sweep_cfg(RunOpts::quick(), &[100]).run();
         let sp = |b: Benchmark| speedup(&sweep, b, 100);
         // SPEC77 and TRFD lead; DYFESM trails near 1.0 (paper Section 5).
         assert!(sp(Benchmark::Spec77) > sp(Benchmark::Dyfesm));
@@ -74,7 +71,8 @@ mod tests {
 
     #[test]
     fn table_has_one_row_per_latency() {
-        let t = run(RunOpts::quick());
+        let opts = RunOpts::quick();
+        let t = render(&latency_sweep_cfg(opts, &latencies(opts.full)).run());
         assert_eq!(t.len(), latencies(false).len());
     }
 }

@@ -12,7 +12,7 @@
 //! tolerance by construction; every *measured* point is byte-identical
 //! to the dense run's (same grid spec, same cache key).
 
-use crate::common::{RunOpts, SweepOpts};
+use crate::common::RunOpts;
 use dva_artifact::{ExperimentSpec, Invariant, Section, SweepPlan};
 use dva_metrics::Table;
 use dva_sim_api::{knee_latency, AdaptiveSweep, Machine, MemoryModelKind, SweepResults};

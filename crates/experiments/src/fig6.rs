@@ -1,7 +1,7 @@
 //! Figure 6: busy-slot distribution of the vector load data queue (AVDQ)
 //! at three memory latencies.
 
-use crate::common::{RunOpts, SweepOpts, FIG6_LATENCIES};
+use crate::common::{RunOpts, FIG6_LATENCIES};
 use dva_artifact::{ExperimentSpec, Section, SweepPlan};
 use dva_metrics::Table;
 use dva_sim_api::{Machine, Sweep, SweepResults};
@@ -41,14 +41,9 @@ fn spec_render(_: &RunOpts, results: &[SweepResults]) -> Vec<Section> {
     vec![Section::new("fig6", HEADING, &render(&results[0]))]
 }
 
-/// Builds the Figure 6 histograms: cycles (in thousands) spent at each
-/// AVDQ occupancy, per program and latency, plus the maximum occupancy
-/// ever observed.
-pub fn run(opts: RunOpts) -> Table {
-    render(&sweep_cfg(&opts).run())
-}
-
-/// Renders a precomputed DVA sweep into the Figure 6 table.
+/// Renders a DVA sweep into the Figure 6 histograms: cycles (in
+/// thousands) spent at each AVDQ occupancy, per program and latency,
+/// plus the maximum occupancy ever observed.
 pub fn render(sweep: &SweepResults) -> Table {
     let mut headers = vec!["Program".to_string(), "L".to_string()];
     headers.extend((0..BUCKETS).map(|v| format!("{v}")));

@@ -1,7 +1,7 @@
 //! Figure 7: performance of the bypassing scheme — `BYP load/store`
 //! configurations against the base DVA and the IDEAL bound.
 
-use crate::common::{kcycles, latencies, RunOpts, SweepOpts};
+use crate::common::{kcycles, latencies, RunOpts};
 use dva_artifact::{ExperimentSpec, Invariant, Section, SweepPlan};
 use dva_metrics::Table;
 use dva_sim_api::{Machine, Sweep, SweepResults};
@@ -66,13 +66,9 @@ pub fn machines() -> Vec<Machine> {
     machines
 }
 
-/// Builds the Figure 7 series: per program and latency, cycles (in
-/// thousands) for DVA, each bypass configuration, and the IDEAL bound.
-pub fn run(opts: RunOpts) -> Table {
-    render(&sweep_cfg(&opts).run())
-}
-
-/// Renders a precomputed bypass sweep into the Figure 7 table.
+/// Renders a bypass sweep into the Figure 7 table: per program and
+/// latency, cycles (in thousands) for DVA, each bypass configuration,
+/// and the IDEAL bound.
 pub fn render(sweep: &SweepResults) -> Table {
     let machine_list = machines();
     let mut headers = vec!["Program".to_string(), "L".to_string()];
@@ -139,7 +135,7 @@ mod tests {
 
     #[test]
     fn figure_covers_all_machines() {
-        let t = run(RunOpts::quick());
+        let t = render(&sweep_cfg(&RunOpts::quick()).run());
         assert_eq!(t.len(), Benchmark::ALL.len() * latencies(false).len());
     }
 }

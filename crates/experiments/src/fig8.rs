@@ -1,7 +1,7 @@
 //! Figure 8: ratio of total memory traffic between the DVA 256/16 and the
 //! BYP 256/16 configurations.
 
-use crate::common::{RunOpts, SweepOpts};
+use crate::common::RunOpts;
 use dva_artifact::{ExperimentSpec, Section, SweepPlan};
 use dva_metrics::Table;
 use dva_sim_api::{Machine, Sweep, SweepResults};
@@ -40,14 +40,9 @@ fn spec_render(_: &RunOpts, results: &[SweepResults]) -> Vec<Section> {
     vec![Section::new("fig8", HEADING, &render(&results[0]))]
 }
 
-/// Builds the Figure 8 bars: memory words moved with and without bypass
-/// and their ratio (the paper reports >30% reduction for DYFESM and TRFD,
-/// ~10% for BDNA and FLO52).
-pub fn run(opts: RunOpts) -> Table {
-    render(&sweep_cfg(&opts).run())
-}
-
-/// Renders a precomputed traffic sweep into the Figure 8 table.
+/// Renders a traffic sweep into the Figure 8 bars: memory words moved
+/// with and without bypass and their ratio (the paper reports >30%
+/// reduction for DYFESM and TRFD, ~10% for BDNA and FLO52).
 pub fn render(sweep: &SweepResults) -> Table {
     let mut table = Table::new([
         "Program",

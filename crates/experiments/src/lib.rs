@@ -1,11 +1,12 @@
 //! Experiment drivers that regenerate every table and figure of the
 //! paper's evaluation (Sections 2–7).
 //!
-//! Each module reproduces one artifact and returns a [`dva_metrics::Table`]
-//! whose rows mirror what the paper plots; the `src/bin` binaries print
-//! them. All simulation fans out through [`dva_sim_api::Sweep`], so every
-//! figure parallelizes across the (machine × program × latency) grid. Run
-//! with `--release` — the sweeps simulate hundreds of millions of cycles:
+//! Each module reproduces one artifact: it declares the sweeps it needs
+//! and renders their results into [`dva_metrics::Table`]s whose rows
+//! mirror what the paper plots; the `src/bin` binaries print them. All
+//! simulation fans out through [`dva_sim_api::Sweep`], so every figure
+//! parallelizes across the (machine × program × latency) grid. Run with
+//! `--release` — the sweeps simulate hundreds of millions of cycles:
 //!
 //! ```text
 //! cargo run --release -p dva-experiments --bin table1
@@ -27,9 +28,9 @@
 //! | [`queues`] | Section 5/6: queue-sizing sensitivity |
 //! | [`membanks`] | Beyond the paper: bank-conflict stride sweep over the memory backends |
 //!
-//! Every module also exposes its experiment as a declarative
-//! [`dva_artifact::ExperimentSpec`] (`SPEC`), collected in
-//! [`registry::REGISTRY`]. The binaries are thin wrappers over
+//! Every module exposes its experiment as a declarative
+//! [`dva_artifact::ExperimentSpec`] (`SPEC`), the one way to produce it,
+//! collected in [`registry::REGISTRY`]. The binaries are thin wrappers over
 //! [`cli::run_spec`] / [`cli::run_all`], which execute specs through one
 //! cache-backed [`dva_artifact::Runner`], emit versioned artifacts
 //! (`--json` / `--csv`) and byte-check them against `artifacts/golden/`
@@ -54,7 +55,7 @@ pub mod queues;
 pub mod registry;
 pub mod table1;
 
-pub use common::{latencies, latency_sweep, parse_args, scale_from_args, RunOpts, SweepOpts};
+pub use common::{latencies, RunOpts};
 pub use dva_artifact::{Artifact, ExperimentSpec, Invariant, RunError, Runner};
 pub use dva_sim_api::{Machine, SimResult, Sweep, SweepPoint, SweepResults};
 pub use dva_workloads::{Benchmark, Scale};

@@ -10,7 +10,7 @@
 //! manufacture bandwidth, so the DVA's banked/flat slowdown grows with
 //! stride at least as fast as the reference machine's.
 
-use crate::common::{RunOpts, SweepOpts};
+use crate::common::RunOpts;
 use dva_artifact::{ExperimentSpec, Section, SweepPlan};
 use dva_isa::Program;
 use dva_metrics::Table;
@@ -104,19 +104,8 @@ pub fn sweep_cfg(opts: RunOpts) -> Sweep {
     sweep
 }
 
-/// Runs the machines × strides × {flat, banked} grid in one parallel
-/// sweep session.
-pub fn sweep(opts: RunOpts) -> SweepResults {
-    sweep_cfg(opts).run()
-}
-
-/// Builds the stride-sweep table: cycles under flat and banked memory
-/// and the banked/flat slowdown, for REF and DVA.
-pub fn run(opts: RunOpts) -> Table {
-    render(&sweep(opts))
-}
-
-/// Renders a precomputed stride sweep into the bank-conflict table.
+/// Renders a stride sweep into the bank-conflict table: cycles under
+/// flat and banked memory and the banked/flat slowdown, for REF and DVA.
 pub fn render(results: &SweepResults) -> Table {
     let mut table = Table::new([
         "stride",
@@ -211,7 +200,7 @@ mod tests {
 
     #[test]
     fn table_covers_every_stride() {
-        let table = run(RunOpts::quick());
+        let table = render(&sweep_cfg(RunOpts::quick()).run());
         assert_eq!(table.len(), STRIDES.len());
         let text = table.to_ascii();
         for stride in STRIDES {

@@ -6,7 +6,7 @@
 //! machine-declaration order, so the cycles of one benchmark line up with
 //! the size grid positionally.
 
-use crate::common::{RunOpts, SweepOpts};
+use crate::common::RunOpts;
 use dva_artifact::{ExperimentSpec, Section, SweepPlan};
 use dva_core::DvaConfig;
 use dva_metrics::Table;

@@ -3,7 +3,7 @@
 use dva_artifact::{ExperimentSpec, RunOpts, Section, SweepPlan};
 use dva_metrics::Table;
 use dva_sim_api::SweepResults;
-use dva_workloads::{stats, Benchmark, Scale};
+use dva_workloads::{stats, Benchmark};
 
 /// The heading the standalone binary prints.
 pub const HEADING: &str = "Table 1: basic operation counts (measured vs paper ratios)";
@@ -22,21 +22,17 @@ fn spec_sweeps(_: &RunOpts) -> Vec<SweepPlan> {
     Vec::new()
 }
 
-fn spec_render(opts: &RunOpts, _: &[SweepResults]) -> Vec<Section> {
-    vec![Section::new("table1", HEADING, &run(opts.scale))]
-}
-
-/// Builds Table 1 for our synthetic traces side by side with the paper's
+/// Renders Table 1 for our synthetic traces side by side with the paper's
 /// reported ratios. Counts are absolute for our traces; the calibrated
 /// quantities are `%Vect` and `avg VL` (and the spill fractions used by
 /// Section 7).
-pub fn run(scale: Scale) -> Table {
+fn spec_render(opts: &RunOpts, _: &[SweepResults]) -> Vec<Section> {
     let mut table = Table::new([
         "Program", "#bbs", "S insts", "V insts", "V ops", "%Vect", "paper", "avg VL", "paper",
         "spill", "paper",
     ]);
     for benchmark in Benchmark::ALL {
-        let program = benchmark.program(scale);
+        let program = benchmark.program(opts.scale);
         let summary = program.summary();
         let target = benchmark.paper_row();
         let spill = stats::spill_fraction(&program);
@@ -56,7 +52,7 @@ pub fn run(scale: Scale) -> Table {
                 .map_or("-".to_string(), |f| format!("{f:.3}")),
         ]);
     }
-    table
+    vec![Section::new("table1", HEADING, &table)]
 }
 
 #[cfg(test)]
@@ -65,7 +61,8 @@ mod tests {
 
     #[test]
     fn table_has_one_row_per_program() {
-        let t = run(Scale::Quick);
+        let sections = spec_render(&RunOpts::quick(), &[]);
+        let t = sections[0].table.to_table();
         assert_eq!(t.len(), Benchmark::ALL.len());
         let ascii = t.to_ascii();
         for b in Benchmark::ALL {

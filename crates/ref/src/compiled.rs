@@ -145,14 +145,15 @@ fn decode(inst: &Inst) -> RefOp {
 /// # Examples
 ///
 /// ```
-/// use dva_ref::{CompiledProgram, RefParams, RefSim};
+/// use dva_ref::{CompiledProgram, RefParams, RefRunner, RefSim};
 /// use dva_workloads::{Benchmark, Scale};
 /// use std::sync::Arc;
 ///
 /// let program = Benchmark::Trfd.program(Scale::Quick);
 /// let compiled = Arc::new(CompiledProgram::compile(&program));
 /// let sim = RefSim::new(RefParams::with_latency(30));
-/// assert_eq!(sim.run_compiled(&compiled), sim.run(&program));
+/// let result = RefRunner::new().try_run(&sim, &compiled).unwrap();
+/// assert_eq!(result, sim.run(&program));
 /// ```
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {

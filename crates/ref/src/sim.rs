@@ -143,23 +143,22 @@ impl RefSim {
     ///
     /// Decodes the program on the fly; when the same program runs more
     /// than once (latency sweeps, model sweeps), compile it once with
-    /// [`CompiledProgram::compile`] and use [`RefSim::run_compiled`] or a
-    /// [`RefRunner`] instead.
+    /// [`CompiledProgram::compile`] and reuse a [`RefRunner`] instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine detects a deadlock (an internal invariant
+    /// violation — valid traces always complete).
     pub fn run(&self, program: &Program) -> RefResult {
-        self.run_compiled(&Arc::new(CompiledProgram::compile(program)))
-    }
-
-    /// Runs a pre-decoded program to completion — byte-identical to
-    /// [`RefSim::run`] on the source program, without re-decoding it.
-    pub fn run_compiled(&self, compiled: &Arc<CompiledProgram>) -> RefResult {
-        let mut engine = Engine::new(self.params, self.chain, Arc::clone(compiled));
-        drive(&mut engine, self.fast_forward)
+        RefRunner::new()
+            .try_run(self, &Arc::new(CompiledProgram::compile(program)))
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
 /// A reusable reference-machine engine, mirroring
 /// [`DvaRunner`](https://docs.rs/dva-core) on the decoupled side: each
-/// [`run`](RefRunner::run) resets the engine and drives it to completion,
+/// [`try_run`](RefRunner::try_run) resets the engine and drives it to completion,
 /// byte-identical to a fresh [`RefSim::run`] (the reset contract), while
 /// reusing the engine's allocations across runs.
 ///
@@ -170,13 +169,12 @@ impl RefSim {
 /// use dva_workloads::{Benchmark, Scale};
 /// use std::sync::Arc;
 ///
-/// let compiled = Arc::new(CompiledProgram::compile(
-///     &Benchmark::Trfd.program(Scale::Quick),
-/// ));
+/// let program = Benchmark::Trfd.program(Scale::Quick);
+/// let compiled = Arc::new(CompiledProgram::compile(&program));
 /// let mut runner = RefRunner::new();
 /// for latency in [1, 30, 100] {
 ///     let sim = RefSim::new(RefParams::with_latency(latency));
-///     assert_eq!(runner.run(&sim, &compiled), sim.run_compiled(&compiled));
+///     assert_eq!(runner.try_run(&sim, &compiled).unwrap(), sim.run(&program));
 /// }
 /// ```
 #[derive(Debug, Default)]
@@ -192,21 +190,16 @@ impl RefRunner {
     }
 
     /// Runs `compiled` under `sim`'s parameters, chaining policy and
-    /// stepping strategy, reusing this runner's engine allocations.
-    pub fn run(&mut self, sim: &RefSim, compiled: &Arc<CompiledProgram>) -> RefResult {
-        drive(self.arm(sim, compiled), sim.fast_forward)
-    }
-
-    /// [`run`](RefRunner::run), but a detected deadlock comes back as a
-    /// [`SimError`] instead of a panic. The engine is left mid-flight on
-    /// error; the next run's reset restores it, so the runner stays
-    /// reusable.
+    /// stepping strategy, reusing this runner's engine allocations. A
+    /// detected deadlock comes back as a [`SimError`]; the engine is left
+    /// mid-flight on error, and the next run's reset restores it, so the
+    /// runner stays reusable.
     pub fn try_run(
         &mut self,
         sim: &RefSim,
         compiled: &Arc<CompiledProgram>,
     ) -> Result<RefResult, SimError> {
-        try_drive(self.arm(sim, compiled), sim.fast_forward)
+        drive(self.arm(sim, compiled), sim.fast_forward)
     }
 
     /// Readies the engine for `sim` — reset when it exists, built when it
@@ -224,13 +217,7 @@ impl RefRunner {
 
 /// Drives `engine` (fresh or reset) to completion through the shared
 /// [`Driver`] and assembles the reference machine's result.
-fn drive(engine: &mut Engine, fast_forward: bool) -> RefResult {
-    try_drive(engine, fast_forward).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`drive`], but a tripped deadlock watchdog comes back as a
-/// [`SimError`] instead of a panic.
-fn try_drive(engine: &mut Engine, fast_forward: bool) -> Result<RefResult, SimError> {
+fn drive(engine: &mut Engine, fast_forward: bool) -> Result<RefResult, SimError> {
     let mut observers = Observers::new();
     let completion = Driver::new()
         .fast_forward(fast_forward)

@@ -230,40 +230,22 @@ impl<R: io::Read, W: Write> Client<R, W> {
         }
     }
 
-    /// Submits a sweep and calls `on_point` for every grid point as it
-    /// streams in (in deterministic grid order), returning the job
-    /// summary once the server reports completion. The all-or-nothing
-    /// surface: a `point_error` frame fails the whole call (use
-    /// [`submit_outcomes`](Client::submit_outcomes) to keep the healthy
-    /// points).
-    pub fn submit_streaming(
-        &mut self,
-        sweep: &Sweep,
-        mut on_point: impl FnMut(usize, SweepPoint),
-    ) -> io::Result<JobSummary> {
-        self.submit_outcomes(sweep, None, |index, outcome| {
-            if let Ok(point) = outcome {
-                on_point(index, point)
-            }
-        })
-        .and_then(|summary| {
-            if summary.errors > 0 {
-                Err(bad_data(format!(
-                    "{} of {} grid points failed",
-                    summary.errors, summary.total
-                )))
-            } else {
-                Ok(summary)
-            }
-        })
-    }
-
     /// Submits a sweep and collects the streamed points, returning the
     /// full result set — byte-identical to a local `sweep.run()` — and
-    /// the job summary.
+    /// the job summary. All or nothing: a failed point fails the whole
+    /// call once the job completes (use
+    /// [`submit_outcomes`](Client::submit_outcomes) to keep the healthy
+    /// points).
     pub fn submit(&mut self, sweep: &Sweep) -> io::Result<(SweepResults, JobSummary)> {
         let mut points = Vec::new();
-        let summary = self.submit_streaming(sweep, |_, point| points.push(point))?;
+        let summary =
+            self.submit_outcomes(sweep, None, |_, outcome| points.extend(outcome.ok()))?;
+        if summary.errors > 0 {
+            return Err(bad_data(format!(
+                "{} of {} grid points failed",
+                summary.errors, summary.total
+            )));
+        }
         Ok((SweepResults { points }, summary))
     }
 
@@ -293,16 +275,6 @@ impl<R: io::Read, W: Write> Client<R, W> {
         }
     }
 
-    /// [`submit_adaptive_outcomes`](Client::submit_adaptive_outcomes)
-    /// without a deadline.
-    pub fn submit_adaptive_streaming(
-        &mut self,
-        adaptive: &AdaptiveSweep,
-        on_point: impl FnMut(usize, SweepPoint),
-    ) -> io::Result<AdaptiveSummary> {
-        self.submit_adaptive_outcomes(adaptive, None, on_point)
-    }
-
     /// Submits an adaptive sweep and collects the sampled points into a
     /// (sparse) result set in dense grid order — every point
     /// byte-identical to the same point of a dense run — plus the
@@ -312,8 +284,9 @@ impl<R: io::Read, W: Write> Client<R, W> {
         adaptive: &AdaptiveSweep,
     ) -> io::Result<(SweepResults, AdaptiveSummary)> {
         let mut indexed: Vec<(usize, SweepPoint)> = Vec::new();
-        let summary =
-            self.submit_adaptive_streaming(adaptive, |index, point| indexed.push((index, point)))?;
+        let summary = self.submit_adaptive_outcomes(adaptive, None, |index, point| {
+            indexed.push((index, point))
+        })?;
         indexed.sort_by_key(|&(index, _)| index);
         let points = indexed.into_iter().map(|(_, point)| point).collect();
         Ok((SweepResults { points }, summary))

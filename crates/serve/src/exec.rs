@@ -206,15 +206,6 @@ impl SweepService {
         Ok((planner.finish(), summary))
     }
 
-    /// [`run_adaptive_with`](SweepService::run_adaptive_with) without a
-    /// per-point callback.
-    pub fn run_adaptive(
-        &self,
-        adaptive: &AdaptiveSweep,
-    ) -> Result<(AdaptiveOutcome, JobSummary), ServeError> {
-        self.run_adaptive_with(adaptive, |_, _| {})
-    }
-
     /// Results resident in the cache's memory tier.
     pub fn cached_results(&self) -> usize {
         self.cache.lock().unwrap().memory_len()
@@ -292,14 +283,12 @@ fn interruption_of(cancel: &CancelToken) -> ServeError {
     }
 }
 
-/// A running job: an iterator over its points in grid order, merging
-/// cached hits with freshly simulated misses as they stream in. Created
-/// by [`SweepService::submit`].
+/// A running job: its points in grid order, merging cached hits with
+/// freshly simulated misses as they stream in. Created by
+/// [`SweepService::submit`].
 ///
-/// The plain [`Iterator`] keeps the all-or-nothing contract (an
-/// isolated point fault re-raises as a panic); fault-tolerant consumers
-/// — the daemon — poll [`next_outcome`](ServeRun::next_outcome) and
-/// receive each fault as a typed [`PointError`] alongside the healthy
+/// Poll it with [`next_outcome`](ServeRun::next_outcome): each isolated
+/// point fault arrives as a typed [`PointError`] alongside the healthy
 /// points. A cancelled token or expired deadline on the submitted sweep
 /// truncates the run (see [`interrupted`](ServeRun::interrupted)).
 pub struct ServeRun {
@@ -384,22 +373,6 @@ impl ServeRun {
     }
 }
 
-impl Iterator for ServeRun {
-    type Item = SweepPoint;
-
-    fn next(&mut self) -> Option<SweepPoint> {
-        self.next_outcome()
-            .map(|outcome| outcome.unwrap_or_else(|e| panic!("{e}")))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = self.summary.total - self.yielded;
-        (remaining, Some(remaining))
-    }
-}
-
-impl ExactSizeIterator for ServeRun {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,6 +391,13 @@ mod tests {
 
     fn sweep() -> Sweep {
         sweep_at(vec![1, 30])
+    }
+
+    /// Every remaining point of `run`, failing the test on a point fault.
+    fn drain(run: &mut ServeRun) -> Vec<SweepPoint> {
+        std::iter::from_fn(|| run.next_outcome())
+            .map(Result::unwrap)
+            .collect()
     }
 
     #[test]
@@ -473,7 +453,7 @@ mod tests {
         assert_eq!(service.cached_results(), cached, "no miss was simulated");
 
         let mut run = service.submit(&trfd).unwrap();
-        assert_eq!(run.by_ref().count(), 6);
+        assert_eq!(drain(&mut run).len(), 6);
         assert!(!run.interrupted());
         assert!(run.stream.is_none(), "a fully cached job starts no stream");
     }
@@ -514,9 +494,9 @@ mod tests {
                 .map(|s| dense.points[s.index].clone())
                 .collect()
         };
-        let run = service.submit_specs(&job, subset).unwrap();
+        let mut run = service.submit_specs(&job, subset).unwrap();
         assert!(run.summary().cache_hits > 0 && run.summary().simulated > 0);
-        let streamed: Vec<SweepPoint> = run.collect();
+        let streamed = drain(&mut run);
         assert_eq!(
             streamed, expected,
             "subset points stream in submission order"
@@ -542,7 +522,7 @@ mod tests {
 
         // Adaptive first: a later dense job hits on every sampled point.
         let service = SweepService::new(ResultCache::in_memory(4096));
-        let (outcome, job) = service.run_adaptive(&adaptive).unwrap();
+        let (outcome, job) = service.run_adaptive_with(&adaptive, |_, _| {}).unwrap();
         assert_eq!(job.total, outcome.report.sampled_points);
         assert_eq!(job.cache_hits, 0, "cold adaptive run hits nothing");
         let (results, cost) = service.run(&dense).unwrap();
@@ -576,7 +556,7 @@ mod tests {
     fn adaptive_summary_folds_report_and_cost() {
         let service = SweepService::new(ResultCache::in_memory(4096));
         let adaptive = adaptive();
-        let (outcome, job) = service.run_adaptive(&adaptive).unwrap();
+        let (outcome, job) = service.run_adaptive_with(&adaptive, |_, _| {}).unwrap();
         let summary = AdaptiveSummary::of(&outcome.report, job);
         assert_eq!(summary.dense, adaptive.dense_len());
         assert_eq!(summary.sampled, summary.cache_hits + summary.simulated);
@@ -599,13 +579,12 @@ mod tests {
         service.run(&half).unwrap();
 
         let job = sweep();
-        let run = service.submit(&job).unwrap();
+        let mut run = service.submit(&job).unwrap();
         let summary = run.summary();
         // Latency-1 points all hit (6), and so do the IDEAL points at
         // latency 30 — IDEAL keys carry no latency.
         assert_eq!(summary.cache_hits, 8);
         assert_eq!(summary.simulated, 4);
-        let streamed: Vec<SweepPoint> = run.collect();
-        assert_eq!(streamed, job.threads(1).run().points);
+        assert_eq!(drain(&mut run), job.threads(1).run().points);
     }
 }

@@ -19,7 +19,7 @@
 //!    grid against the cache and simulates only the misses, streaming
 //!    merged results back in deterministic grid order — byte-identical
 //!    to `Sweep::run`, with a [`JobSummary`] of hits vs simulations.
-//!    [`SweepService::run_adaptive`] drives an
+//!    [`SweepService::run_adaptive_with`] drives an
 //!    [`AdaptiveSweep`](dva_sim_api::AdaptiveSweep) session the same
 //!    way, round by round — and because adaptive samples are ordinary
 //!    grid points with ordinary keys, dense and adaptive jobs share

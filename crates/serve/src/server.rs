@@ -12,7 +12,7 @@ use crate::proto::{Request, Response};
 use dva_engine::ENGINE_VERSION;
 use dva_sim_api::CancelToken;
 use dva_testutil::failpoint;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixListener;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -31,6 +31,12 @@ pub struct ServeOptions {
     /// is abandoned. `None` (the default) waits forever.
     pub write_timeout: Option<Duration>,
 }
+
+/// The longest request line the server reads, newline included — far
+/// above any real request. A longer line gets one `error` response and
+/// then the connection closes, so a newline-free stream cannot make the
+/// daemon buffer without limit.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// The cancel token governing a job with an optional deadline.
 fn cancel_for(deadline_ms: Option<u64>) -> CancelToken {
@@ -58,11 +64,13 @@ fn is_disconnect(e: &io::Error) -> bool {
 /// whole server to shut down.
 ///
 /// An idle timeout or reset on the read side closes the connection
-/// quietly (`Ok(false)`); write failures — the client hung up mid-stream
-/// — cancel the in-flight job and surface as the error.
+/// quietly (`Ok(false)`), as does a line longer than
+/// [`MAX_REQUEST_LINE`] after its one `error` response; write failures
+/// — the client hung up mid-stream — cancel the in-flight job and
+/// surface as the error.
 pub fn serve_connection(
     service: &SweepService,
-    reader: impl BufRead,
+    mut reader: impl BufRead,
     mut writer: impl Write,
 ) -> io::Result<bool> {
     let respond = |writer: &mut dyn Write, response: &Response| -> io::Result<()> {
@@ -73,16 +81,37 @@ pub fn serve_connection(
         writeln!(writer, "{line}")?;
         writer.flush()
     };
-    for line in reader.lines() {
-        let line = match line {
-            Ok(line) => line,
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        match reader
+            .by_ref()
+            .take(MAX_REQUEST_LINE as u64)
+            .read_until(b'\n', &mut buf)
+        {
+            Ok(0) => return Ok(false),
+            Ok(_) => {}
             Err(e) if is_disconnect(&e) => return Ok(false),
             Err(e) => return Err(e),
-        };
+        }
+        if buf.len() == MAX_REQUEST_LINE && buf.last() != Some(&b'\n') {
+            respond(
+                &mut writer,
+                &Response::Error {
+                    message: format!("request line longer than {MAX_REQUEST_LINE} bytes"),
+                },
+            )?;
+            return Ok(false);
+        }
+        let line =
+            std::str::from_utf8(&buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        let line = line
+            .strip_suffix('\n')
+            .map_or(line, |l| l.strip_suffix('\r').unwrap_or(l));
         if line.trim().is_empty() {
             continue;
         }
-        let request = match Request::parse(&line) {
+        let request = match Request::parse(line) {
             Ok(request) => request,
             Err(e) => {
                 respond(
@@ -185,7 +214,6 @@ pub fn serve_connection(
             }
         }
     }
-    Ok(false)
 }
 
 /// Serves the protocol over stdin/stdout until EOF or a shutdown

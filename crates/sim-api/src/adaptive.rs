@@ -192,6 +192,14 @@ impl AdaptiveSweep {
     /// [`Sweep::run_subset_streaming`] (work stealing and translate-once
     /// programs come for free), and the measured points feed the next
     /// round, until every curve has converged or been pruned.
+    ///
+    /// # Panics
+    ///
+    /// Like [`Sweep::run`], a failed point (an isolated panic or
+    /// deadlock) re-raises here as a panic carrying its [`PointError`]
+    /// message.
+    ///
+    /// [`PointError`]: crate::PointError
     pub fn run(&self) -> AdaptiveOutcome {
         let sweep = self.dense();
         let mut planner = self.planner();
@@ -200,8 +208,9 @@ impl AdaptiveSweep {
             if specs.is_empty() {
                 break;
             }
-            for (index, point) in sweep.run_subset_streaming(specs) {
-                planner.record(index, point);
+            let mut stream = sweep.run_subset_streaming(specs);
+            while let Some((index, outcome)) = stream.next_outcome() {
+                planner.record(index, outcome.unwrap_or_else(|e| panic!("{e}")));
             }
         }
         planner.finish()
@@ -688,7 +697,9 @@ mod tests {
             if specs.is_empty() {
                 break;
             }
-            for (index, point) in sweep.run_subset_streaming(specs) {
+            let mut stream = sweep.run_subset_streaming(specs);
+            while let Some((index, outcome)) = stream.next_outcome() {
+                let point = outcome.unwrap();
                 assert_eq!(
                     point, dense.points[index],
                     "adaptive point differs at {index}"

@@ -243,11 +243,12 @@ impl Machine {
     /// ignores the flag). Exists so equivalence tests and benchmarks can
     /// compare the two; results are byte-identical either way.
     pub fn simulate_with(&self, program: &Program, fast_forward: bool) -> SimResult {
-        self.simulate_prepared(
+        self.try_simulate_prepared(
             &PreparedProgram::new(program),
             fast_forward,
             &mut Runners::new(),
         )
+        .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Runs a [`PreparedProgram`] — byte-identical to
@@ -257,22 +258,12 @@ impl Machine {
     /// entry point [`Sweep`](crate::Sweep) workers drive the grid
     /// through: one preparation per program, one `runners` per worker
     /// thread.
-    pub fn simulate_prepared(
-        &self,
-        prepared: &PreparedProgram,
-        fast_forward: bool,
-        runners: &mut Runners,
-    ) -> SimResult {
-        self.try_simulate_prepared(prepared, fast_forward, runners)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`simulate_prepared`](Machine::simulate_prepared), but a detected
-    /// deadlock comes back as a [`SimError`](dva_engine::SimError)
-    /// instead of a panic — the entry point for callers (the streaming
-    /// executor, the serving stack) that must survive one poisoned
-    /// point. Panics *inside* a machine model are not caught here; the
-    /// executor isolates those separately.
+    ///
+    /// A detected deadlock comes back as a
+    /// [`SimError`](dva_engine::SimError), so callers (the streaming
+    /// executor, the serving stack) survive one poisoned point. Panics
+    /// *inside* a machine model are not caught here; the executor
+    /// isolates those separately.
     pub fn try_simulate_prepared(
         &self,
         prepared: &PreparedProgram,

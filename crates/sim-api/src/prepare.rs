@@ -73,8 +73,9 @@ static REF_COMPILED: CompiledCache<dva_ref::CompiledProgram> = CompiledCache::ne
 /// let prepared = PreparedProgram::new(&program);
 /// let mut runners = Runners::new();
 /// for latency in [1, 30] {
-///     let fast = Machine::dva(latency).simulate_prepared(&prepared, true, &mut runners);
-///     assert_eq!(fast, Machine::dva(latency).simulate(&program));
+///     let machine = Machine::dva(latency);
+///     let fast = machine.try_simulate_prepared(&prepared, true, &mut runners);
+///     assert_eq!(fast.unwrap(), machine.simulate(&program));
 /// }
 /// ```
 #[derive(Debug)]

@@ -403,10 +403,8 @@ impl ExactSizeIterator for SweepStream {}
 /// order the specs were submitted. Created by
 /// [`Sweep::run_subset_streaming`](crate::Sweep::run_subset_streaming).
 ///
-/// [`Iterator::next`] re-raises a failed point as a panic, like
-/// [`SweepStream`]; fault-tolerant consumers poll
-/// [`next_outcome`](IndexedSweepStream::next_outcome) instead and
-/// receive each failure as a typed [`PointError`] alongside the healthy
+/// Poll it with [`next_outcome`](IndexedSweepStream::next_outcome):
+/// each failure arrives as a typed [`PointError`] alongside the healthy
 /// points.
 pub struct IndexedSweepStream {
     inner: RawStream,
@@ -428,21 +426,6 @@ impl IndexedSweepStream {
         self.inner.cancelled()
     }
 }
-
-impl Iterator for IndexedSweepStream {
-    type Item = (usize, SweepPoint);
-
-    fn next(&mut self) -> Option<(usize, SweepPoint)> {
-        self.next_outcome()
-            .map(|(index, outcome)| (index, outcome.unwrap_or_else(|e| panic!("{e}"))))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.inner.remaining(), Some(self.inner.remaining()))
-    }
-}
-
-impl ExactSizeIterator for IndexedSweepStream {}
 
 pub(crate) fn stream_all(
     entries: Vec<Entry>,
@@ -528,7 +511,10 @@ mod tests {
         let mut subset: Vec<PointSpec> = session.grid().into_iter().step_by(3).collect();
         subset.reverse();
         let expected: Vec<usize> = subset.iter().map(|s| s.index).collect();
-        let streamed: Vec<(usize, SweepPoint)> = session.run_subset_streaming(subset).collect();
+        let mut stream = session.run_subset_streaming(subset);
+        let streamed: Vec<(usize, SweepPoint)> = std::iter::from_fn(|| stream.next_outcome())
+            .map(|(index, outcome)| (index, outcome.unwrap()))
+            .collect();
         let order: Vec<usize> = streamed.iter().map(|(i, _)| *i).collect();
         assert_eq!(order, expected, "pairs arrive in submission order");
         for (index, point) in streamed {

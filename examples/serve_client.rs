@@ -9,7 +9,7 @@
 //! ```
 
 use dva_serve::{Client, ResultCache, SweepService, DEFAULT_MEMORY_CAPACITY};
-use dva_sim_api::{Machine, Sweep, SweepResults};
+use dva_sim_api::{Machine, Sweep};
 use dva_workloads::{Benchmark, Scale};
 use std::sync::Arc;
 
@@ -52,16 +52,12 @@ fn main() {
         .scale(Scale::Quick)
         .threads(0); // 0 = one worker per available core
 
-    let mut points = Vec::new();
-    let summary = client
-        .submit_streaming(&sweep, |_, point| points.push(point))
-        .expect("job streams to completion");
+    let (results, summary) = client.submit(&sweep).expect("job streams to completion");
     println!(
         "first job: {} points ({} simulated, {} cache hits)\n",
         summary.total, summary.simulated, summary.cache_hits
     );
 
-    let results = SweepResults { points };
     let ideal = results.cycles("IDEAL", which, 1).expect("IDEAL in grid");
     println!("{}: IDEAL bound {ideal} cycles", which.name());
     println!("{:>4} {:>10} {:>10} {:>8}", "L", "REF", "DVA", "speedup");

@@ -159,7 +159,7 @@ fn adaptive_jobs_round_trip_the_socket_and_share_the_cache() {
     // Cold adaptive job: every streamed point carries its dense grid
     // index and matches the dense run byte for byte.
     let summary = client
-        .submit_adaptive_streaming(&adaptive, |index, point| {
+        .submit_adaptive_outcomes(&adaptive, None, |index, point| {
             assert_eq!(point, reference.points[index]);
         })
         .unwrap();

@@ -144,6 +144,20 @@ fn a_poisoned_point_streams_as_a_typed_error_and_the_daemon_survives() {
         assert_eq!(format!("{point:?}"), format!("{:?}", fresh.points[*index]));
     }
 
+    // The collecting submit is all or nothing: with the point still
+    // poisoned, the job fails as a whole, while the healthy points it
+    // streamed stay cached.
+    failpoint::arm(
+        "sim.point",
+        Failpoint::new(FailAction::Panic).filter("DVA|TRFD|L33"),
+    );
+    let err = client.submit(&sweep).unwrap_err();
+    failpoint::disarm("sim.point");
+    assert!(
+        err.to_string().contains("1 of 8 grid points failed"),
+        "{err}"
+    );
+
     // The daemon survives, and the failed point was never cached: the
     // same connection resubmits, simulating exactly the poisoned point.
     let (again, cost) = client.submit(&sweep).unwrap();
@@ -328,6 +342,45 @@ fn a_deeply_nested_request_line_gets_one_error_and_the_daemon_survives() {
     drop((reader, writer));
 
     // Other connections are unaffected.
+    let mut client = daemon.client();
+    assert_eq!(client.ping().unwrap(), dva_serve::ENGINE_VERSION);
+    drop(client);
+    daemon.stop();
+}
+
+#[test]
+fn an_over_long_request_line_gets_one_error_and_the_daemon_survives() {
+    let _guard = chaos_guard();
+    let daemon = Daemon::start(ResultCache::in_memory(1024));
+
+    // A 2 MiB line without a newline: the daemon reads no more than
+    // `MAX_REQUEST_LINE` bytes of it, answers one error line and closes
+    // the connection. The writer runs on its own thread because the
+    // daemon hangs up before the whole line is sent.
+    let stream = UnixStream::connect(&daemon.socket).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let flood = std::thread::spawn(move || {
+        let _ = writer.write_all(&vec![b'x'; 2 << 20]);
+    });
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"type\":\"error\""), "{line}");
+    assert!(
+        line.contains(&format!(
+            "longer than {} bytes",
+            dva_serve::server::MAX_REQUEST_LINE
+        )),
+        "{line}"
+    );
+    line.clear();
+    assert!(
+        matches!(reader.read_line(&mut line), Ok(0) | Err(_)),
+        "exactly one error line, then the connection closes: {line}"
+    );
+    flood.join().unwrap();
+
+    // A new connection still answers.
     let mut client = daemon.client();
     assert_eq!(client.ping().unwrap(), dva_serve::ENGINE_VERSION);
     drop(client);

@@ -37,7 +37,7 @@ proptest! {
             for mut config in [DvaConfig::dva(latency), DvaConfig::byp(latency, 4, 8)] {
                 config.memory.model = model;
                 let sim = DvaSim::new(config);
-                prop_assert_eq!(runner.run(&sim, &compiled), sim.run(&program));
+                prop_assert_eq!(runner.try_run(&sim, &compiled).unwrap(), sim.run(&program));
             }
         }
 
@@ -47,7 +47,7 @@ proptest! {
             let mut params = RefParams::with_latency(latency);
             params.memory.model = model;
             let sim = RefSim::new(params);
-            prop_assert_eq!(ref_runner.run(&sim, &ref_compiled), sim.run(&program));
+            prop_assert_eq!(ref_runner.try_run(&sim, &ref_compiled).unwrap(), sim.run(&program));
         }
     }
 }
@@ -94,7 +94,7 @@ fn sweep_grid_matches_per_point_simulation() {
     }
 }
 
-/// `simulate_prepared` with long-lived runners equals `simulate` for
+/// `try_simulate_prepared` with long-lived runners equals `simulate` for
 /// every machine kind, including IDEAL (cached bound) and the grid of
 /// configurations a prepared program serves.
 #[test]
@@ -110,7 +110,9 @@ fn prepared_simulation_is_byte_identical() {
     ] {
         for fast_forward in [true, false] {
             assert_eq!(
-                machine.simulate_prepared(&prepared, fast_forward, &mut runners),
+                machine
+                    .try_simulate_prepared(&prepared, fast_forward, &mut runners)
+                    .unwrap(),
                 machine.simulate_with(&program, fast_forward),
                 "machine {} ff={fast_forward}",
                 machine.label()

@@ -88,8 +88,8 @@ fn socket_daemon_round_trips_jobs_and_shuts_down() {
     let mut second_client = Client::connect(&socket).unwrap();
     let mut indices = Vec::new();
     let cost = second_client
-        .submit_streaming(&sweep, |index, point| {
-            assert_eq!(point, fresh.points[index]);
+        .submit_outcomes(&sweep, None, |index, outcome| {
+            assert_eq!(outcome.unwrap(), fresh.points[index]);
             indices.push(index);
         })
         .unwrap();

@@ -70,10 +70,10 @@ fn steady_state_ticks_do_not_allocate() {
         let sim = DvaSim::new(config);
         let mut runner = DvaRunner::new();
         // Warm: the first run sizes every buffer the configuration needs.
-        let warm = runner.run(&sim, &long);
+        let warm = runner.try_run(&sim, &long).unwrap();
         let measure = |runner: &mut DvaRunner, compiled: &Arc<CompiledProgram>| {
             let before = allocation_count();
-            let result = runner.run(&sim, compiled);
+            let result = runner.try_run(&sim, compiled).unwrap();
             (allocation_count() - before, result)
         };
         let (short_allocs, short_result) = measure(&mut runner, &short);
@@ -101,7 +101,7 @@ fn steady_state_ticks_do_not_allocate() {
              ({short_allocs}; cfg={config:?})"
         );
         // Reuse did not change the measurement.
-        assert_eq!(warm, runner.run(&sim, &long));
+        assert_eq!(warm, runner.try_run(&sim, &long).unwrap());
     }
 }
 
@@ -112,10 +112,10 @@ fn ref_steady_state_ticks_do_not_allocate() {
     let long = Arc::new(dva_ref::CompiledProgram::compile(&kernel(80)));
     let sim = RefSim::new(RefParams::with_latency(30));
     let mut runner = RefRunner::new();
-    let _ = runner.run(&sim, &long);
+    let _ = runner.try_run(&sim, &long).unwrap();
     let measure = |runner: &mut RefRunner, compiled: &Arc<dva_ref::CompiledProgram>| {
         let before = allocation_count();
-        let result = runner.run(&sim, compiled);
+        let result = runner.try_run(&sim, compiled).unwrap();
         (allocation_count() - before, result)
     };
     let (short_allocs, _) = measure(&mut runner, &short);
