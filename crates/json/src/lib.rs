@@ -17,6 +17,9 @@
 //!   a double), and floats render via Rust's shortest-round-trip
 //!   formatting, so `parse(render(v)) == v` holds for every value the
 //!   simulators produce.
+//! * **Linear time.** Parse and render are linear in input length:
+//!   strings are copied run by run between the bytes that need an
+//!   escape, so a hostile megabyte-long string costs milliseconds.
 //!
 //! # Examples
 //!
@@ -249,6 +252,7 @@ impl Json {
     /// deeper than [`MAX_DEPTH`] levels.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -267,26 +271,37 @@ impl Json {
     }
 }
 
+/// Writes `s` as a JSON string literal. Runs that need no escape are
+/// copied with one `push_str`; only `"`, `\` and bytes below 0x20 are
+/// escaped. All three are ASCII, so every run ends on a char boundary.
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
+    let mut run_start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run_start..i]);
+        run_start = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
                 use fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run_start..]);
     out.push('"');
 }
 
 struct Parser<'a> {
+    /// The document; `bytes` is its byte view.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects open around the current position.
@@ -429,13 +444,22 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next `"` or `\` as one slice. Both
+            // stop bytes are ASCII, so the run ends on a char boundary.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(JsonError("unterminated string".to_string())),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // The run stopped at a `\`: decode one escape.
                     self.pos += 1;
                     let escape = self
                         .peek()
@@ -470,16 +494,6 @@ impl<'a> Parser<'a> {
                         }
                     }
                 }
-                Some(_) => {
-                    // Consume one UTF-8 character (the input is a &str,
-                    // so slicing at char boundaries is safe).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| JsonError("invalid UTF-8".to_string()))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
             }
         }
     }
@@ -500,8 +514,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| JsonError("invalid number".to_string()))?;
+        let text = &self.text[start..self.pos];
         if float {
             text.parse::<f64>()
                 .map(Json::Float)
@@ -639,6 +652,107 @@ mod tests {
         // the stack.
         let err = Json::parse(&"[".repeat(200_000)).unwrap_err();
         assert!(err.to_string().contains("nesting deeper than"), "{err}");
+    }
+
+    #[test]
+    fn megabyte_strings_parse_and_render_in_linear_time() {
+        // Linear: about 0.01 s each. Quadratic: about 20 s.
+        let long = "a".repeat(1 << 20) + "\\\"é\n";
+        let text = Json::from(long.as_str()).render();
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&text).unwrap();
+        let parse_time = start.elapsed();
+        assert_eq!(parsed.as_str().unwrap(), long);
+        let start = std::time::Instant::now();
+        let rendered = parsed.render();
+        let render_time = start.elapsed();
+        assert_eq!(rendered, text);
+        let bound = std::time::Duration::from_secs(1);
+        assert!(parse_time < bound, "parse took {parse_time:?}");
+        assert!(render_time < bound, "render took {render_time:?}");
+    }
+
+    /// The per-character writer `write_string` replaced, kept verbatim as
+    /// the oracle for byte identity.
+    fn reference_write_string(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    use fmt::Write as _;
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    /// Strings mixing every byte class the writer and parser treat
+    /// differently: quotes, backslashes, every control byte, plain ASCII
+    /// and one- to four-byte UTF-8.
+    fn any_string() -> impl proptest::prelude::Strategy<Value = String> {
+        use proptest::prelude::*;
+        let chars = prop_oneof![
+            Just('"'),
+            Just('\\'),
+            Just('/'),
+            (0u32..0x20).prop_map(|c| char::from_u32(c).unwrap()),
+            (0x20u32..0x80).prop_map(|c| char::from_u32(c).unwrap()),
+            (0x80u32..0x800).prop_map(|c| char::from_u32(c).unwrap()),
+            (0x800u32..0xd800).prop_map(|c| char::from_u32(c).unwrap()),
+            (0xe000u32..0x1_0000).prop_map(|c| char::from_u32(c).unwrap()),
+            (0x1_0000u32..0x11_0000).prop_map(|c| char::from_u32(c).unwrap()),
+        ];
+        collection::vec(chars, 0..48).prop_map(|cs| cs.into_iter().collect())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn strings_round_trip_byte_identically(s in any_string()) {
+            let mut expected = String::new();
+            reference_write_string(&s, &mut expected);
+            let text = Json::from(s.as_str()).render();
+            proptest::prop_assert_eq!(&text, &expected);
+            proptest::prop_assert_eq!(Json::parse(&text).unwrap(), Json::Str(s.clone()));
+            // Keys take the same path.
+            let object = Json::obj([(s.as_str(), Json::Null)]);
+            let text = object.render();
+            proptest::prop_assert_eq!(&text, &format!("{{{expected}:null}}"));
+            proptest::prop_assert_eq!(Json::parse(&text).unwrap(), object);
+        }
+
+        #[test]
+        fn escapes_between_runs_decode_to_their_chars(
+            s in any_string(),
+            escape in proptest::collection::vec(proptest::prelude::any::<bool>(), 48),
+        ) {
+            // Spell the chosen BMP chars as `\uXXXX` and `/` as `\/`, so
+            // the parser decodes both escape forms between plain runs.
+            let mut text = String::from('"');
+            for (c, escape) in s.chars().zip(escape) {
+                match c {
+                    '/' if escape => text.push_str("\\/"),
+                    c if escape && (c as u32) < 0x1_0000 => {
+                        text.push_str(&format!("\\u{:04X}", c as u32));
+                    }
+                    c => {
+                        let mut one = String::new();
+                        reference_write_string(c.encode_utf8(&mut [0; 4]), &mut one);
+                        text.push_str(&one[1..one.len() - 1]);
+                    }
+                }
+            }
+            text.push('"');
+            proptest::prop_assert_eq!(Json::parse(&text).unwrap(), Json::Str(s.clone()));
+        }
     }
 
     #[test]

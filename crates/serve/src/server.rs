@@ -38,6 +38,21 @@ pub struct ServeOptions {
 /// daemon buffer without limit.
 pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
+/// The longest `error` message, in bytes, sent back for a request line
+/// that does not parse. Parse errors may quote client input (an unknown
+/// request type, a malformed number); a longer message is cut on a char
+/// boundary and ends in `…`, so a hostile line is never echoed back.
+pub const MAX_ERROR_MESSAGE: usize = 256;
+
+/// `message` cut to at most [`MAX_ERROR_MESSAGE`] bytes plus `…`.
+fn clip(mut message: String) -> String {
+    if message.len() > MAX_ERROR_MESSAGE {
+        message.truncate(message.floor_char_boundary(MAX_ERROR_MESSAGE));
+        message.push('…');
+    }
+    message
+}
+
 /// The cancel token governing a job with an optional deadline.
 fn cancel_for(deadline_ms: Option<u64>) -> CancelToken {
     match deadline_ms {
@@ -117,7 +132,7 @@ pub fn serve_connection(
                 respond(
                     &mut writer,
                     &Response::Error {
-                        message: e.to_string(),
+                        message: clip(e.to_string()),
                     },
                 )?;
                 continue;
@@ -290,4 +305,104 @@ pub fn serve_unix_with(
     }
     let _ = std::fs::remove_file(path);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cache::ResultCache;
+    use dva_sim_api::{Machine, Sweep};
+    use dva_workloads::{Benchmark, Scale};
+    use proptest::prelude::*;
+    use std::io::Cursor;
+
+    /// Runs `input` through one in-process connection and returns the
+    /// response lines.
+    fn converse(input: String) -> Vec<Response> {
+        let service = SweepService::new(ResultCache::in_memory(16));
+        let mut output = Vec::new();
+        let shutdown = serve_connection(&service, Cursor::new(input), &mut output).unwrap();
+        assert!(!shutdown);
+        String::from_utf8(output)
+            .unwrap()
+            .lines()
+            .map(|line| Response::parse(line).unwrap())
+            .collect()
+    }
+
+    /// A request line that does not parse: random text, a truncated
+    /// valid request, a deep run of `[`, a long string or a huge number.
+    fn bad_line() -> impl Strategy<Value = String> {
+        let sweep = Request::Sweep {
+            spec: Box::new(
+                Sweep::new()
+                    .machines([Machine::reference(1), Machine::dva(1)])
+                    .benchmark(Benchmark::Trfd)
+                    .latencies([1, 30])
+                    .scale(Scale::Quick),
+            ),
+            deadline_ms: Some(2_500),
+        }
+        .render()
+        .unwrap();
+        let text_char = prop_oneof![
+            (0x20u32..0x7f).prop_map(|c| char::from_u32(c).unwrap()),
+            prop_oneof![Just('"'), Just('\\'), Just('{'), Just('['), Just('\t')],
+            (0x80u32..0xd800).prop_map(|c| char::from_u32(c).unwrap()),
+            (0x1_0000u32..0x11_0000).prop_map(|c| char::from_u32(c).unwrap()),
+        ];
+        prop_oneof![
+            // `#` keeps the line from being blank (blank lines are skipped).
+            collection::vec(text_char, 0..200)
+                .prop_map(|cs| std::iter::once('#').chain(cs).collect::<String>()),
+            (1usize..sweep.len()).prop_map(move |cut| sweep[..cut].to_string()),
+            (dva_json::MAX_DEPTH + 1..20_000).prop_map(|n| "[".repeat(n)),
+            (1_000usize..100_000).prop_map(|n| format!("{{\"type\":\"{}\"}}", "é".repeat(n))),
+            (1_000usize..100_000).prop_map(|n| format!("{{\"type\":\"{}", "a".repeat(n))),
+            Just("9".repeat(100_000)),
+            Just(format!(
+                "{{\"type\":\"ping\",\"deadline_ms\":{}}}",
+                "7".repeat(100_000)
+            )),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn each_bad_line_costs_one_bounded_error_and_the_connection_answers_ping(
+            lines in collection::vec(bad_line(), 1..5),
+        ) {
+            let input = lines.iter().map(|line| format!("{line}\n")).collect::<String>()
+                + "{\"type\":\"ping\"}\n";
+            let responses = converse(input);
+            prop_assert_eq!(responses.len(), lines.len() + 1);
+            for response in &responses[..lines.len()] {
+                match response {
+                    Response::Error { message } => prop_assert!(
+                        message.len() <= MAX_ERROR_MESSAGE + '…'.len_utf8(),
+                        "{} bytes",
+                        message.len()
+                    ),
+                    other => prop_assert!(false, "expected an error, got {other:?}"),
+                }
+            }
+            prop_assert!(matches!(responses[lines.len()], Response::Pong { .. }));
+        }
+    }
+
+    #[test]
+    fn long_messages_are_clipped_on_a_char_boundary() {
+        assert_eq!(clip("short".to_string()), "short");
+        let exact = "a".repeat(MAX_ERROR_MESSAGE);
+        assert_eq!(clip(exact.clone()), exact);
+        // `é` is two bytes: the cut at an odd offset backs up one byte.
+        let clipped = clip(format!("a{}", "é".repeat(MAX_ERROR_MESSAGE)));
+        assert_eq!(
+            clipped,
+            format!("a{}…", "é".repeat(MAX_ERROR_MESSAGE / 2 - 1))
+        );
+        assert!(clipped.len() <= MAX_ERROR_MESSAGE + '…'.len_utf8());
+    }
 }

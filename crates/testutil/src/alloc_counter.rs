@@ -11,21 +11,45 @@
 //! #[global_allocator]
 //! static ALLOC: dva_testutil::CountingAllocator = dva_testutil::CountingAllocator;
 //!
-//! let before = dva_testutil::allocation_count();
+//! let before = dva_testutil::thread_allocation_count();
 //! run_the_engine();
-//! let allocs = dva_testutil::allocation_count() - before;
+//! let allocs = dva_testutil::thread_allocation_count() - before;
 //! ```
+//!
+//! [`thread_allocation_count`] counts only the calling thread, so a
+//! measurement on one thread is immune to allocations elsewhere in the
+//! process (another test, the test harness). [`allocation_count`] is
+//! process-wide, for work spread across worker threads.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    // Const-initialised and without a destructor, so the allocator can
+    // touch it on any thread at any time without allocating itself.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
 /// Heap allocations (including reallocations) performed since process
-/// start, when [`CountingAllocator`] is installed as the global
-/// allocator. Always zero otherwise.
+/// start, on every thread, when [`CountingAllocator`] is installed as
+/// the global allocator. Always zero otherwise.
 pub fn allocation_count() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Heap allocations (including reallocations) performed by the calling
+/// thread since it started, when [`CountingAllocator`] is installed as
+/// the global allocator. Always zero otherwise.
+pub fn thread_allocation_count() -> u64 {
+    THREAD_ALLOCATIONS.with(Cell::get)
+}
+
+fn count() {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    THREAD_ALLOCATIONS.with(|n| n.set(n.get() + 1));
 }
 
 /// A [`System`]-backed allocator that counts every allocation.
@@ -35,22 +59,22 @@ pub fn allocation_count() -> u64 {
 /// steady-state churn of alloc/free pairs.
 pub struct CountingAllocator;
 
-// The impl forwards verbatim to `System`; the only addition is a relaxed
+// The impl forwards verbatim to `System`; the only addition is a
 // counter increment on each allocating entry point.
 #[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 

@@ -15,7 +15,7 @@
 mod alloc_counter;
 pub mod failpoint;
 
-pub use alloc_counter::{allocation_count, CountingAllocator};
+pub use alloc_counter::{allocation_count, thread_allocation_count, CountingAllocator};
 
 use dva_isa::{Inst, Program, VOperand, VectorAccess, VectorLength, VectorOp, VectorReg};
 

@@ -388,6 +388,49 @@ fn an_over_long_request_line_gets_one_error_and_the_daemon_survives() {
 }
 
 #[test]
+fn a_near_cap_string_request_is_answered_quickly_with_a_clipped_error() {
+    use dva_serve::proto::Response;
+    use dva_serve::server::{MAX_ERROR_MESSAGE, MAX_REQUEST_LINE};
+    let _guard = chaos_guard();
+    let daemon = Daemon::start(ResultCache::in_memory(1024));
+
+    // A `type` string just under the line cap. The parser copies it in
+    // one run (a per-character scan would take the daemon tens of
+    // seconds), and the error quoting it is clipped to the bound.
+    let stream = UnixStream::connect(&daemon.socket).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let request = format!("{{\"type\":\"{}\"}}", "a".repeat(MAX_REQUEST_LINE - 64));
+    writeln!(writer, "{request}").unwrap();
+    writeln!(writer, "{{\"type\":\"ping\"}}").unwrap();
+    writer.flush().unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    match Response::parse(line.trim_end()).unwrap() {
+        Response::Error { message } => {
+            assert!(message.contains("unknown request type"), "{message}");
+            assert!(message.ends_with('…'), "{message}");
+            assert!(
+                message.len() <= MAX_ERROR_MESSAGE + '…'.len_utf8(),
+                "{message}"
+            );
+        }
+        other => panic!("expected one error line, got {other:?}"),
+    }
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(
+        line.contains("\"type\":\"pong\""),
+        "one error line, then the ping's answer: {line}"
+    );
+    drop((reader, writer));
+    daemon.stop();
+}
+
+#[test]
 fn injected_cache_write_failures_demote_to_memory_and_serving_continues() {
     let _guard = chaos_guard();
     let dir = std::env::temp_dir().join(format!("dva-chaos-demote-{}", std::process::id()));

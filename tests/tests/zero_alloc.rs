@@ -10,28 +10,18 @@
 //! allocates exactly as much as the short one, the per-tick allocation
 //! count is pinned at zero.
 //!
-//! The counter is process-wide and libtest runs tests on parallel
-//! threads, so each test holds [`MEASURING`] for its whole body: one
-//! test's allocations can never land inside the other's window.
+//! The runs are measured with the per-thread count: libtest's harness
+//! and the other test allocate on their own threads, and those
+//! allocations never land inside this thread's window.
 
 use dva_core::{CompiledProgram, DvaConfig, DvaRunner, DvaSim};
 use dva_isa::{Program, VectorReg};
 use dva_ref::{RefParams, RefRunner, RefSim};
-use dva_testutil::{allocation_count, vadd, vload, vstore};
-use std::sync::{Arc, Mutex, MutexGuard};
+use dva_testutil::{thread_allocation_count, vadd, vload, vstore};
+use std::sync::Arc;
 
 #[global_allocator]
 static ALLOC: dva_testutil::CountingAllocator = dva_testutil::CountingAllocator;
-
-/// Serializes the measurements (see the module docs).
-static MEASURING: Mutex<()> = Mutex::new(());
-
-fn measuring() -> MutexGuard<'static, ()> {
-    // A failed test poisons the lock; the other test still measures.
-    MEASURING
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// `n` rounds of load → add → store over rotating registers: every
 /// engine structure (AVDQ, store queues, scoreboards, FUs) cycles in
@@ -58,7 +48,6 @@ fn kernel(n: usize) -> Program {
 
 #[test]
 fn steady_state_ticks_do_not_allocate() {
-    let _measuring = measuring();
     let short = Arc::new(CompiledProgram::compile(&kernel(40)));
     let long = Arc::new(CompiledProgram::compile(&kernel(80)));
 
@@ -72,9 +61,9 @@ fn steady_state_ticks_do_not_allocate() {
         // Warm: the first run sizes every buffer the configuration needs.
         let warm = runner.try_run(&sim, &long).unwrap();
         let measure = |runner: &mut DvaRunner, compiled: &Arc<CompiledProgram>| {
-            let before = allocation_count();
+            let before = thread_allocation_count();
             let result = runner.try_run(&sim, compiled).unwrap();
-            (allocation_count() - before, result)
+            (thread_allocation_count() - before, result)
         };
         let (short_allocs, short_result) = measure(&mut runner, &short);
         let (long_allocs, long_result) = measure(&mut runner, &long);
@@ -107,16 +96,15 @@ fn steady_state_ticks_do_not_allocate() {
 
 #[test]
 fn ref_steady_state_ticks_do_not_allocate() {
-    let _measuring = measuring();
     let short = Arc::new(dva_ref::CompiledProgram::compile(&kernel(40)));
     let long = Arc::new(dva_ref::CompiledProgram::compile(&kernel(80)));
     let sim = RefSim::new(RefParams::with_latency(30));
     let mut runner = RefRunner::new();
     let _ = runner.try_run(&sim, &long).unwrap();
     let measure = |runner: &mut RefRunner, compiled: &Arc<dva_ref::CompiledProgram>| {
-        let before = allocation_count();
+        let before = thread_allocation_count();
         let result = runner.try_run(&sim, compiled).unwrap();
-        (allocation_count() - before, result)
+        (thread_allocation_count() - before, result)
     };
     let (short_allocs, _) = measure(&mut runner, &short);
     let (long_allocs, long_result) = measure(&mut runner, &long);
