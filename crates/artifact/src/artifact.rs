@@ -12,12 +12,12 @@
 //!
 //! * [`Artifact::to_text`] — the human ASCII form, byte-identical to the
 //!   pre-artifact experiment binaries' stdout.
-//! * [`Artifact::to_json`] — the canonical versioned form
+//! * [`Artifact::render_json`] — the canonical versioned form
 //!   ([`dva_json`] rendering, insertion-ordered, no whitespace). This is
 //!   what `artifacts/golden/` pins and CI byte-diffs.
 //! * [`Artifact::to_csv`] — a flat form for plotting tools.
 
-use dva_json::{FromJson, Json, JsonError, ToJson};
+use dva_json::{FromJson, JsonError, Reader, ToJson, Writer};
 use dva_metrics::Table;
 use dva_workloads::Scale;
 
@@ -139,115 +139,80 @@ impl Artifact {
 }
 
 impl ToJson for TableData {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            (
-                "headers",
-                Json::Array(
-                    self.headers
-                        .iter()
-                        .map(|h| Json::from(h.as_str()))
-                        .collect(),
-                ),
-            ),
-            (
-                "rows",
-                Json::Array(
-                    self.rows
-                        .iter()
-                        .map(|row| {
-                            Json::Array(row.iter().map(|c| Json::from(c.as_str())).collect())
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.object(|w| {
+            w.field("headers", &self.headers);
+            w.field("rows", &self.rows);
+        })
     }
 }
 
 impl FromJson for TableData {
-    fn from_json(json: &Json) -> Result<TableData, JsonError> {
-        let headers = json
-            .field("headers")?
-            .as_array()?
-            .iter()
-            .map(|h| Ok(h.as_str()?.to_string()))
-            .collect::<Result<Vec<_>, JsonError>>()?;
-        let rows = json
-            .field("rows")?
-            .as_array()?
-            .iter()
-            .map(|row| {
-                row.as_array()?
-                    .iter()
-                    .map(|c| Ok(c.as_str()?.to_string()))
-                    .collect::<Result<Vec<_>, JsonError>>()
-            })
-            .collect::<Result<Vec<_>, JsonError>>()?;
-        for row in &rows {
-            if row.len() != headers.len() {
-                return Err(JsonError(format!(
-                    "table row width {} != header width {}",
-                    row.len(),
-                    headers.len()
-                )));
+    fn read_json(r: &mut Reader<'_>) -> Result<TableData, JsonError> {
+        r.object(|o| {
+            let headers: Vec<String> = o.field("headers")?;
+            let rows: Vec<Vec<String>> = o.field("rows")?;
+            for row in &rows {
+                if row.len() != headers.len() {
+                    return Err(JsonError(format!(
+                        "table row width {} != header width {}",
+                        row.len(),
+                        headers.len()
+                    )));
+                }
             }
-        }
-        Ok(TableData { headers, rows })
+            Ok(TableData { headers, rows })
+        })
     }
 }
 
 impl ToJson for Section {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("key", Json::from(self.key.as_str())),
-            ("heading", Json::from(self.heading.as_str())),
-            ("table", self.table.to_json()),
-        ])
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.object(|w| {
+            w.field("key", self.key.as_str());
+            w.field("heading", self.heading.as_str());
+            w.field("table", &self.table);
+        })
     }
 }
 
 impl FromJson for Section {
-    fn from_json(json: &Json) -> Result<Section, JsonError> {
-        Ok(Section {
-            key: json.field("key")?.as_str()?.to_string(),
-            heading: json.field("heading")?.as_str()?.to_string(),
-            table: TableData::from_json(json.field("table")?)?,
+    fn read_json(r: &mut Reader<'_>) -> Result<Section, JsonError> {
+        r.object(|o| {
+            Ok(Section {
+                key: o.field("key")?,
+                heading: o.field("heading")?,
+                table: o.field("table")?,
+            })
         })
     }
 }
 
 impl ToJson for Artifact {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("experiment", Json::from(self.experiment.as_str())),
-            ("engine_version", Json::from(self.engine_version)),
-            ("scale", Json::from(self.scale.name())),
-            ("full", Json::from(self.full)),
-            (
-                "sections",
-                Json::Array(self.sections.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.object(|w| {
+            w.field("experiment", self.experiment.as_str());
+            w.field("engine_version", &self.engine_version);
+            w.field("scale", self.scale.name());
+            w.field("full", &self.full);
+            w.field("sections", &self.sections);
+        })
     }
 }
 
 impl FromJson for Artifact {
-    fn from_json(json: &Json) -> Result<Artifact, JsonError> {
-        let scale = json.field("scale")?.as_str()?;
-        Ok(Artifact {
-            experiment: json.field("experiment")?.as_str()?.to_string(),
-            engine_version: u32::try_from(json.field("engine_version")?.as_u64()?)
-                .map_err(|_| JsonError("engine_version out of range".to_string()))?,
-            scale: Scale::from_name(scale)
-                .ok_or_else(|| JsonError(format!("unknown scale `{scale}`")))?,
-            full: json.field("full")?.as_bool()?,
-            sections: json
-                .field("sections")?
-                .as_array()?
-                .iter()
-                .map(Section::from_json)
-                .collect::<Result<_, _>>()?,
+    fn read_json(r: &mut Reader<'_>) -> Result<Artifact, JsonError> {
+        r.object(|o| {
+            let scale = o.field_with("scale", Reader::str)?;
+            Ok(Artifact {
+                experiment: o.field("experiment")?,
+                engine_version: u32::try_from(o.field::<u64>("engine_version")?)
+                    .map_err(|_| JsonError("engine_version out of range".to_string()))?,
+                scale: Scale::from_name(&scale)
+                    .ok_or_else(|| JsonError(format!("unknown scale `{scale}`")))?,
+                full: o.field("full")?,
+                sections: o.field("sections")?,
+            })
         })
     }
 }
@@ -317,7 +282,7 @@ mod tests {
 
     #[test]
     fn ragged_rows_are_rejected_on_decode() {
-        let json = Json::parse(r#"{"headers":["a","b"],"rows":[["1"]]}"#).unwrap();
-        assert!(TableData::from_json(&json).is_err());
+        let err = TableData::parse_json(r#"{"headers":["a","b"],"rows":[["1"]]}"#).unwrap_err();
+        assert_eq!(err.0, "table row width 1 != header width 2");
     }
 }

@@ -199,7 +199,7 @@ pub enum GoldenStatus {
 /// The canonical serialized form of an artifact as stored on disk: the
 /// compact JSON rendering plus a trailing newline.
 pub fn golden_bytes(artifact: &Artifact) -> String {
-    let mut text = artifact.to_json().render();
+    let mut text = artifact.render_json();
     text.push('\n');
     text
 }

@@ -10,7 +10,7 @@
 
 use crate::artifact::Section;
 use crate::cli::RunOpts;
-use dva_json::{FromJson, Json, JsonError, ToJson};
+use dva_json::{FromJson, JsonError, Reader, ToJson, Writer};
 use dva_sim_api::{AdaptiveSweep, Sweep, SweepResults};
 
 /// One experiment, declaratively: its identity, grid, derived tables and
@@ -110,31 +110,25 @@ pub struct SpecManifest {
 }
 
 impl ToJson for SpecManifest {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", Json::from(self.name.as_str())),
-            ("description", Json::from(self.description.as_str())),
-            ("in_all", Json::from(self.in_all)),
-            (
-                "invariants",
-                Json::Array(self.invariants.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.object(|w| {
+            w.field("name", self.name.as_str());
+            w.field("description", self.description.as_str());
+            w.field("in_all", &self.in_all);
+            w.field("invariants", &self.invariants);
+        })
     }
 }
 
 impl FromJson for SpecManifest {
-    fn from_json(json: &Json) -> Result<SpecManifest, JsonError> {
-        Ok(SpecManifest {
-            name: json.field("name")?.as_str()?.to_string(),
-            description: json.field("description")?.as_str()?.to_string(),
-            in_all: json.field("in_all")?.as_bool()?,
-            invariants: json
-                .field("invariants")?
-                .as_array()?
-                .iter()
-                .map(Invariant::from_json)
-                .collect::<Result<_, _>>()?,
+    fn read_json(r: &mut Reader<'_>) -> Result<SpecManifest, JsonError> {
+        r.object(|o| {
+            Ok(SpecManifest {
+                name: o.field("name")?,
+                description: o.field("description")?,
+                in_all: o.field("in_all")?,
+                invariants: o.field("invariants")?,
+            })
         })
     }
 }
@@ -255,36 +249,36 @@ fn check_ideal_bound(results: &SweepResults) -> Option<String> {
 }
 
 impl ToJson for Invariant {
-    fn to_json(&self) -> Json {
-        match *self {
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.object(|w| match *self {
             Invariant::CyclesOrdered {
                 lower,
                 upper,
                 tolerance,
-            } => Json::obj([
-                ("kind", Json::from("cycles_ordered")),
-                ("lower", Json::from(lower)),
-                ("upper", Json::from(upper)),
-                ("tolerance", Json::Float(tolerance)),
-            ]),
-            Invariant::IdealLowerBound => Json::obj([("kind", Json::from("ideal_lower_bound"))]),
-        }
+            } => {
+                w.field("kind", "cycles_ordered");
+                w.field("lower", lower);
+                w.field("upper", upper);
+                w.field("tolerance", &tolerance);
+            }
+            Invariant::IdealLowerBound => w.field("kind", "ideal_lower_bound"),
+        })
     }
 }
 
 impl FromJson for Invariant {
-    fn from_json(json: &Json) -> Result<Invariant, JsonError> {
-        match json.field("kind")?.as_str()? {
+    fn read_json(r: &mut Reader<'_>) -> Result<Invariant, JsonError> {
+        r.object(|o| match &*o.field_with("kind", Reader::str)? {
             // Labels decode to leaked statics: invariants are a handful of
             // fixed machine names, declared once per spec.
             "cycles_ordered" => Ok(Invariant::CyclesOrdered {
-                lower: leak(json.field("lower")?.as_str()?),
-                upper: leak(json.field("upper")?.as_str()?),
-                tolerance: json.field("tolerance")?.as_f64()?,
+                lower: leak(&o.field_with("lower", Reader::str)?),
+                upper: leak(&o.field_with("upper", Reader::str)?),
+                tolerance: o.field("tolerance")?,
             }),
             "ideal_lower_bound" => Ok(Invariant::IdealLowerBound),
             other => Err(JsonError(format!("unknown invariant kind `{other}`"))),
-        }
+        })
     }
 }
 

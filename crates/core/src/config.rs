@@ -1,6 +1,6 @@
 //! Configuration of the decoupled machine.
 
-use dva_json::{FromJson, Json, JsonError, ToJson};
+use dva_json::{FromJson, JsonError, Reader, ToJson, Writer};
 use dva_memory::MemoryParams;
 use dva_uarch::UarchParams;
 
@@ -92,47 +92,51 @@ impl Default for DvaConfig {
 }
 
 impl ToJson for QueueConfig {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("instruction_queue", Json::from(self.instruction_queue)),
-            ("avdq", Json::from(self.avdq)),
-            ("store_queue", Json::from(self.store_queue)),
-            ("scalar_store_queue", Json::from(self.scalar_store_queue)),
-            ("scalar_data_queue", Json::from(self.scalar_data_queue)),
-        ])
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.object(|w| {
+            w.field("instruction_queue", &self.instruction_queue);
+            w.field("avdq", &self.avdq);
+            w.field("store_queue", &self.store_queue);
+            w.field("scalar_store_queue", &self.scalar_store_queue);
+            w.field("scalar_data_queue", &self.scalar_data_queue);
+        })
     }
 }
 
 impl FromJson for QueueConfig {
-    fn from_json(json: &Json) -> Result<QueueConfig, JsonError> {
-        Ok(QueueConfig {
-            instruction_queue: json.field("instruction_queue")?.as_usize()?,
-            avdq: json.field("avdq")?.as_usize()?,
-            store_queue: json.field("store_queue")?.as_usize()?,
-            scalar_store_queue: json.field("scalar_store_queue")?.as_usize()?,
-            scalar_data_queue: json.field("scalar_data_queue")?.as_usize()?,
+    fn read_json(r: &mut Reader<'_>) -> Result<QueueConfig, JsonError> {
+        r.object(|o| {
+            Ok(QueueConfig {
+                instruction_queue: o.field("instruction_queue")?,
+                avdq: o.field("avdq")?,
+                store_queue: o.field("store_queue")?,
+                scalar_store_queue: o.field("scalar_store_queue")?,
+                scalar_data_queue: o.field("scalar_data_queue")?,
+            })
         })
     }
 }
 
 impl ToJson for DvaConfig {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("uarch", self.uarch.to_json()),
-            ("memory", self.memory.to_json()),
-            ("queues", self.queues.to_json()),
-            ("bypass", Json::from(self.bypass)),
-        ])
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.object(|w| {
+            w.field("uarch", &self.uarch);
+            w.field("memory", &self.memory);
+            w.field("queues", &self.queues);
+            w.field("bypass", &self.bypass);
+        })
     }
 }
 
 impl FromJson for DvaConfig {
-    fn from_json(json: &Json) -> Result<DvaConfig, JsonError> {
-        Ok(DvaConfig {
-            uarch: UarchParams::from_json(json.field("uarch")?)?,
-            memory: MemoryParams::from_json(json.field("memory")?)?,
-            queues: QueueConfig::from_json(json.field("queues")?)?,
-            bypass: json.field("bypass")?.as_bool()?,
+    fn read_json(r: &mut Reader<'_>) -> Result<DvaConfig, JsonError> {
+        r.object(|o| {
+            Ok(DvaConfig {
+                uarch: o.field("uarch")?,
+                memory: o.field("memory")?,
+                queues: o.field("queues")?,
+                bypass: o.field("bypass")?,
+            })
         })
     }
 }

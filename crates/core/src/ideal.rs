@@ -16,7 +16,7 @@
 //! same artifact for FLO52).
 
 use dva_isa::{Cycle, Inst, Program};
-use dva_json::{FromJson, Json, JsonError, ToJson};
+use dva_json::{FromJson, JsonError, Reader, ToJson, Writer};
 use dva_memory::{CacheAccess, ScalarCache, ScalarCacheParams};
 
 /// Per-resource operation totals and the resulting bound.
@@ -65,25 +65,27 @@ impl IdealBound {
 }
 
 impl ToJson for IdealBound {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("fu2_only", Json::from(self.fu2_only)),
-            ("either_fu", Json::from(self.either_fu)),
-            ("memory_port", Json::from(self.memory_port)),
-            ("scalar_processor", Json::from(self.scalar_processor)),
-            ("scalar_cache", Json::from(self.scalar_cache)),
-        ])
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.object(|w| {
+            w.field("fu2_only", &self.fu2_only);
+            w.field("either_fu", &self.either_fu);
+            w.field("memory_port", &self.memory_port);
+            w.field("scalar_processor", &self.scalar_processor);
+            w.field("scalar_cache", &self.scalar_cache);
+        })
     }
 }
 
 impl FromJson for IdealBound {
-    fn from_json(json: &Json) -> Result<IdealBound, JsonError> {
-        Ok(IdealBound {
-            fu2_only: json.field("fu2_only")?.as_u64()?,
-            either_fu: json.field("either_fu")?.as_u64()?,
-            memory_port: json.field("memory_port")?.as_u64()?,
-            scalar_processor: json.field("scalar_processor")?.as_u64()?,
-            scalar_cache: json.field("scalar_cache")?.as_u64()?,
+    fn read_json(r: &mut Reader<'_>) -> Result<IdealBound, JsonError> {
+        r.object(|o| {
+            Ok(IdealBound {
+                fu2_only: o.field("fu2_only")?,
+                either_fu: o.field("either_fu")?,
+                memory_port: o.field("memory_port")?,
+                scalar_processor: o.field("scalar_processor")?,
+                scalar_cache: o.field("scalar_cache")?,
+            })
         })
     }
 }

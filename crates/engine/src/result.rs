@@ -1,7 +1,7 @@
 //! The shared result core every machine's measurements are built on.
 
 use dva_isa::Cycle;
-use dva_json::{FromJson, Json, JsonError, ToJson};
+use dva_json::{FromJson, JsonError, Reader, ToJson, Writer};
 use dva_metrics::{CacheStats, Diag, StateTracker, Traffic};
 
 /// Measurements every machine reports: the common core that
@@ -82,48 +82,37 @@ impl ToJson for ResultCore {
     /// carried; the `ticks_executed` diagnostic rides along (it restores
     /// on round-trip but, as always with [`Diag`], never affects
     /// equality).
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("cycles", Json::from(self.cycles)),
-            ("insts", Json::from(self.insts)),
-            ("states", self.states.to_json()),
-            ("traffic", self.traffic.to_json()),
-            ("bus_utilization", Json::from(self.bus_utilization)),
-            (
-                "port_utilization",
-                Json::Array(
-                    self.port_utilization
-                        .iter()
-                        .map(|&p| Json::from(p))
-                        .collect(),
-                ),
-            ),
-            ("cache_hit_rate", Json::from(self.cache_hit_rate)),
-            ("cache", self.cache.to_json()),
-            ("stall_cycles", Json::from(self.stall_cycles)),
-            ("ticks_executed", Json::from(self.ticks_executed.get())),
-        ])
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.object(|w| {
+            w.field("cycles", &self.cycles);
+            w.field("insts", &self.insts);
+            w.field("states", &self.states);
+            w.field("traffic", &self.traffic);
+            w.field("bus_utilization", &self.bus_utilization);
+            w.field("port_utilization", &self.port_utilization);
+            w.field("cache_hit_rate", &self.cache_hit_rate);
+            w.field("cache", &self.cache);
+            w.field("stall_cycles", &self.stall_cycles);
+            w.field("ticks_executed", &self.ticks_executed.get());
+        })
     }
 }
 
 impl FromJson for ResultCore {
-    fn from_json(json: &Json) -> Result<ResultCore, JsonError> {
-        Ok(ResultCore {
-            cycles: json.field("cycles")?.as_u64()?,
-            insts: json.field("insts")?.as_u64()?,
-            states: StateTracker::from_json(json.field("states")?)?,
-            traffic: Traffic::from_json(json.field("traffic")?)?,
-            bus_utilization: json.field("bus_utilization")?.as_f64()?,
-            port_utilization: json
-                .field("port_utilization")?
-                .as_array()?
-                .iter()
-                .map(Json::as_f64)
-                .collect::<Result<_, _>>()?,
-            cache_hit_rate: json.field("cache_hit_rate")?.as_f64()?,
-            cache: CacheStats::from_json(json.field("cache")?)?,
-            stall_cycles: json.field("stall_cycles")?.as_u64()?,
-            ticks_executed: Diag(json.field("ticks_executed")?.as_u64()?),
+    fn read_json(r: &mut Reader<'_>) -> Result<ResultCore, JsonError> {
+        r.object(|o| {
+            Ok(ResultCore {
+                cycles: o.field("cycles")?,
+                insts: o.field("insts")?,
+                states: o.field("states")?,
+                traffic: o.field("traffic")?,
+                bus_utilization: o.field("bus_utilization")?,
+                port_utilization: o.field("port_utilization")?,
+                cache_hit_rate: o.field("cache_hit_rate")?,
+                cache: o.field("cache")?,
+                stall_cycles: o.field("stall_cycles")?,
+                ticks_executed: Diag(o.field("ticks_executed")?),
+            })
         })
     }
 }

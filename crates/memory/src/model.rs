@@ -6,7 +6,7 @@ use crate::backends::{BankedMemory, FlatMemory, MultiPortMemory};
 use crate::bus::AddressBus;
 use crate::cache::{CacheAccess, ScalarCache, ScalarCacheParams};
 use dva_isa::{Cycle, Stride, VectorLength};
-use dva_json::{FromJson, Json, JsonError, ToJson};
+use dva_json::{FromJson, JsonError, Reader, ToJson, Writer};
 use dva_metrics::Traffic;
 use std::fmt;
 
@@ -147,74 +147,78 @@ impl Default for MemoryParams {
 impl ToJson for MemoryModelKind {
     /// A tagged object: `{"kind":"flat"}`, `{"kind":"banked",...}` or
     /// `{"kind":"multiport",...}`.
-    fn to_json(&self) -> Json {
-        match self {
-            MemoryModelKind::Flat => Json::obj([("kind", Json::from("flat"))]),
-            MemoryModelKind::Banked { banks, bank_busy } => Json::obj([
-                ("kind", Json::from("banked")),
-                ("banks", Json::from(*banks)),
-                ("bank_busy", Json::from(*bank_busy)),
-            ]),
-            MemoryModelKind::MultiPort { ports } => Json::obj([
-                ("kind", Json::from("multiport")),
-                ("ports", Json::from(*ports)),
-            ]),
-        }
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.object(|w| match self {
+            MemoryModelKind::Flat => w.field("kind", "flat"),
+            MemoryModelKind::Banked { banks, bank_busy } => {
+                w.field("kind", "banked");
+                w.field("banks", banks);
+                w.field("bank_busy", bank_busy);
+            }
+            MemoryModelKind::MultiPort { ports } => {
+                w.field("kind", "multiport");
+                w.field("ports", ports);
+            }
+        })
     }
 }
 
 impl FromJson for MemoryModelKind {
-    fn from_json(json: &Json) -> Result<MemoryModelKind, JsonError> {
-        match json.field("kind")?.as_str()? {
+    fn read_json(r: &mut Reader<'_>) -> Result<MemoryModelKind, JsonError> {
+        r.object(|o| match &*o.field_with("kind", Reader::str)? {
             "flat" => Ok(MemoryModelKind::Flat),
             "banked" => Ok(MemoryModelKind::Banked {
-                banks: u32::try_from(json.field("banks")?.as_u64()?)
+                banks: u32::try_from(o.field::<u64>("banks")?)
                     .map_err(|_| JsonError::msg("bank count out of range"))?,
-                bank_busy: json.field("bank_busy")?.as_u64()?,
+                bank_busy: o.field("bank_busy")?,
             }),
             "multiport" => Ok(MemoryModelKind::MultiPort {
-                ports: u32::try_from(json.field("ports")?.as_u64()?)
+                ports: u32::try_from(o.field::<u64>("ports")?)
                     .map_err(|_| JsonError::msg("port count out of range"))?,
             }),
             other => Err(JsonError(format!("unknown memory model kind `{other}`"))),
-        }
+        })
     }
 }
 
 impl ToJson for ScalarCacheParams {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("lines", Json::from(self.lines)),
-            ("line_bytes", Json::from(self.line_bytes)),
-        ])
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.object(|w| {
+            w.field("lines", &self.lines);
+            w.field("line_bytes", &self.line_bytes);
+        })
     }
 }
 
 impl FromJson for ScalarCacheParams {
-    fn from_json(json: &Json) -> Result<ScalarCacheParams, JsonError> {
-        Ok(ScalarCacheParams {
-            lines: json.field("lines")?.as_usize()?,
-            line_bytes: json.field("line_bytes")?.as_usize()?,
+    fn read_json(r: &mut Reader<'_>) -> Result<ScalarCacheParams, JsonError> {
+        r.object(|o| {
+            Ok(ScalarCacheParams {
+                lines: o.field("lines")?,
+                line_bytes: o.field("line_bytes")?,
+            })
         })
     }
 }
 
 impl ToJson for MemoryParams {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("latency", Json::from(self.latency)),
-            ("cache", self.cache.to_json()),
-            ("model", self.model.to_json()),
-        ])
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.object(|w| {
+            w.field("latency", &self.latency);
+            w.field("cache", &self.cache);
+            w.field("model", &self.model);
+        })
     }
 }
 
 impl FromJson for MemoryParams {
-    fn from_json(json: &Json) -> Result<MemoryParams, JsonError> {
-        Ok(MemoryParams {
-            latency: json.field("latency")?.as_u64()?,
-            cache: ScalarCacheParams::from_json(json.field("cache")?)?,
-            model: MemoryModelKind::from_json(json.field("model")?)?,
+    fn read_json(r: &mut Reader<'_>) -> Result<MemoryParams, JsonError> {
+        r.object(|o| {
+            Ok(MemoryParams {
+                latency: o.field("latency")?,
+                cache: o.field("cache")?,
+                model: o.field("model")?,
+            })
         })
     }
 }
@@ -390,7 +394,12 @@ mod tests {
             let params = MemoryParams::with_latency(70).with_model(model);
             assert_eq!(MemoryParams::from_json(&params.to_json()).unwrap(), params);
         }
-        assert!(MemoryModelKind::from_json(&Json::obj([("kind", Json::from("warp"))])).is_err());
+        assert_eq!(
+            MemoryModelKind::parse_json(r#"{"kind":"warp"}"#)
+                .unwrap_err()
+                .0,
+            "unknown memory model kind `warp`"
+        );
     }
 
     #[test]

@@ -7,74 +7,83 @@
 //! go together with a bump of `dva_engine::ENGINE_VERSION`.
 
 use crate::{CacheStats, Histogram, StateTracker, Traffic};
-use dva_json::{FromJson, Json, JsonError, ToJson};
-
-fn u64_array(json: &Json) -> Result<Vec<u64>, JsonError> {
-    json.as_array()?.iter().map(Json::as_u64).collect()
-}
+use dva_json::{FromJson, JsonError, Reader, ToJson, Writer};
 
 impl ToJson for StateTracker {
     /// The eight per-state cycle counts, in [`crate::UnitState::index`]
     /// order.
-    fn to_json(&self) -> Json {
-        Json::Array(self.counts().iter().map(|&c| Json::from(c)).collect())
+    fn write_json(&self, w: &mut Writer<'_>) {
+        self.counts().as_slice().write_json(w);
     }
 }
 
 impl FromJson for StateTracker {
-    fn from_json(json: &Json) -> Result<StateTracker, JsonError> {
-        let counts = u64_array(json)?;
-        let counts: [u64; 8] = counts
-            .try_into()
-            .map_err(|_| JsonError::msg("state tracker needs exactly 8 counts"))?;
+    fn read_json(r: &mut Reader<'_>) -> Result<StateTracker, JsonError> {
+        let mut counts = [0u64; 8];
+        let mut len = 0;
+        r.elements(|r| {
+            let count = r.u64()?;
+            if let Some(slot) = counts.get_mut(len) {
+                *slot = count;
+            }
+            len += 1;
+            Ok(())
+        })?;
+        if len != counts.len() {
+            return Err(JsonError::msg("state tracker needs exactly 8 counts"));
+        }
         Ok(StateTracker::from_counts(counts))
     }
 }
 
 impl ToJson for Traffic {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("vector_load_elems", Json::from(self.vector_load_elems)),
-            ("vector_store_elems", Json::from(self.vector_store_elems)),
-            ("scalar_load_words", Json::from(self.scalar_load_words)),
-            ("scalar_store_words", Json::from(self.scalar_store_words)),
-            ("bypassed_elems", Json::from(self.bypassed_elems)),
-            ("bypassed_loads", Json::from(self.bypassed_loads)),
-        ])
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.object(|w| {
+            w.field("vector_load_elems", &self.vector_load_elems);
+            w.field("vector_store_elems", &self.vector_store_elems);
+            w.field("scalar_load_words", &self.scalar_load_words);
+            w.field("scalar_store_words", &self.scalar_store_words);
+            w.field("bypassed_elems", &self.bypassed_elems);
+            w.field("bypassed_loads", &self.bypassed_loads);
+        })
     }
 }
 
 impl FromJson for Traffic {
-    fn from_json(json: &Json) -> Result<Traffic, JsonError> {
-        Ok(Traffic {
-            vector_load_elems: json.field("vector_load_elems")?.as_u64()?,
-            vector_store_elems: json.field("vector_store_elems")?.as_u64()?,
-            scalar_load_words: json.field("scalar_load_words")?.as_u64()?,
-            scalar_store_words: json.field("scalar_store_words")?.as_u64()?,
-            bypassed_elems: json.field("bypassed_elems")?.as_u64()?,
-            bypassed_loads: json.field("bypassed_loads")?.as_u64()?,
+    fn read_json(r: &mut Reader<'_>) -> Result<Traffic, JsonError> {
+        r.object(|o| {
+            Ok(Traffic {
+                vector_load_elems: o.field("vector_load_elems")?,
+                vector_store_elems: o.field("vector_store_elems")?,
+                scalar_load_words: o.field("scalar_load_words")?,
+                scalar_store_words: o.field("scalar_store_words")?,
+                bypassed_elems: o.field("bypassed_elems")?,
+                bypassed_loads: o.field("bypassed_loads")?,
+            })
         })
     }
 }
 
 impl ToJson for CacheStats {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("load_hits", Json::from(self.load_hits)),
-            ("load_misses", Json::from(self.load_misses)),
-            ("store_hits", Json::from(self.store_hits)),
-            ("store_misses", Json::from(self.store_misses)),
-        ])
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.object(|w| {
+            w.field("load_hits", &self.load_hits);
+            w.field("load_misses", &self.load_misses);
+            w.field("store_hits", &self.store_hits);
+            w.field("store_misses", &self.store_misses);
+        })
     }
 }
 
 impl FromJson for CacheStats {
-    fn from_json(json: &Json) -> Result<CacheStats, JsonError> {
-        Ok(CacheStats {
-            load_hits: json.field("load_hits")?.as_u64()?,
-            load_misses: json.field("load_misses")?.as_u64()?,
-            store_hits: json.field("store_hits")?.as_u64()?,
-            store_misses: json.field("store_misses")?.as_u64()?,
+    fn read_json(r: &mut Reader<'_>) -> Result<CacheStats, JsonError> {
+        r.object(|o| {
+            Ok(CacheStats {
+                load_hits: o.field("load_hits")?,
+                load_misses: o.field("load_misses")?,
+                store_hits: o.field("store_hits")?,
+                store_misses: o.field("store_misses")?,
+            })
         })
     }
 }
@@ -82,27 +91,23 @@ impl FromJson for CacheStats {
 impl ToJson for Histogram {
     /// Buckets plus the overflow count; the bucket vector's length is the
     /// configured capacity, so the shape round-trips exactly.
-    fn to_json(&self) -> Json {
-        Json::obj([
-            (
-                "buckets",
-                Json::Array(self.buckets().iter().map(|&c| Json::from(c)).collect()),
-            ),
-            ("overflow", Json::from(self.overflow())),
-        ])
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.object(|w| {
+            w.field("buckets", self.buckets());
+            w.field("overflow", &self.overflow());
+        })
     }
 }
 
 impl FromJson for Histogram {
-    fn from_json(json: &Json) -> Result<Histogram, JsonError> {
-        let buckets = u64_array(json.field("buckets")?)?;
-        if buckets.is_empty() {
-            return Err(JsonError::msg("histogram needs at least one bucket"));
-        }
-        Ok(Histogram::from_parts(
-            buckets,
-            json.field("overflow")?.as_u64()?,
-        ))
+    fn read_json(r: &mut Reader<'_>) -> Result<Histogram, JsonError> {
+        r.object(|o| {
+            let buckets: Vec<u64> = o.field("buckets")?;
+            if buckets.is_empty() {
+                return Err(JsonError::msg("histogram needs at least one bucket"));
+            }
+            Ok(Histogram::from_parts(buckets, o.field("overflow")?))
+        })
     }
 }
 
@@ -110,6 +115,7 @@ impl FromJson for Histogram {
 mod tests {
     use super::*;
     use crate::UnitState;
+    use dva_json::Json;
 
     #[test]
     fn state_tracker_round_trips() {

@@ -9,6 +9,7 @@ use crate::compiled::{CompiledProgram, RefOp};
 use crate::result::RefResult;
 use dva_engine::{Driver, Observers, Processor, Progress, Report, SimError};
 use dva_isa::{Cycle, Program};
+use dva_json::{FromJson, JsonError, Reader, ToJson, Writer};
 use dva_memory::{CacheAccess, Memory, MemoryModel, MemoryParams};
 use dva_metrics::UnitState;
 use dva_uarch::{ChainPolicy, FuPipe, Producer, Scoreboard, UarchParams, VectorRegFile};
@@ -23,20 +24,22 @@ pub struct RefParams {
     pub memory: MemoryParams,
 }
 
-impl dva_json::ToJson for RefParams {
-    fn to_json(&self) -> dva_json::Json {
-        dva_json::Json::obj([
-            ("uarch", self.uarch.to_json()),
-            ("memory", self.memory.to_json()),
-        ])
+impl ToJson for RefParams {
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.object(|w| {
+            w.field("uarch", &self.uarch);
+            w.field("memory", &self.memory);
+        })
     }
 }
 
-impl dva_json::FromJson for RefParams {
-    fn from_json(json: &dva_json::Json) -> Result<RefParams, dva_json::JsonError> {
-        Ok(RefParams {
-            uarch: UarchParams::from_json(json.field("uarch")?)?,
-            memory: MemoryParams::from_json(json.field("memory")?)?,
+impl FromJson for RefParams {
+    fn read_json(r: &mut Reader<'_>) -> Result<RefParams, JsonError> {
+        r.object(|o| {
+            Ok(RefParams {
+                uarch: o.field("uarch")?,
+                memory: o.field("memory")?,
+            })
         })
     }
 }

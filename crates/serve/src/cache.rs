@@ -20,7 +20,7 @@
 
 use crate::key::PointKey;
 use dva_engine::ENGINE_VERSION;
-use dva_json::Json;
+use dva_json::{Reader, Writer};
 use dva_sim_api::SimResult;
 use dva_testutil::failpoint;
 use std::collections::HashMap;
@@ -91,8 +91,7 @@ impl ResultCache {
         }
         let mut writer = BufWriter::new(options.open(&path)?);
         if fresh {
-            let header = Json::obj([("engine_version", Json::from(ENGINE_VERSION))]);
-            writeln!(writer, "{}", header.render())?;
+            writeln!(writer, "{}", header_line())?;
             writer.flush()?;
         }
         Ok(ResultCache {
@@ -170,11 +169,7 @@ impl ResultCache {
         };
         let appended =
             failpoint::hit("serve.cache.write", || key.as_str().to_string()).and_then(|()| {
-                let line = Json::obj([
-                    ("key", Json::from(key.as_str())),
-                    ("result", result.to_json()),
-                ]);
-                writeln!(writer, "{}", line.render())?;
+                writeln!(writer, "{}", entry_line(&key, &result))?;
                 writer.flush()
             });
         match appended {
@@ -209,6 +204,23 @@ impl ResultCache {
     }
 }
 
+/// The disk tier's first line: `{"engine_version":N}`.
+fn header_line() -> String {
+    let mut line = String::new();
+    Writer::new(&mut line).object(|w| w.field("engine_version", &ENGINE_VERSION));
+    line
+}
+
+/// One disk-tier entry: `{"key":…,"result":…}`.
+fn entry_line(key: &PointKey, result: &SimResult) -> String {
+    let mut line = String::new();
+    Writer::new(&mut line).object(|w| {
+        w.field("key", key.as_str());
+        w.field("result", result);
+    });
+    line
+}
+
 /// Whether `dead` superseded-or-unparsable lines justify rewriting a file
 /// holding `live` usable entries. A quarter of the live count keeps the
 /// rewrite cost proportional to the useful content it preserves.
@@ -222,16 +234,11 @@ fn compact(path: &Path, entries: &HashMap<PointKey, SimResult>) -> io::Result<()
     let tmp = path.with_extension("jsonl.tmp");
     {
         let mut writer = BufWriter::new(File::create(&tmp)?);
-        let header = Json::obj([("engine_version", Json::from(ENGINE_VERSION))]);
-        writeln!(writer, "{}", header.render())?;
+        writeln!(writer, "{}", header_line())?;
         let mut keys: Vec<&PointKey> = entries.keys().collect();
         keys.sort_by_key(|key| key.as_str());
         for key in keys {
-            let line = Json::obj([
-                ("key", Json::from(key.as_str())),
-                ("result", entries[key].to_json()),
-            ]);
-            writeln!(writer, "{}", line.render())?;
+            writeln!(writer, "{}", entry_line(key, &entries[key]))?;
         }
         writer.flush()?;
     }
@@ -253,16 +260,12 @@ fn load_entries(path: &Path) -> io::Result<Option<(HashMap<PointKey, SimResult>,
     let Some(header) = lines.next() else {
         return Ok(None); // empty file: treat as absent
     };
-    let stale = || Ok(None);
-    let Ok(header) = Json::parse(&header?) else {
-        return stale();
-    };
-    let version = header
-        .field("engine_version")
-        .ok()
-        .and_then(|v| v.as_u64().ok());
-    if version != Some(u64::from(ENGINE_VERSION)) {
-        return stale();
+    let header = header?;
+    let version = Reader::decode(&header, |r| {
+        r.object(|o| o.lenient::<u64>("engine_version"))
+    });
+    if version.ok().flatten() != Some(u64::from(ENGINE_VERSION)) {
+        return Ok(None); // stale
     }
     let mut entries = HashMap::new();
     let mut dead = 0usize;
@@ -271,12 +274,10 @@ fn load_entries(path: &Path) -> io::Result<Option<(HashMap<PointKey, SimResult>,
         if line.trim().is_empty() {
             continue; // tolerate a torn trailing write
         }
-        let entry = Json::parse(&line).ok().and_then(|parsed| {
-            let key = parsed.field("key").ok()?.as_str().ok()?.to_string();
-            let result = SimResult::from_json(parsed.field("result").ok()?).ok()?;
-            Some((PointKey::from_string(key), result))
+        let entry = Reader::decode(&line, |r| {
+            r.object(|o| Ok((PointKey::from_string(o.field("key")?), o.field("result")?)))
         });
-        match entry {
+        match entry.ok() {
             Some((key, result)) => {
                 if entries.insert(key, result).is_some() {
                     dead += 1; // superseded an earlier append of this key
@@ -376,11 +377,7 @@ mod tests {
         {
             let mut file = OpenOptions::new().append(true).open(&path).unwrap();
             for result in [&points[0].1, &points[1].1] {
-                let line = Json::obj([
-                    ("key", Json::from(points[0].0.as_str())),
-                    ("result", result.to_json()),
-                ]);
-                writeln!(file, "{}", line.render()).unwrap();
+                writeln!(file, "{}", entry_line(&points[0].0, result)).unwrap();
             }
         }
         let lines = |p: &Path| std::fs::read_to_string(p).unwrap().lines().count();

@@ -172,9 +172,11 @@ impl<R: io::Read, W: Write> Client<R, W> {
         }
     }
 
+    /// Sends one request line, newline included, as one write.
     fn send(&mut self, request: &Request) -> io::Result<()> {
-        let line = request.render().map_err(|e| bad_data(e.to_string()))?;
-        writeln!(self.writer, "{line}")?;
+        let mut line = request.render().map_err(|e| bad_data(e.to_string()))?;
+        line.push('\n');
+        self.writer.write_all(line.as_bytes())?;
         self.writer.flush()
     }
 

@@ -15,11 +15,17 @@
 
 use dva_engine::ENGINE_VERSION;
 use dva_isa::Program;
-use dva_json::JsonError;
+use dva_json::{JsonError, Writer};
 use dva_sim_api::PointSpec;
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::sync::{Mutex, OnceLock};
+
+/// The capacity a key is written into: enough for the prefix and the
+/// largest machine configuration (a decoupled machine's, about 330
+/// bytes), so writing never reallocates. The key is then shrunk to fit,
+/// since the cache keeps every key it stores.
+const KEY_CAPACITY: usize = 512;
 
 /// The canonical identity of one simulation, usable as a cache key and
 /// stable across processes (for one engine version).
@@ -35,11 +41,15 @@ impl PointKey {
     /// machine: its behaviour lives in a function pointer, which has no
     /// content address.
     pub fn of(spec: &PointSpec, fast_forward: bool) -> Result<PointKey, JsonError> {
-        let machine = spec.machine.to_json()?.render();
         let program = program_hash(&spec.program);
-        Ok(PointKey(format!(
-            "v{ENGINE_VERSION};prog={program:032x};ff={fast_forward};machine={machine}"
-        )))
+        let mut key = String::with_capacity(KEY_CAPACITY);
+        let _ = write!(
+            key,
+            "v{ENGINE_VERSION};prog={program:032x};ff={fast_forward};machine="
+        );
+        spec.machine.write_json(&mut Writer::new(&mut key))?;
+        key.shrink_to_fit();
+        Ok(PointKey(key))
     }
 
     /// The canonical string form (what the disk tier stores).

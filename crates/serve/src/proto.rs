@@ -37,9 +37,13 @@
 //!   a job) failed; the connection stays usable.
 
 use crate::exec::{AdaptiveSummary, JobSummary};
-use dva_json::{FromJson, Json, JsonError, ToJson};
-use dva_memory::MemoryModelKind;
+use dva_json::{JsonError, Reader, Writer};
 use dva_sim_api::{AdaptiveSweep, PointError, PointErrorKind, Sweep, SweepPoint};
+
+/// The capacity [`Response::render`] starts a line with: most point
+/// frames fit, and one doubling fits a decoupled machine's with its
+/// 257-bucket AVDQ histogram.
+const LINE_CAPACITY: usize = 1 << 10;
 
 /// A parsed client request.
 #[derive(Debug)]
@@ -67,21 +71,23 @@ pub enum Request {
 impl Request {
     /// Parses one request line.
     pub fn parse(line: &str) -> Result<Request, JsonError> {
-        let json = Json::parse(line)?;
-        let deadline_ms = || json.field("deadline_ms").ok().and_then(|v| v.as_u64().ok());
-        match json.field("type")?.as_str()? {
-            "ping" => Ok(Request::Ping),
-            "sweep" => Ok(Request::Sweep {
-                spec: Box::new(Sweep::from_json(json.field("spec")?)?),
-                deadline_ms: deadline_ms(),
-            }),
-            "adaptive" => Ok(Request::Adaptive {
-                spec: Box::new(AdaptiveSweep::from_json(json.field("spec")?)?),
-                deadline_ms: deadline_ms(),
-            }),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(JsonError(format!("unknown request type `{other}`"))),
-        }
+        Reader::decode(line, |r| {
+            r.object(|o| {
+                Ok(match &*o.field_with("type", Reader::str)? {
+                    "ping" => Request::Ping,
+                    "sweep" => Request::Sweep {
+                        spec: Box::new(o.field("spec")?),
+                        deadline_ms: o.lenient("deadline_ms")?,
+                    },
+                    "adaptive" => Request::Adaptive {
+                        spec: Box::new(o.field("spec")?),
+                        deadline_ms: o.lenient("deadline_ms")?,
+                    },
+                    "shutdown" => Request::Shutdown,
+                    other => return Err(JsonError(format!("unknown request type `{other}`"))),
+                })
+            })
+        })
     }
 
     /// Renders this request as its wire line (no trailing newline).
@@ -93,24 +99,31 @@ impl Request {
     /// Fails only for sweeps that cannot be serialized (custom machines
     /// or custom programs).
     pub fn render(&self) -> Result<String, JsonError> {
-        let with_deadline = |mut fields: Vec<(&'static str, Json)>, deadline: &Option<u64>| {
-            if let Some(ms) = deadline {
-                fields.push(("deadline_ms", Json::from(*ms)));
+        let mut line = String::new();
+        Writer::new(&mut line).object(|w| {
+            match self {
+                Request::Ping => w.field("type", "ping"),
+                Request::Sweep { spec, deadline_ms } => {
+                    w.field("type", "sweep");
+                    w.key("spec");
+                    spec.write_json(w)?;
+                    if let Some(ms) = deadline_ms {
+                        w.field("deadline_ms", ms);
+                    }
+                }
+                Request::Adaptive { spec, deadline_ms } => {
+                    w.field("type", "adaptive");
+                    w.key("spec");
+                    spec.write_json(w)?;
+                    if let Some(ms) = deadline_ms {
+                        w.field("deadline_ms", ms);
+                    }
+                }
+                Request::Shutdown => w.field("type", "shutdown"),
             }
-            Json::obj(fields).render()
-        };
-        Ok(match self {
-            Request::Ping => Json::obj([("type", Json::from("ping"))]).render(),
-            Request::Sweep { spec, deadline_ms } => with_deadline(
-                vec![("type", Json::from("sweep")), ("spec", spec.to_json()?)],
-                deadline_ms,
-            ),
-            Request::Adaptive { spec, deadline_ms } => with_deadline(
-                vec![("type", Json::from("adaptive")), ("spec", spec.to_json()?)],
-                deadline_ms,
-            ),
-            Request::Shutdown => Json::obj([("type", Json::from("shutdown"))]).render(),
-        })
+            Ok::<_, JsonError>(())
+        })?;
+        Ok(line)
     }
 }
 
@@ -149,56 +162,56 @@ pub enum Response {
 impl Response {
     /// Parses one response line.
     pub fn parse(line: &str) -> Result<Response, JsonError> {
-        let json = Json::parse(line)?;
-        Ok(match json.field("type")?.as_str()? {
-            "pong" => Response::Pong {
-                engine_version: u32::try_from(json.field("engine_version")?.as_u64()?)
-                    .map_err(|_| JsonError("engine_version out of range".to_string()))?,
-            },
-            "point" => Response::Point {
-                index: json.field("index")?.as_usize()?,
-                point: Box::new(SweepPoint::from_json(json.field("point")?)?),
-            },
-            "point_error" => {
-                let kind = json.field("kind")?.as_str()?.to_string();
-                Response::PointError(PointError {
-                    index: json.field("index")?.as_usize()?,
-                    kind: PointErrorKind::parse(&kind)
-                        .ok_or_else(|| JsonError(format!("unknown point_error kind `{kind}`")))?,
-                    label: json.field("label")?.as_str()?.to_string(),
-                    program: json.field("program")?.as_str()?.to_string(),
-                    latency: json.field("latency")?.as_u64()?,
-                    memory: MemoryModelKind::from_json(json.field("memory")?)?,
-                    message: json.field("message")?.as_str()?.to_string(),
+        Reader::decode(line, |r| {
+            r.object(|o| {
+                Ok(match &*o.field_with("type", Reader::str)? {
+                    "pong" => Response::Pong {
+                        engine_version: u32::try_from(o.field::<u64>("engine_version")?)
+                            .map_err(|_| JsonError("engine_version out of range".to_string()))?,
+                    },
+                    "point" => Response::Point {
+                        index: o.field("index")?,
+                        point: Box::new(o.field("point")?),
+                    },
+                    "point_error" => {
+                        let kind = o.field_with("kind", Reader::str)?;
+                        Response::PointError(PointError {
+                            index: o.field("index")?,
+                            kind: PointErrorKind::parse(&kind).ok_or_else(|| {
+                                JsonError(format!("unknown point_error kind `{kind}`"))
+                            })?,
+                            label: o.field("label")?,
+                            program: o.field("program")?,
+                            latency: o.field("latency")?,
+                            memory: o.field("memory")?,
+                            message: o.field("message")?,
+                        })
+                    }
+                    "summary" => Response::Summary(JobSummary {
+                        total: o.field("total")?,
+                        cache_hits: o.field("cache_hits")?,
+                        simulated: o.field("simulated")?,
+                        // Absent in lines written before the robustness
+                        // revision: default to "no point failed".
+                        errors: o.lenient("errors")?.unwrap_or(0),
+                    }),
+                    "adaptive_summary" => Response::AdaptiveSummary(AdaptiveSummary {
+                        dense: o.field("dense")?,
+                        sampled: o.field("sampled")?,
+                        cache_hits: o.field("cache_hits")?,
+                        simulated: o.field("simulated")?,
+                        interpolated: o.field("interpolated")?,
+                        dominated: o.field("dominated")?,
+                        pruned_curves: o.field("pruned_curves")?,
+                        rounds: o.field("rounds")?,
+                    }),
+                    "error" => Response::Error {
+                        message: o.field("message")?,
+                    },
+                    "bye" => Response::Bye,
+                    other => return Err(JsonError(format!("unknown response type `{other}`"))),
                 })
-            }
-            "summary" => Response::Summary(JobSummary {
-                total: json.field("total")?.as_usize()?,
-                cache_hits: json.field("cache_hits")?.as_usize()?,
-                simulated: json.field("simulated")?.as_usize()?,
-                // Absent in lines written before the robustness
-                // revision: default to "no point failed".
-                errors: json
-                    .field("errors")
-                    .ok()
-                    .and_then(|v| v.as_usize().ok())
-                    .unwrap_or(0),
-            }),
-            "adaptive_summary" => Response::AdaptiveSummary(AdaptiveSummary {
-                dense: json.field("dense")?.as_usize()?,
-                sampled: json.field("sampled")?.as_usize()?,
-                cache_hits: json.field("cache_hits")?.as_usize()?,
-                simulated: json.field("simulated")?.as_usize()?,
-                interpolated: json.field("interpolated")?.as_usize()?,
-                dominated: json.field("dominated")?.as_usize()?,
-                pruned_curves: json.field("pruned_curves")?.as_usize()?,
-                rounds: json.field("rounds")?.as_usize()?,
-            }),
-            "error" => Response::Error {
-                message: json.field("message")?.as_str()?.to_string(),
-            },
-            "bye" => Response::Bye,
-            other => Err(JsonError(format!("unknown response type `{other}`")))?,
+            })
         })
     }
 
@@ -209,55 +222,65 @@ impl Response {
     /// Fails only for points measured on machines that cannot be
     /// serialized; the server never produces those.
     pub fn render(&self) -> Result<String, JsonError> {
-        Ok(match self {
-            Response::Pong { engine_version } => Json::obj([
-                ("type", Json::from("pong")),
-                ("engine_version", Json::from(*engine_version)),
-            ])
-            .render(),
-            Response::Point { index, point } => Json::obj([
-                ("type", Json::from("point")),
-                ("index", Json::from(*index)),
-                ("point", point.to_json()?),
-            ])
-            .render(),
-            Response::PointError(e) => Json::obj([
-                ("type", Json::from("point_error")),
-                ("index", Json::from(e.index)),
-                ("kind", Json::from(e.kind.as_str())),
-                ("label", Json::from(e.label.as_str())),
-                ("program", Json::from(e.program.as_str())),
-                ("latency", Json::from(e.latency)),
-                ("memory", e.memory.to_json()),
-                ("message", Json::from(e.message.as_str())),
-            ])
-            .render(),
-            Response::Summary(summary) => Json::obj([
-                ("type", Json::from("summary")),
-                ("total", Json::from(summary.total)),
-                ("cache_hits", Json::from(summary.cache_hits)),
-                ("simulated", Json::from(summary.simulated)),
-                ("errors", Json::from(summary.errors)),
-            ])
-            .render(),
-            Response::AdaptiveSummary(summary) => Json::obj([
-                ("type", Json::from("adaptive_summary")),
-                ("dense", Json::from(summary.dense)),
-                ("sampled", Json::from(summary.sampled)),
-                ("cache_hits", Json::from(summary.cache_hits)),
-                ("simulated", Json::from(summary.simulated)),
-                ("interpolated", Json::from(summary.interpolated)),
-                ("dominated", Json::from(summary.dominated)),
-                ("pruned_curves", Json::from(summary.pruned_curves)),
-                ("rounds", Json::from(summary.rounds)),
-            ])
-            .render(),
-            Response::Error { message } => Json::obj([
-                ("type", Json::from("error")),
-                ("message", Json::from(message.as_str())),
-            ])
-            .render(),
-            Response::Bye => Json::obj([("type", Json::from("bye"))]).render(),
+        let mut line = String::with_capacity(LINE_CAPACITY);
+        self.write_json(&mut Writer::new(&mut line))?;
+        Ok(line)
+    }
+
+    /// Writes this response's wire line (no trailing newline); a point
+    /// is written straight from the [`SweepPoint`].
+    ///
+    /// # Errors
+    ///
+    /// As [`render`](Response::render).
+    pub(crate) fn write_json(&self, w: &mut Writer<'_>) -> Result<(), JsonError> {
+        w.object(|w| {
+            match self {
+                Response::Pong { engine_version } => {
+                    w.field("type", "pong");
+                    w.field("engine_version", engine_version);
+                }
+                Response::Point { index, point } => {
+                    w.field("type", "point");
+                    w.field("index", index);
+                    w.key("point");
+                    point.write_json(w)?;
+                }
+                Response::PointError(e) => {
+                    w.field("type", "point_error");
+                    w.field("index", &e.index);
+                    w.field("kind", e.kind.as_str());
+                    w.field("label", e.label.as_str());
+                    w.field("program", e.program.as_str());
+                    w.field("latency", &e.latency);
+                    w.field("memory", &e.memory);
+                    w.field("message", e.message.as_str());
+                }
+                Response::Summary(summary) => {
+                    w.field("type", "summary");
+                    w.field("total", &summary.total);
+                    w.field("cache_hits", &summary.cache_hits);
+                    w.field("simulated", &summary.simulated);
+                    w.field("errors", &summary.errors);
+                }
+                Response::AdaptiveSummary(summary) => {
+                    w.field("type", "adaptive_summary");
+                    w.field("dense", &summary.dense);
+                    w.field("sampled", &summary.sampled);
+                    w.field("cache_hits", &summary.cache_hits);
+                    w.field("simulated", &summary.simulated);
+                    w.field("interpolated", &summary.interpolated);
+                    w.field("dominated", &summary.dominated);
+                    w.field("pruned_curves", &summary.pruned_curves);
+                    w.field("rounds", &summary.rounds);
+                }
+                Response::Error { message } => {
+                    w.field("type", "error");
+                    w.field("message", message.as_str());
+                }
+                Response::Bye => w.field("type", "bye"),
+            }
+            Ok(())
         })
     }
 }

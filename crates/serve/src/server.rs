@@ -10,6 +10,7 @@
 use crate::exec::{AdaptiveSummary, SweepService};
 use crate::proto::{Request, Response};
 use dva_engine::ENGINE_VERSION;
+use dva_json::Writer;
 use dva_sim_api::CancelToken;
 use dva_testutil::failpoint;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -37,6 +38,15 @@ pub struct ServeOptions {
 /// then the connection closes, so a newline-free stream cannot make the
 /// daemon buffer without limit.
 pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
+/// The most grid points one job may ask for: a sweep's
+/// [`len`](dva_sim_api::Sweep::len) or an adaptive job's
+/// [`dense_len`](dva_sim_api::AdaptiveSweep::dense_len). A larger job
+/// gets one `error` line and the connection stays usable, so one request
+/// cannot commit the daemon to an unbounded grid. Far above any real
+/// job: the paper's full evaluation grid is a few hundred points, and an
+/// adaptive job's dense grid a few thousand.
+pub const MAX_JOB_POINTS: usize = 1 << 16;
 
 /// The longest `error` message, in bytes, sent back for a request line
 /// that does not parse. Parse errors may quote client input (an unknown
@@ -74,12 +84,14 @@ fn is_disconnect(e: &io::Error) -> bool {
 }
 
 /// Serves one connection: reads request lines until EOF or a shutdown
-/// request, writing response lines (flushed per line, so clients see
-/// points as they complete). Returns `true` if the client asked the
-/// whole server to shut down.
+/// request, writing response lines (one write and one flush per line, so
+/// clients see points as they complete). Returns `true` if the client
+/// asked the whole server to shut down.
 ///
-/// An idle timeout or reset on the read side closes the connection
-/// quietly (`Ok(false)`), as does a line longer than
+/// A line that is not UTF-8, does not parse or asks for more than
+/// [`MAX_JOB_POINTS`] gets one `error` response and the connection stays
+/// usable. An idle timeout or reset on the read side closes the
+/// connection quietly (`Ok(false)`), as does a line longer than
 /// [`MAX_REQUEST_LINE`] after its one `error` response; write failures
 /// — the client hung up mid-stream — cancel the in-flight job and
 /// surface as the error.
@@ -88,12 +100,17 @@ pub fn serve_connection(
     mut reader: impl BufRead,
     mut writer: impl Write,
 ) -> io::Result<bool> {
-    let respond = |writer: &mut dyn Write, response: &Response| -> io::Result<()> {
-        let line = response
-            .render()
+    // Every response line is written into this one buffer, newline
+    // included, and goes out as one write.
+    let mut line = String::new();
+    let mut respond = |writer: &mut dyn Write, response: &Response| -> io::Result<()> {
+        line.clear();
+        response
+            .write_json(&mut Writer::new(&mut line))
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         failpoint::hit("serve.socket.write", || line.clone())?;
-        writeln!(writer, "{line}")?;
+        line.push('\n');
+        writer.write_all(line.as_bytes())?;
         writer.flush()
     };
     let mut buf = Vec::new();
@@ -118,15 +135,25 @@ pub fn serve_connection(
             )?;
             return Ok(false);
         }
-        let line =
-            std::str::from_utf8(&buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        let line = line
+        let request_line = match std::str::from_utf8(&buf) {
+            Ok(text) => text,
+            Err(e) => {
+                respond(
+                    &mut writer,
+                    &Response::Error {
+                        message: format!("request line is not UTF-8 ({e})"),
+                    },
+                )?;
+                continue;
+            }
+        };
+        let request_line = request_line
             .strip_suffix('\n')
-            .map_or(line, |l| l.strip_suffix('\r').unwrap_or(l));
-        if line.trim().is_empty() {
+            .map_or(request_line, |l| l.strip_suffix('\r').unwrap_or(l));
+        if request_line.trim().is_empty() {
             continue;
         }
-        let request = match Request::parse(line) {
+        let request = match Request::parse(request_line) {
             Ok(request) => request,
             Err(e) => {
                 respond(
@@ -138,6 +165,22 @@ pub fn serve_connection(
                 continue;
             }
         };
+        let points = match &request {
+            Request::Sweep { spec, .. } => spec.len(),
+            Request::Adaptive { spec, .. } => spec.dense_len(),
+            Request::Ping | Request::Shutdown => 0,
+        };
+        if points > MAX_JOB_POINTS {
+            respond(
+                &mut writer,
+                &Response::Error {
+                    message: format!(
+                        "job of {points} grid points exceeds the limit of {MAX_JOB_POINTS}"
+                    ),
+                },
+            )?;
+            continue;
+        }
         match request {
             Request::Ping => respond(
                 &mut writer,
@@ -311,17 +354,18 @@ pub fn serve_unix_with(
 mod tests {
     use super::*;
     use crate::cache::ResultCache;
-    use dva_sim_api::{Machine, Sweep};
+    use dva_sim_api::{AdaptiveSweep, Machine, Sweep};
     use dva_workloads::{Benchmark, Scale};
     use proptest::prelude::*;
     use std::io::Cursor;
 
     /// Runs `input` through one in-process connection and returns the
     /// response lines.
-    fn converse(input: String) -> Vec<Response> {
+    fn converse(input: impl AsRef<[u8]>) -> Vec<Response> {
         let service = SweepService::new(ResultCache::in_memory(16));
         let mut output = Vec::new();
-        let shutdown = serve_connection(&service, Cursor::new(input), &mut output).unwrap();
+        let shutdown =
+            serve_connection(&service, Cursor::new(input.as_ref()), &mut output).unwrap();
         assert!(!shutdown);
         String::from_utf8(output)
             .unwrap()
@@ -330,9 +374,10 @@ mod tests {
             .collect()
     }
 
-    /// A request line that does not parse: random text, a truncated
-    /// valid request, a deep run of `[`, a long string or a huge number.
-    fn bad_line() -> impl Strategy<Value = String> {
+    /// A request line that does not parse: random bytes or text, a
+    /// truncated valid request, a deep run of `[`, a long string or a
+    /// huge number.
+    fn bad_line() -> impl Strategy<Value = Vec<u8>> {
         let sweep = Request::Sweep {
             spec: Box::new(
                 Sweep::new()
@@ -351,7 +396,9 @@ mod tests {
             (0x80u32..0xd800).prop_map(|c| char::from_u32(c).unwrap()),
             (0x1_0000u32..0x11_0000).prop_map(|c| char::from_u32(c).unwrap()),
         ];
-        prop_oneof![
+        // Any byte but the newline that would end the line.
+        let byte = prop_oneof![0u8..b'\n', b'\n' + 1..=u8::MAX];
+        let text = prop_oneof![
             // `#` keeps the line from being blank (blank lines are skipped).
             collection::vec(text_char, 0..200)
                 .prop_map(|cs| std::iter::once('#').chain(cs).collect::<String>()),
@@ -364,6 +411,14 @@ mod tests {
                 "{{\"type\":\"ping\",\"deadline_ms\":{}}}",
                 "7".repeat(100_000)
             )),
+        ];
+        prop_oneof![
+            text.prop_map(String::into_bytes),
+            // `#` or a byte no UTF-8 text holds, then random bytes.
+            (any::<bool>(), collection::vec(byte, 0..200)).prop_map(|(utf8_start, bytes)| {
+                let first = if utf8_start { b'#' } else { 0xff };
+                std::iter::once(first).chain(bytes).collect()
+            }),
         ]
     }
 
@@ -374,8 +429,12 @@ mod tests {
         fn each_bad_line_costs_one_bounded_error_and_the_connection_answers_ping(
             lines in collection::vec(bad_line(), 1..5),
         ) {
-            let input = lines.iter().map(|line| format!("{line}\n")).collect::<String>()
-                + "{\"type\":\"ping\"}\n";
+            let mut input = Vec::new();
+            for line in &lines {
+                input.extend_from_slice(line);
+                input.push(b'\n');
+            }
+            input.extend_from_slice(b"{\"type\":\"ping\"}\n");
             let responses = converse(input);
             prop_assert_eq!(responses.len(), lines.len() + 1);
             for response in &responses[..lines.len()] {
@@ -390,6 +449,99 @@ mod tests {
             }
             prop_assert!(matches!(responses[lines.len()], Response::Pong { .. }));
         }
+    }
+
+    #[test]
+    fn each_response_line_goes_out_in_one_write() {
+        /// Counts the writes a connection makes.
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+                self.0.push(bytes.to_vec());
+                Ok(bytes.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let service = SweepService::new(ResultCache::in_memory(16));
+        let sweep = Request::Sweep {
+            spec: Box::new(
+                Sweep::new()
+                    .machines([Machine::reference(1), Machine::ideal()])
+                    .benchmark(Benchmark::Trfd)
+                    .scale(Scale::Quick),
+            ),
+            deadline_ms: None,
+        };
+        let input = format!(
+            "{}\n{{\"type\":\"ping\"}}\nnot json\n",
+            sweep.render().unwrap()
+        );
+        let mut writes = Writes(Vec::new());
+        serve_connection(&service, Cursor::new(input), &mut writes).unwrap();
+        // Two points, the summary, the pong and the error: one write each,
+        // newline included.
+        assert_eq!(writes.0.len(), 5);
+        for write in &writes.0 {
+            assert_eq!(write.iter().filter(|&&b| b == b'\n').count(), 1);
+            assert_eq!(write.last(), Some(&b'\n'));
+        }
+    }
+
+    #[test]
+    fn a_non_utf8_line_gets_an_error_and_the_connection_stays_open() {
+        let responses = converse(b"\xff\xfe{\"type\":\"ping\"}\n{\"type\":\"ping\"}\n");
+        match &responses[..] {
+            [Response::Error { message }, Response::Pong { .. }] => {
+                assert!(message.contains("not UTF-8"), "{message}");
+            }
+            other => panic!("expected an error then a pong, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn jobs_over_the_point_limit_get_an_error_and_the_connection_stays_open() {
+        // Two machines at 40,000 latencies: 80,000 points.
+        let template = Sweep::new()
+            .machines([Machine::reference(1), Machine::dva(1)])
+            .benchmark(Benchmark::Trfd)
+            .scale(Scale::Quick);
+        let sweep = template.clone().latencies(1..=40_000);
+        let adaptive = AdaptiveSweep::over(template, 1..=40_000);
+        assert!(sweep.len() > MAX_JOB_POINTS && adaptive.dense_len() > MAX_JOB_POINTS);
+        let requests = [
+            Request::Sweep {
+                spec: Box::new(sweep),
+                deadline_ms: None,
+            },
+            Request::Adaptive {
+                spec: Box::new(adaptive),
+                deadline_ms: None,
+            },
+        ];
+        for request in requests {
+            let input = request.render().unwrap() + "\n{\"type\":\"ping\"}\n";
+            match &converse(input)[..] {
+                [Response::Error { message }, Response::Pong { .. }] => {
+                    assert_eq!(
+                        message,
+                        &format!("job of 80000 grid points exceeds the limit of {MAX_JOB_POINTS}")
+                    );
+                }
+                other => panic!("expected an error then a pong, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_size_saturates_instead_of_wrapping() {
+        let huge = Sweep::new()
+            .machines(vec![Machine::ideal(); 1 << 16])
+            .benchmarks(vec![Benchmark::Trfd; 1 << 16])
+            .latencies(0..1 << 16)
+            .memory_models(vec![dva_sim_api::MemoryModelKind::Flat; 1 << 16]);
+        assert_eq!(huge.len(), usize::MAX);
     }
 
     #[test]

@@ -34,7 +34,7 @@
 
 use crate::stream::PointSpec;
 use crate::sweep::{Sweep, SweepPoint, SweepResults};
-use dva_json::{Json, JsonError};
+use dva_json::{FromJson, Json, JsonError, Reader, Writer};
 use dva_memory::MemoryModelKind;
 use std::collections::BTreeMap;
 
@@ -216,60 +216,55 @@ impl AdaptiveSweep {
         planner.finish()
     }
 
-    /// The stable JSON form of this session's specification — the
-    /// template sweep plus the axis and refinement knobs. The wire form
-    /// of a `dva-serve` adaptive job.
+    /// Writes the stable JSON form of this session's specification —
+    /// the template sweep plus the axis and refinement knobs. The wire
+    /// form of a `dva-serve` adaptive job.
     ///
     /// # Errors
     ///
-    /// Fails exactly when the template fails [`Sweep::to_json`] (custom
-    /// machines or custom programs).
-    pub fn to_json(&self) -> Result<Json, JsonError> {
-        Ok(Json::obj([
-            ("sweep", self.template.to_json()?),
-            (
-                "axis",
-                Json::Array(self.axis.iter().map(|&l| Json::from(l)).collect()),
-            ),
-            ("seeds", Json::from(self.seeds)),
-            ("tolerance", Json::Float(self.tolerance)),
-            (
-                "baseline",
-                self.baseline
-                    .as_deref()
-                    .map(Json::from)
-                    .unwrap_or(Json::Null),
-            ),
-            (
-                "prune",
-                Json::Array(self.prune.iter().map(|l| Json::from(l.as_str())).collect()),
-            ),
-            ("margin", Json::Float(self.margin)),
-        ]))
+    /// Fails exactly when the template fails [`Sweep::write_json`]
+    /// (custom machines or custom programs).
+    pub fn write_json(&self, w: &mut Writer<'_>) -> Result<(), JsonError> {
+        w.object(|w| {
+            w.key("sweep");
+            self.template.write_json(w)?;
+            w.field("axis", &self.axis);
+            w.field("seeds", &self.seeds);
+            w.field("tolerance", &self.tolerance);
+            w.field("baseline", &self.baseline);
+            w.field("prune", &self.prune);
+            w.field("margin", &self.margin);
+            Ok(())
+        })
     }
 
-    /// Reconstructs a session from its [`to_json`](AdaptiveSweep::to_json)
-    /// form.
-    pub fn from_json(json: &Json) -> Result<AdaptiveSweep, JsonError> {
-        let template = Sweep::from_json(json.field("sweep")?)?;
-        let mut axis = Vec::new();
-        for latency in json.field("axis")?.as_array()? {
-            axis.push(latency.as_u64()?);
-        }
-        let mut adaptive = AdaptiveSweep::over(template, axis)
-            .seeds(json.field("seeds")?.as_usize()?)
-            .tolerance(json.field("tolerance")?.as_f64()?)
-            .margin(json.field("margin")?.as_f64()?);
-        if let Json::Null = json.field("baseline")? {
-        } else {
-            let baseline = json.field("baseline")?.as_str()?.to_string();
-            let mut prune = Vec::new();
-            for label in json.field("prune")?.as_array()? {
-                prune.push(label.as_str()?.to_string());
+    /// The [`write_json`](AdaptiveSweep::write_json) form as a [`Json`]
+    /// tree.
+    ///
+    /// # Errors
+    ///
+    /// As [`write_json`](AdaptiveSweep::write_json).
+    pub fn to_json(&self) -> Result<Json, JsonError> {
+        crate::wire::tree(|w| self.write_json(w))
+    }
+}
+
+impl FromJson for AdaptiveSweep {
+    /// Reads a session specification, looking fields up in the order
+    /// earlier decoders used. `prune` is read only with a baseline.
+    fn read_json(r: &mut Reader<'_>) -> Result<AdaptiveSweep, JsonError> {
+        r.object(|o| {
+            let template = o.field("sweep")?;
+            let axis: Vec<u64> = o.field("axis")?;
+            let mut adaptive = AdaptiveSweep::over(template, axis)
+                .seeds(o.field("seeds")?)
+                .tolerance(o.field("tolerance")?)
+                .margin(o.field("margin")?);
+            if let Some(baseline) = o.field::<Option<String>>("baseline")? {
+                adaptive = adaptive.prune_against(baseline, o.field::<Vec<String>>("prune")?);
             }
-            adaptive = adaptive.prune_against(baseline, prune);
-        }
-        Ok(adaptive)
+            Ok(adaptive)
+        })
     }
 }
 

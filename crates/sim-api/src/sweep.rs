@@ -257,12 +257,17 @@ impl Sweep {
         self.cancel.clone()
     }
 
-    /// Number of points the session will measure.
+    /// Number of points the session will measure (saturating at
+    /// `usize::MAX`, so the size of a hostile request never wraps).
     pub fn len(&self) -> usize {
         let programs = self.benchmarks.len() + self.programs.len();
         let latencies = self.latencies.len().max(1);
         let models = self.memory_models.len().max(1);
-        self.machines.len() * programs * latencies * models
+        self.machines
+            .len()
+            .saturating_mul(programs)
+            .saturating_mul(latencies)
+            .saturating_mul(models)
     }
 
     /// Whether the session has no points.

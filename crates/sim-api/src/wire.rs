@@ -15,138 +15,153 @@
 
 use crate::sweep::{Sweep, SweepPoint, SweepResults};
 use crate::{Machine, MachineDetail, SimResult};
-use dva_core::{DvaConfig, IdealBound};
-use dva_engine::ResultCore;
-use dva_json::{FromJson, Json, JsonError, ToJson};
-use dva_memory::MemoryModelKind;
-use dva_metrics::Histogram;
-use dva_ref::RefParams;
+use dva_json::{FromJson, Json, JsonError, Reader, ToJson, Writer};
 use dva_workloads::{Benchmark, Scale};
 
+/// The [`Json`] tree of what a fallible `write` writes.
+pub(crate) fn tree(
+    write: impl FnOnce(&mut Writer<'_>) -> Result<(), JsonError>,
+) -> Result<Json, JsonError> {
+    let mut text = String::new();
+    write(&mut Writer::new(&mut text))?;
+    Ok(Json::parse(&text).expect("the writer emits valid JSON"))
+}
+
 impl Machine {
-    /// The stable JSON form of this machine's full configuration —
-    /// including the stamped latency and memory model, except for IDEAL,
-    /// which has neither (so all IDEAL points of a latency grid share one
-    /// form; the `dva-serve` cache exploits exactly that).
+    /// Writes the stable JSON form of this machine's full configuration
+    /// — including the stamped latency and memory model, except for
+    /// IDEAL, which has neither (so all IDEAL points of a latency grid
+    /// share one form; the `dva-serve` cache exploits exactly that).
     ///
     /// # Errors
     ///
-    /// Fails for [`Machine::custom`] machines, which carry a function
-    /// pointer and cannot cross a process boundary.
+    /// Fails, writing nothing, for [`Machine::custom`] machines, which
+    /// carry a function pointer and cannot cross a process boundary.
+    pub fn write_json(&self, w: &mut Writer<'_>) -> Result<(), JsonError> {
+        match self {
+            Machine::Ref(params) => w.object(|w| {
+                w.field("kind", "ref");
+                w.field("params", params);
+            }),
+            Machine::Dva(config) => w.object(|w| {
+                w.field("kind", "dva");
+                w.field("config", config);
+            }),
+            Machine::Ideal => w.object(|w| w.field("kind", "ideal")),
+            Machine::Custom(custom) => {
+                return Err(JsonError(format!(
+                    "custom machine `{:?}` cannot be serialized (it carries a function pointer); \
+                     only REF/DVA/BYP/IDEAL machines cross the wire",
+                    custom
+                )))
+            }
+        }
+        Ok(())
+    }
+
+    /// The [`write_json`](Machine::write_json) form as a [`Json`] tree.
+    ///
+    /// # Errors
+    ///
+    /// As [`write_json`](Machine::write_json).
     pub fn to_json(&self) -> Result<Json, JsonError> {
-        machine_to_json(self)
-    }
-
-    /// Reconstructs a machine from its [`Machine::to_json`] form.
-    pub fn from_json(json: &Json) -> Result<Machine, JsonError> {
-        machine_from_json(json)
+        tree(|w| self.write_json(w))
     }
 }
 
-/// The JSON form of a [`Machine`], or an error for custom machines.
-pub(crate) fn machine_to_json(machine: &Machine) -> Result<Json, JsonError> {
-    Ok(match machine {
-        Machine::Ref(params) => {
-            Json::obj([("kind", Json::from("ref")), ("params", params.to_json())])
-        }
-        Machine::Dva(config) => {
-            Json::obj([("kind", Json::from("dva")), ("config", config.to_json())])
-        }
-        Machine::Ideal => Json::obj([("kind", Json::from("ideal"))]),
-        Machine::Custom(custom) => {
-            return Err(JsonError(format!(
-                "custom machine `{:?}` cannot be serialized (it carries a function pointer); \
-                 only REF/DVA/BYP/IDEAL machines cross the wire",
-                custom
-            )))
-        }
-    })
-}
-
-pub(crate) fn machine_from_json(json: &Json) -> Result<Machine, JsonError> {
-    match json.field("kind")?.as_str()? {
-        "ref" => Ok(Machine::Ref(RefParams::from_json(json.field("params")?)?)),
-        "dva" => Ok(Machine::Dva(DvaConfig::from_json(json.field("config")?)?)),
-        "ideal" => Ok(Machine::Ideal),
-        other => Err(JsonError(format!("unknown machine kind `{other}`"))),
+impl FromJson for Machine {
+    fn read_json(r: &mut Reader<'_>) -> Result<Machine, JsonError> {
+        r.object(|o| match &*o.field_with("kind", Reader::str)? {
+            "ref" => Ok(Machine::Ref(o.field("params")?)),
+            "dva" => Ok(Machine::Dva(o.field("config")?)),
+            "ideal" => Ok(Machine::Ideal),
+            other => Err(JsonError(format!("unknown machine kind `{other}`"))),
+        })
     }
 }
 
-fn detail_to_json(detail: &MachineDetail) -> Json {
-    match detail {
-        MachineDetail::Reference => Json::obj([("kind", Json::from("reference"))]),
-        MachineDetail::Decoupled {
-            avdq_occupancy,
-            bypassed_loads,
-            drain_stall_cycles,
-            max_vpiq,
-            max_apiq,
-            max_avdq,
-        } => Json::obj([
-            ("kind", Json::from("decoupled")),
-            ("avdq_occupancy", avdq_occupancy.to_json()),
-            ("bypassed_loads", Json::from(*bypassed_loads)),
-            ("drain_stall_cycles", Json::from(*drain_stall_cycles)),
-            ("max_vpiq", Json::from(*max_vpiq)),
-            ("max_apiq", Json::from(*max_apiq)),
-            ("max_avdq", Json::from(*max_avdq)),
-        ]),
-        MachineDetail::Ideal(bound) => {
-            Json::obj([("kind", Json::from("ideal")), ("bound", bound.to_json())])
-        }
-        MachineDetail::Custom { occupancy } => Json::obj([
-            ("kind", Json::from("custom")),
-            (
-                "occupancy",
-                occupancy
-                    .as_ref()
-                    .map(ToJson::to_json)
-                    .unwrap_or(Json::Null),
-            ),
-        ]),
+impl ToJson for MachineDetail {
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.object(|w| match self {
+            MachineDetail::Reference => w.field("kind", "reference"),
+            MachineDetail::Decoupled {
+                avdq_occupancy,
+                bypassed_loads,
+                drain_stall_cycles,
+                max_vpiq,
+                max_apiq,
+                max_avdq,
+            } => {
+                w.field("kind", "decoupled");
+                w.field("avdq_occupancy", avdq_occupancy);
+                w.field("bypassed_loads", bypassed_loads);
+                w.field("drain_stall_cycles", drain_stall_cycles);
+                w.field("max_vpiq", max_vpiq);
+                w.field("max_apiq", max_apiq);
+                w.field("max_avdq", max_avdq);
+            }
+            MachineDetail::Ideal(bound) => {
+                w.field("kind", "ideal");
+                w.field("bound", bound);
+            }
+            MachineDetail::Custom { occupancy } => {
+                w.field("kind", "custom");
+                w.field("occupancy", occupancy);
+            }
+        })
     }
 }
 
-fn detail_from_json(json: &Json) -> Result<MachineDetail, JsonError> {
-    Ok(match json.field("kind")?.as_str()? {
-        "reference" => MachineDetail::Reference,
-        "decoupled" => MachineDetail::Decoupled {
-            avdq_occupancy: Histogram::from_json(json.field("avdq_occupancy")?)?,
-            bypassed_loads: json.field("bypassed_loads")?.as_u64()?,
-            drain_stall_cycles: json.field("drain_stall_cycles")?.as_u64()?,
-            max_vpiq: json.field("max_vpiq")?.as_usize()?,
-            max_apiq: json.field("max_apiq")?.as_usize()?,
-            max_avdq: json.field("max_avdq")?.as_usize()?,
-        },
-        "ideal" => MachineDetail::Ideal(IdealBound::from_json(json.field("bound")?)?),
-        "custom" => MachineDetail::Custom {
-            occupancy: match json.field("occupancy")? {
-                Json::Null => None,
-                value => Some(Histogram::from_json(value)?),
-            },
-        },
-        other => return Err(JsonError(format!("unknown detail kind `{other}`"))),
-    })
+impl FromJson for MachineDetail {
+    fn read_json(r: &mut Reader<'_>) -> Result<MachineDetail, JsonError> {
+        r.object(|o| {
+            Ok(match &*o.field_with("kind", Reader::str)? {
+                "reference" => MachineDetail::Reference,
+                "decoupled" => MachineDetail::Decoupled {
+                    avdq_occupancy: o.field("avdq_occupancy")?,
+                    bypassed_loads: o.field("bypassed_loads")?,
+                    drain_stall_cycles: o.field("drain_stall_cycles")?,
+                    max_vpiq: o.field("max_vpiq")?,
+                    max_apiq: o.field("max_apiq")?,
+                    max_avdq: o.field("max_avdq")?,
+                },
+                "ideal" => MachineDetail::Ideal(o.field("bound")?),
+                "custom" => MachineDetail::Custom {
+                    occupancy: o.field("occupancy")?,
+                },
+                other => return Err(JsonError(format!("unknown detail kind `{other}`"))),
+            })
+        })
+    }
+}
+
+impl ToJson for SimResult {
+    /// The stable JSON form of this result: the shared core plus the
+    /// machine-specific detail. Infallible, unlike
+    /// [`SweepPoint::write_json`]: results carry no function pointers.
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.object(|w| {
+            w.field("core", &self.core);
+            w.field("detail", &self.detail);
+        })
+    }
+}
+
+impl FromJson for SimResult {
+    fn read_json(r: &mut Reader<'_>) -> Result<SimResult, JsonError> {
+        r.object(|o| {
+            Ok(SimResult {
+                core: o.field("core")?,
+                detail: o.field("detail")?,
+            })
+        })
+    }
 }
 
 impl SimResult {
-    /// The stable JSON form of this result: the shared core plus the
-    /// machine-specific detail. Always succeeds (results carry no
-    /// function pointers), so this is infallible unlike
-    /// [`SweepPoint::to_json`].
+    /// [`ToJson::to_json`], callable without importing the trait.
     pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("core", self.core.to_json()),
-            ("detail", detail_to_json(&self.detail)),
-        ])
-    }
-
-    /// Reconstructs a result from its [`SimResult::to_json`] form.
-    pub fn from_json(json: &Json) -> Result<SimResult, JsonError> {
-        Ok(SimResult {
-            core: ResultCore::from_json(json.field("core")?)?,
-            detail: detail_from_json(json.field("detail")?)?,
-        })
+        ToJson::to_json(self)
     }
 }
 
@@ -160,87 +175,112 @@ pub(crate) fn scale_from_str(text: &str) -> Result<Scale, JsonError> {
     Scale::from_name(text).ok_or_else(|| JsonError(format!("unknown scale `{text}`")))
 }
 
+/// Reads a benchmark by its [`Benchmark::name`].
+fn read_benchmark(r: &mut Reader<'_>) -> Result<Benchmark, JsonError> {
+    let name = r.str()?;
+    Benchmark::from_name(&name).ok_or_else(|| JsonError(format!("unknown benchmark `{name}`")))
+}
+
 impl SweepPoint {
-    /// The stable JSON form of one grid point: the full coordinate
-    /// (machine, program, latency, memory model) plus the measurement.
+    /// Writes the stable JSON form of one grid point: the full
+    /// coordinate (machine, program, latency, memory model) plus the
+    /// measurement.
     ///
     /// # Errors
     ///
     /// Fails for points measured on a [`Machine::custom`] machine, which
     /// cannot be serialized.
-    pub fn to_json(&self) -> Result<Json, JsonError> {
-        Ok(Json::obj([
-            ("machine", machine_to_json(&self.machine)?),
-            ("label", Json::from(self.label.as_str())),
-            (
-                "benchmark",
-                self.benchmark
-                    .map(|b| Json::from(b.name()))
-                    .unwrap_or(Json::Null),
-            ),
-            ("program", Json::from(self.program.as_str())),
-            ("latency", Json::from(self.latency)),
-            ("memory", self.memory.to_json()),
-            ("result", self.result.to_json()),
-        ]))
+    pub fn write_json(&self, w: &mut Writer<'_>) -> Result<(), JsonError> {
+        w.object(|w| {
+            w.key("machine");
+            self.machine.write_json(w)?;
+            w.field("label", self.label.as_str());
+            w.field("benchmark", &self.benchmark.map(Benchmark::name));
+            w.field("program", self.program.as_str());
+            w.field("latency", &self.latency);
+            w.field("memory", &self.memory);
+            w.field("result", &self.result);
+            Ok(())
+        })
     }
 
-    /// Reconstructs a point from its [`SweepPoint::to_json`] form.
-    pub fn from_json(json: &Json) -> Result<SweepPoint, JsonError> {
-        let benchmark = match json.field("benchmark")? {
-            Json::Null => None,
-            name => {
-                let name = name.as_str()?;
-                Some(
-                    Benchmark::from_name(name)
-                        .ok_or_else(|| JsonError(format!("unknown benchmark `{name}`")))?,
-                )
-            }
-        };
-        Ok(SweepPoint {
-            machine: machine_from_json(json.field("machine")?)?,
-            label: json.field("label")?.as_str()?.to_string(),
-            benchmark,
-            program: json.field("program")?.as_str()?.to_string(),
-            latency: json.field("latency")?.as_u64()?,
-            memory: MemoryModelKind::from_json(json.field("memory")?)?,
-            result: SimResult::from_json(json.field("result")?)?,
+    /// The [`write_json`](SweepPoint::write_json) form as a [`Json`]
+    /// tree.
+    ///
+    /// # Errors
+    ///
+    /// As [`write_json`](SweepPoint::write_json).
+    pub fn to_json(&self) -> Result<Json, JsonError> {
+        tree(|w| self.write_json(w))
+    }
+}
+
+impl FromJson for SweepPoint {
+    fn read_json(r: &mut Reader<'_>) -> Result<SweepPoint, JsonError> {
+        r.object(|o| {
+            // Fields are read in the order they are written. Earlier
+            // decoders looked `benchmark` up first, so an error in it
+            // still takes precedence over one in `machine` or `label`.
+            let head = (|| Ok((o.field("machine")?, o.field("label")?)))();
+            let (machine, label) = match head {
+                Ok(head) => head,
+                Err(e) => {
+                    let benchmark = o.field_with("benchmark", |r| r.nullable(read_benchmark));
+                    return Err(benchmark.err().unwrap_or(e));
+                }
+            };
+            Ok(SweepPoint {
+                machine,
+                label,
+                benchmark: o.field_with("benchmark", |r| r.nullable(read_benchmark))?,
+                program: o.field("program")?,
+                latency: o.field("latency")?,
+                memory: o.field("memory")?,
+                result: o.field("result")?,
+            })
         })
     }
 }
 
 impl SweepResults {
-    /// The stable JSON form of a whole result set, point order preserved.
+    /// Writes the stable JSON form of a whole result set, point order
+    /// preserved.
     ///
     /// # Errors
     ///
     /// Fails if any point was measured on a [`Machine::custom`] machine.
-    pub fn to_json(&self) -> Result<Json, JsonError> {
-        let points = self
-            .points
-            .iter()
-            .map(SweepPoint::to_json)
-            .collect::<Result<_, _>>()?;
-        Ok(Json::obj([("points", Json::Array(points))]))
+    pub fn write_json(&self, w: &mut Writer<'_>) -> Result<(), JsonError> {
+        w.object(|w| {
+            w.key("points");
+            w.array(|w| self.points.iter().try_for_each(|p| p.write_json(w)))
+        })
     }
 
-    /// Reconstructs a result set from its [`SweepResults::to_json`] form.
-    pub fn from_json(json: &Json) -> Result<SweepResults, JsonError> {
-        Ok(SweepResults {
-            points: json
-                .field("points")?
-                .as_array()?
-                .iter()
-                .map(SweepPoint::from_json)
-                .collect::<Result<_, _>>()?,
+    /// The [`write_json`](SweepResults::write_json) form as a [`Json`]
+    /// tree.
+    ///
+    /// # Errors
+    ///
+    /// As [`write_json`](SweepResults::write_json).
+    pub fn to_json(&self) -> Result<Json, JsonError> {
+        tree(|w| self.write_json(w))
+    }
+}
+
+impl FromJson for SweepResults {
+    fn read_json(r: &mut Reader<'_>) -> Result<SweepResults, JsonError> {
+        r.object(|o| {
+            Ok(SweepResults {
+                points: o.field("points")?,
+            })
         })
     }
 }
 
 impl Sweep {
-    /// The stable JSON form of this session's *specification* — the grid
-    /// axes, scale, thread count and fast-forward flag — which is what a
-    /// `dva-serve` client sends to the daemon.
+    /// Writes the stable JSON form of this session's *specification* —
+    /// the grid axes, scale, thread count and fast-forward flag — which
+    /// is what a `dva-serve` client sends to the daemon.
     ///
     /// # Errors
     ///
@@ -248,66 +288,64 @@ impl Sweep {
     /// custom [`Sweep::program`]: both are process-local (a function
     /// pointer, an arbitrary trace) and cannot cross the wire. Sweeps
     /// built from [`Benchmark`]s always serialize.
-    pub fn to_json(&self) -> Result<Json, JsonError> {
+    pub fn write_json(&self, w: &mut Writer<'_>) -> Result<(), JsonError> {
         if !self.programs.is_empty() {
             return Err(JsonError(
                 "custom programs cannot be serialized; build wire sweeps from benchmarks"
                     .to_string(),
             ));
         }
-        let machines = self
-            .machines
-            .iter()
-            .map(machine_to_json)
-            .collect::<Result<_, _>>()?;
-        Ok(Json::obj([
-            ("machines", Json::Array(machines)),
-            (
-                "benchmarks",
-                Json::Array(
-                    self.benchmarks
-                        .iter()
-                        .map(|b| Json::from(b.name()))
-                        .collect(),
-                ),
-            ),
-            (
-                "latencies",
-                Json::Array(self.latencies.iter().map(|&l| Json::from(l)).collect()),
-            ),
-            (
-                "memory_models",
-                Json::Array(self.memory_models.iter().map(ToJson::to_json).collect()),
-            ),
-            ("scale", Json::from(scale_to_str(self.scale))),
-            ("threads", Json::from(self.threads)),
-            ("fast_forward", Json::from(self.fast_forward)),
-        ]))
+        w.object(|w| {
+            w.key("machines");
+            w.array(|w| self.machines.iter().try_for_each(|m| m.write_json(w)))?;
+            w.key("benchmarks");
+            w.array(|w| {
+                for benchmark in &self.benchmarks {
+                    w.str(benchmark.name());
+                }
+            });
+            w.field("latencies", &self.latencies);
+            w.field("memory_models", &self.memory_models);
+            w.field("scale", scale_to_str(self.scale));
+            w.field("threads", &self.threads);
+            w.field("fast_forward", &self.fast_forward);
+            Ok(())
+        })
     }
 
-    /// Reconstructs a session from its [`Sweep::to_json`] form.
-    pub fn from_json(json: &Json) -> Result<Sweep, JsonError> {
-        let mut sweep = Sweep::new()
-            .scale(scale_from_str(json.field("scale")?.as_str()?)?)
-            .threads(json.field("threads")?.as_usize()?)
-            .fast_forward(json.field("fast_forward")?.as_bool()?);
-        for machine in json.field("machines")?.as_array()? {
-            sweep = sweep.machine(machine_from_json(machine)?);
-        }
-        for name in json.field("benchmarks")?.as_array()? {
-            let name = name.as_str()?;
-            sweep = sweep.benchmark(
-                Benchmark::from_name(name)
-                    .ok_or_else(|| JsonError(format!("unknown benchmark `{name}`")))?,
-            );
-        }
-        for latency in json.field("latencies")?.as_array()? {
-            sweep = sweep.latencies([latency.as_u64()?]);
-        }
-        for model in json.field("memory_models")?.as_array()? {
-            sweep = sweep.memory_model(MemoryModelKind::from_json(model)?);
-        }
-        Ok(sweep)
+    /// The [`write_json`](Sweep::write_json) form as a [`Json`] tree.
+    ///
+    /// # Errors
+    ///
+    /// As [`write_json`](Sweep::write_json).
+    pub fn to_json(&self) -> Result<Json, JsonError> {
+        tree(|w| self.write_json(w))
+    }
+}
+
+impl FromJson for Sweep {
+    /// Reads a session specification. The fields are looked up in the
+    /// order earlier decoders used, so a document with several bad
+    /// fields reports the same one.
+    fn read_json(r: &mut Reader<'_>) -> Result<Sweep, JsonError> {
+        r.object(|o| {
+            let sweep = Sweep::new()
+                .scale(o.field_with("scale", |r| scale_from_str(&r.str()?))?)
+                .threads(o.field("threads")?)
+                .fast_forward(o.field("fast_forward")?)
+                .machines(o.field::<Vec<Machine>>("machines")?);
+            let mut benchmarks = Vec::new();
+            o.field_with("benchmarks", |r| {
+                r.elements(|r| {
+                    benchmarks.push(read_benchmark(r)?);
+                    Ok(())
+                })
+            })?;
+            Ok(sweep
+                .benchmarks(benchmarks)
+                .latencies(o.field::<Vec<u64>>("latencies")?)
+                .memory_models(o.field::<Vec<_>>("memory_models")?))
+        })
     }
 }
 
@@ -315,6 +353,10 @@ impl Sweep {
 mod tests {
     use super::*;
     use crate::CustomSim;
+    use dva_core::IdealBound;
+    use dva_engine::ResultCore;
+    use dva_memory::MemoryModelKind;
+    use dva_metrics::Histogram;
 
     fn sample_sweep() -> Sweep {
         Sweep::new()
@@ -345,8 +387,8 @@ mod tests {
             Machine::ideal(),
             Machine::dva(30).with_memory_model(MemoryModelKind::MultiPort { ports: 2 }),
         ] {
-            let json = machine_to_json(&machine).unwrap();
-            assert_eq!(machine_from_json(&json).unwrap(), machine);
+            let json = machine.to_json().unwrap();
+            assert_eq!(Machine::from_json(&json).unwrap(), machine);
         }
     }
 
@@ -357,7 +399,7 @@ mod tests {
             unreachable!("never simulated in this test")
         }
         let custom = Machine::custom("LOCAL", build);
-        let err = machine_to_json(&custom).unwrap_err();
+        let err = custom.to_json().unwrap_err();
         assert!(err.to_string().contains("custom machine"));
         let sweep = sample_sweep().machine(custom);
         assert!(sweep.to_json().is_err());
@@ -401,7 +443,7 @@ mod tests {
     #[test]
     fn golden_wire_format() {
         let machine = Machine::dva(30);
-        let json = machine_to_json(&machine).unwrap();
+        let json = machine.to_json().unwrap();
         assert_eq!(
             json.render(),
             "{\"kind\":\"dva\",\"config\":{\
@@ -449,5 +491,52 @@ mod tests {
             },
         };
         assert_eq!(SimResult::from_json(&result.to_json()).unwrap(), result);
+    }
+
+    #[test]
+    fn a_document_with_several_bad_fields_reports_the_same_one_as_before() {
+        // Points are read in document order, but `benchmark`'s error
+        // still comes first, as when it was looked up first.
+        let point = SweepPoint {
+            machine: Machine::ideal(),
+            label: "IDEAL".to_string(),
+            benchmark: Some(Benchmark::Trfd),
+            program: "TRFD".to_string(),
+            latency: 1,
+            memory: MemoryModelKind::Flat,
+            result: SimResult {
+                core: ResultCore::untimed(10, 5),
+                detail: MachineDetail::Ideal(IdealBound {
+                    fu2_only: 1,
+                    either_fu: 2,
+                    memory_port: 3,
+                    scalar_processor: 4,
+                    scalar_cache: 5,
+                }),
+            },
+        };
+        let text = point.to_json().unwrap().render();
+        let bad_machine = text.replace(r#""kind":"ideal"},"label""#, r#""kind":"warp"},"label""#);
+        let both_bad = bad_machine.replace(r#""benchmark":"TRFD""#, r#""benchmark":"NOPE""#);
+        let error = error_of::<SweepPoint>;
+        assert_eq!(error(&bad_machine), "unknown machine kind `warp`");
+        assert_eq!(error(&both_bad), "unknown benchmark `NOPE`");
+        let no_label = text.replace(r#""label":"IDEAL","#, "");
+        assert_eq!(error(&no_label), "missing field `label` in object");
+        let no_label_bad_benchmark = no_label.replace(r#""benchmark":"TRFD""#, r#""benchmark":7"#);
+        assert_eq!(
+            error(&no_label_bad_benchmark),
+            "expected string, found integer"
+        );
+        // A sweep's scale is still checked before its machines.
+        let spec = sample_sweep().to_json().unwrap().render();
+        let both_bad = spec
+            .replace(r#""scale":"quick""#, r#""scale":"huge""#)
+            .replace(r#"{"kind":"ideal"}"#, r#"{"kind":"warp"}"#);
+        assert_eq!(error_of::<Sweep>(&both_bad), "unknown scale `huge`");
+    }
+
+    fn error_of<T: FromJson + std::fmt::Debug>(text: &str) -> String {
+        T::parse_json(text).unwrap_err().0
     }
 }

@@ -1,7 +1,7 @@
 //! Microarchitecture parameters shared by both simulators.
 
 use crate::regfile::Producer;
-use dva_json::{FromJson, Json, JsonError, ToJson};
+use dva_json::{FromJson, JsonError, Reader, ToJson, Writer};
 
 /// Timing and feature knobs of the vector engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,21 +28,23 @@ impl Default for UarchParams {
 }
 
 impl ToJson for UarchParams {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("fu_startup", Json::from(self.fu_startup)),
-            ("qmov_startup", Json::from(self.qmov_startup)),
-            ("check_bank_ports", Json::from(self.check_bank_ports)),
-        ])
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.object(|w| {
+            w.field("fu_startup", &self.fu_startup);
+            w.field("qmov_startup", &self.qmov_startup);
+            w.field("check_bank_ports", &self.check_bank_ports);
+        })
     }
 }
 
 impl FromJson for UarchParams {
-    fn from_json(json: &Json) -> Result<UarchParams, JsonError> {
-        Ok(UarchParams {
-            fu_startup: json.field("fu_startup")?.as_u64()?,
-            qmov_startup: json.field("qmov_startup")?.as_u64()?,
-            check_bank_ports: json.field("check_bank_ports")?.as_bool()?,
+    fn read_json(r: &mut Reader<'_>) -> Result<UarchParams, JsonError> {
+        r.object(|o| {
+            Ok(UarchParams {
+                fu_startup: o.field("fu_startup")?,
+                qmov_startup: o.field("qmov_startup")?,
+                check_bank_ports: o.field("check_bank_ports")?,
+            })
         })
     }
 }
