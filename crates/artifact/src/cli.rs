@@ -1,10 +1,13 @@
-//! The command line every experiment binary shares, and the golden-check
-//! flow behind `--golden-check` / `GOLDEN_UPDATE=1`.
+//! The shared `main` of every experiment binary: the command line, the
+//! run, and the golden-check flow behind `--golden-check` /
+//! `GOLDEN_UPDATE=1`.
 //!
-//! One parser serves all twelve binaries: the grid options (`--quick`,
-//! `--full`, `--threads N`) that existed before the artifact layer, plus
-//! the artifact outputs (`--json <path>`, `--csv <path>`) and the CI
-//! gate (`--golden-check`). Exit codes are part of the contract:
+//! Each binary is a two-line wrapper that looks its spec up in the
+//! experiment registry and hands it to [`run_spec`] (or the whole
+//! registry to [`run_all`]). One parser serves every binary: the grid
+//! options (`--quick`, `--full`, `--threads N`), the artifact outputs
+//! (`--json <path>`, `--csv <path>`) and the CI gate
+//! (`--golden-check`). Exit codes are part of the contract:
 //!
 //! | code | meaning |
 //! |---|---|
@@ -13,6 +16,8 @@
 //! | 2 | bad command line |
 
 use crate::artifact::Artifact;
+use crate::runner::Runner;
+use crate::spec::ExperimentSpec;
 use dva_json::ToJson;
 use dva_sim_api::Sweep;
 use dva_workloads::Scale;
@@ -117,14 +122,12 @@ pub fn try_parse(args: impl Iterator<Item = String>) -> Result<Parsed, String> {
         return Ok(Parsed::Help);
     }
     let mut parsed = CliArgs::default();
+    let mut quick = false;
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--quick" => parsed.run.scale = Scale::Quick,
-            "--full" => {
-                parsed.run.scale = Scale::Full;
-                parsed.run.full = true;
-            }
+            "--quick" => quick = true,
+            "--full" => parsed.run.full = true,
             "--threads" => {
                 let value = args
                     .next()
@@ -149,6 +152,12 @@ pub fn try_parse(args: impl Iterator<Item = String>) -> Result<Parsed, String> {
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
+    parsed.run.scale = match (quick, parsed.run.full) {
+        (true, true) => return Err("--quick and --full exclude each other".to_string()),
+        (true, false) => Scale::Quick,
+        (false, true) => Scale::Full,
+        (false, false) => Scale::Default,
+    };
     Ok(Parsed::Args(parsed))
 }
 
@@ -167,6 +176,86 @@ pub fn parse_cli() -> CliArgs {
             std::process::exit(2);
         }
     }
+}
+
+/// Runs one spec end to end: parse the command line, execute, print the
+/// tables, write artifacts, check the golden. Never returns.
+pub fn run_spec(spec: &ExperimentSpec) -> ! {
+    let args = parse_cli();
+    let artifact = run_or_exit(&mut Runner::new(), spec, &args.run);
+    print!("{}", artifact.to_text());
+    finish(&[artifact], &args.out);
+}
+
+/// Runs every spec of `specs` that the `all` binary prints (in order,
+/// skipping `all_header: None`) under one shared runner, so a sweep
+/// several specs declare simulates once. Never returns.
+///
+/// With `--json`/`--csv` the given path is a *directory*; one
+/// `<name>.json`/`<name>.csv` is written per spec. `--golden-check`
+/// checks every produced artifact and fails if any mismatches.
+pub fn run_all(specs: &[ExperimentSpec]) -> ! {
+    let args = parse_cli();
+    let mut runner = Runner::new();
+    let mut artifacts = Vec::new();
+    for spec in specs {
+        let Some(header) = spec.all_header else {
+            continue;
+        };
+        let artifact = run_or_exit(&mut runner, spec, &args.run);
+        print!("{header}\n\n{}\n", artifact.tables_text());
+        artifacts.push(artifact);
+    }
+    finish(&artifacts, &args.out);
+}
+
+fn run_or_exit(runner: &mut Runner, spec: &ExperimentSpec, opts: &RunOpts) -> Artifact {
+    runner.run(spec, opts).unwrap_or_else(|err| {
+        eprintln!("error: {err}");
+        std::process::exit(1);
+    })
+}
+
+/// Writes the requested outputs and runs the golden check, then exits
+/// with the appropriate status. For several artifacts the output paths
+/// are directories (one file per artifact); for one they are files.
+fn finish(artifacts: &[Artifact], out: &OutputOpts) -> ! {
+    for artifact in artifacts {
+        let per_artifact = if artifacts.len() == 1 {
+            out.clone()
+        } else {
+            let file = |dir: &PathBuf, ext| dir.join(format!("{}.{ext}", artifact.experiment));
+            OutputOpts {
+                json: out.json.as_ref().map(|dir| file(dir, "json")),
+                csv: out.csv.as_ref().map(|dir| file(dir, "csv")),
+                golden_check: out.golden_check,
+            }
+        };
+        if let Err(message) = write_outputs(artifact, &per_artifact) {
+            eprintln!("error: {message}");
+            std::process::exit(1);
+        }
+    }
+    if !out.golden_check {
+        std::process::exit(0);
+    }
+    let dir = golden_dir();
+    let mut failed = false;
+    for artifact in artifacts {
+        match golden_check(artifact, &dir) {
+            GoldenStatus::Match => {
+                eprintln!("golden-check: {} matches", artifact.experiment);
+            }
+            GoldenStatus::Updated => {
+                eprintln!("golden-check: {} golden updated", artifact.experiment);
+            }
+            GoldenStatus::Mismatch { detail } => {
+                eprintln!("golden-check: {} FAILED: {detail}", artifact.experiment);
+                failed = true;
+            }
+        }
+    }
+    std::process::exit(i32::from(failed));
 }
 
 /// The golden-artifact directory: `$GOLDEN_DIR`, or `artifacts/golden`
@@ -210,14 +299,9 @@ pub fn golden_check(artifact: &Artifact, dir: &Path) -> GoldenStatus {
     let path = golden_path(dir, &artifact.experiment);
     let ours = golden_bytes(artifact);
     if std::env::var_os("GOLDEN_UPDATE").is_some() {
-        if let Some(parent) = path.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        return match std::fs::write(&path, &ours) {
+        return match write_file(&path, &ours) {
             Ok(()) => GoldenStatus::Updated,
-            Err(e) => GoldenStatus::Mismatch {
-                detail: format!("cannot write {}: {e}", path.display()),
-            },
+            Err(detail) => GoldenStatus::Mismatch { detail },
         };
     }
     match std::fs::read_to_string(&path) {
@@ -240,18 +324,27 @@ pub fn golden_check(artifact: &Artifact, dir: &Path) -> GoldenStatus {
     }
 }
 
-/// Writes the artifact's requested output files. Returns an error
-/// message naming the path on failure.
+/// Writes the artifact's requested output files, creating their parent
+/// directories (the `all` binary's directory mode points into
+/// possibly-fresh trees). Returns an error message naming the path on
+/// failure.
 pub fn write_outputs(artifact: &Artifact, out: &OutputOpts) -> Result<(), String> {
     if let Some(path) = &out.json {
-        std::fs::write(path, golden_bytes(artifact))
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        write_file(path, &golden_bytes(artifact))?;
     }
     if let Some(path) = &out.csv {
-        std::fs::write(path, artifact.to_csv())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        write_file(path, &artifact.to_csv())?;
     }
     Ok(())
+}
+
+/// Writes `contents` to `path`, creating its parent directories first; a
+/// directory that cannot be created surfaces as the write's error.
+fn write_file(path: &Path, contents: &str) -> Result<(), String> {
+    if let Some(parent) = path.parent() {
+        let _ = std::fs::create_dir_all(parent);
+    }
+    std::fs::write(path, contents).map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
 #[cfg(test)]
@@ -281,6 +374,30 @@ mod tests {
         let args = parse_ok(&["--full"]);
         assert!(args.run.full);
         assert_eq!(args.run.scale, Scale::Full);
+        let args = parse_ok(&["--threads", "2"]);
+        assert_eq!(
+            args.run,
+            RunOpts {
+                threads: 2,
+                ..RunOpts::default()
+            }
+        );
+    }
+
+    /// `--quick` and `--full` name two different grids; asking for both
+    /// is a usage error in either order, not whichever came last.
+    #[test]
+    fn quick_and_full_exclude_each_other() {
+        for args in [
+            &["--full", "--quick"][..],
+            &["--quick", "--full"],
+            &["--quick", "--threads", "1", "--full"],
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains("--quick and --full"), "{args:?}: {err}");
+        }
+        assert_eq!(parse_ok(&["--quick", "--quick"]).run.scale, Scale::Quick);
+        assert_eq!(parse_ok(&["--full", "--full"]).run.scale, Scale::Full);
     }
 
     #[test]

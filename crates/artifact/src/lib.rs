@@ -21,9 +21,12 @@
 //!   pins), ASCII (byte-identical to the pre-artifact binaries' stdout)
 //!   and CSV.
 //!
-//! The [`cli`] module carries the shared argument parser
-//! (`--quick`/`--full`/`--threads` plus `--json`/`--csv`/
-//! `--golden-check`) and the golden-file comparison used by CI.
+//! The [`cli`] module is the one command line of the experiment
+//! binaries: the shared argument parser (`--quick`/`--full`/`--threads`
+//! plus `--json`/`--csv`/`--golden-check`), the [`cli::run_spec`] /
+//! [`cli::run_all`] entries every binary calls with specs from the
+//! `dva-experiments` registry, and the golden-file comparison used by
+//! CI.
 
 pub mod artifact;
 pub mod cli;

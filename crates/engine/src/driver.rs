@@ -216,11 +216,28 @@ impl Completion {
     /// Assembles the shared [`ResultCore`] from the driver's clock, the
     /// observers' statistics and the processor's [`Report`], returning
     /// the occupancy histogram (if the machine tracked one) alongside.
+    ///
+    /// Debug builds check cycle conservation here, on every simulation:
+    /// the state breakdown and the occupancy histogram each account for
+    /// every cycle exactly once (an overflowing occupancy is counted in
+    /// the histogram's last bucket, so it is already in `total()`).
     pub fn into_core<P: Processor + ?Sized>(
         self,
         processor: &P,
         observers: Observers,
     ) -> (ResultCore, Option<Histogram>) {
+        debug_assert_eq!(
+            observers.states.total_cycles(),
+            self.cycles,
+            "the state breakdown must account for every cycle"
+        );
+        debug_assert!(
+            observers
+                .occupancy
+                .as_ref()
+                .is_none_or(|hist| hist.total() == self.cycles),
+            "the occupancy histogram must account for every cycle"
+        );
         let report = processor.report(self.cycles);
         let core = ResultCore {
             cycles: self.cycles,
@@ -485,6 +502,21 @@ mod tests {
         // Every cycle is accounted exactly once, in both modes.
         assert_eq!(fast_obs.states.total_cycles(), fast.cycles);
         assert_eq!(fast_obs.occupancy.unwrap().total(), fast.cycles);
+    }
+
+    /// The conservation check in `into_core` holds when occupancies
+    /// overflow the histogram: clamped samples land in the last bucket.
+    #[test]
+    fn conservation_holds_with_an_overflowing_occupancy() {
+        let (toy, obs, completion) = run_toy(true, (0..12).map(|i| 3 * i).collect(), 50);
+        let (core, hist) = completion.into_core(&toy, obs);
+        let hist = hist.expect("the toy tracks occupancy");
+        assert!(
+            hist.overflow() > 0,
+            "occupancy 12 exceeds the 8-slot histogram"
+        );
+        assert_eq!(hist.total(), core.cycles);
+        assert_eq!(core.states.total_cycles(), core.cycles);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Ablation studies: chaining and register bank ports.
 
 fn main() {
-    dva_experiments::cli::run_spec("ablation")
+    let spec = dva_experiments::find("ablation").expect("registered spec");
+    dva_artifact::cli::run_spec(spec)
 }

@@ -1,5 +1,6 @@
 //! Regenerates Figure 1: reference-architecture state breakdown.
 
 fn main() {
-    dva_experiments::cli::run_spec("fig1")
+    let spec = dva_experiments::find("fig1").expect("registered spec");
+    dva_artifact::cli::run_spec(spec)
 }

@@ -1,5 +1,6 @@
 //! Regenerates Figure 3: IDEAL / REF / DVA execution time vs latency.
 
 fn main() {
-    dva_experiments::cli::run_spec("fig3")
+    let spec = dva_experiments::find("fig3").expect("registered spec");
+    dva_artifact::cli::run_spec(spec)
 }

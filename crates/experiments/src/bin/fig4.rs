@@ -1,5 +1,6 @@
 //! Regenerates Figure 4: REF/DVA ratio of all-idle cycles.
 
 fn main() {
-    dva_experiments::cli::run_spec("fig4")
+    let spec = dva_experiments::find("fig4").expect("registered spec");
+    dva_artifact::cli::run_spec(spec)
 }

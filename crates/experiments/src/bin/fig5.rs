@@ -1,5 +1,6 @@
 //! Regenerates Figure 5: DVA speedup over REF.
 
 fn main() {
-    dva_experiments::cli::run_spec("fig5")
+    let spec = dva_experiments::find("fig5").expect("registered spec");
+    dva_artifact::cli::run_spec(spec)
 }

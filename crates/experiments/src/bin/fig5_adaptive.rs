@@ -1,5 +1,6 @@
 //! Regenerates the adaptively sampled high-resolution Figure 5.
 
 fn main() {
-    dva_experiments::cli::run_spec("fig5_adaptive")
+    let spec = dva_experiments::find("fig5_adaptive").expect("registered spec");
+    dva_artifact::cli::run_spec(spec)
 }

@@ -1,5 +1,6 @@
 //! Regenerates Figure 6: AVDQ busy-slot distributions.
 
 fn main() {
-    dva_experiments::cli::run_spec("fig6")
+    let spec = dva_experiments::find("fig6").expect("registered spec");
+    dva_artifact::cli::run_spec(spec)
 }

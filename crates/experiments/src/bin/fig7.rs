@@ -1,5 +1,6 @@
 //! Regenerates Figure 7: bypass configurations vs DVA and IDEAL.
 
 fn main() {
-    dva_experiments::cli::run_spec("fig7")
+    let spec = dva_experiments::find("fig7").expect("registered spec");
+    dva_artifact::cli::run_spec(spec)
 }

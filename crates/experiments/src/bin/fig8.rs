@@ -1,5 +1,6 @@
 //! Regenerates Figure 8: memory traffic ratio DVA vs BYP.
 
 fn main() {
-    dva_experiments::cli::run_spec("fig8")
+    let spec = dva_experiments::find("fig8").expect("registered spec");
+    dva_artifact::cli::run_spec(spec)
 }

@@ -1,5 +1,6 @@
 //! Bank-conflict stride sweep: REF vs DVA under flat vs banked memory.
 
 fn main() {
-    dva_experiments::cli::run_spec("membanks")
+    let spec = dva_experiments::find("membanks").expect("registered spec");
+    dva_artifact::cli::run_spec(spec)
 }

@@ -1,5 +1,6 @@
 //! Regenerates the queue-sizing studies of Sections 5–7.
 
 fn main() {
-    dva_experiments::cli::run_spec("queue_sizing")
+    let spec = dva_experiments::find("queue_sizing").expect("registered spec");
+    dva_artifact::cli::run_spec(spec)
 }

@@ -1,5 +1,6 @@
 //! Regenerates Table 1 of the paper.
 
 fn main() {
-    dva_experiments::cli::run_spec("table1")
+    let spec = dva_experiments::find("table1").expect("registered spec");
+    dva_artifact::cli::run_spec(spec)
 }

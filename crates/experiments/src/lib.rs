@@ -30,17 +30,18 @@
 //!
 //! Every module exposes its experiment as a declarative
 //! [`dva_artifact::ExperimentSpec`] (`SPEC`), the one way to produce it,
-//! collected in [`registry::REGISTRY`]. The binaries are thin wrappers over
-//! [`cli::run_spec`] / [`cli::run_all`], which execute specs through one
-//! cache-backed [`dva_artifact::Runner`], emit versioned artifacts
-//! (`--json` / `--csv`) and byte-check them against `artifacts/golden/`
-//! (`--golden-check`).
+//! collected in [`registry::REGISTRY`]. This crate has no command line of
+//! its own: each binary looks its spec up with [`find`] and hands it to
+//! [`dva_artifact::cli::run_spec`] (`all` hands the whole registry to
+//! [`dva_artifact::cli::run_all`]), which parses the flags, executes
+//! specs through one cache-backed [`dva_artifact::Runner`], emits
+//! versioned artifacts (`--json` / `--csv`) and byte-checks them against
+//! `artifacts/golden/` (`--golden-check`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablation;
-pub mod cli;
 pub mod common;
 pub mod fig1;
 pub mod fig3;

@@ -8,7 +8,7 @@
 //!
 //! `table1` exercises the shared path for all twelve binaries — it is
 //! the cheapest spec (no sweeps), and every binary goes through the same
-//! `dva_experiments::cli` entry.
+//! `dva_artifact::cli` entry.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -55,6 +55,8 @@ fn unknown_flags_exit_two() {
         &["--threads"],
         &["--threads", "zero"],
         &["--json"],
+        &["--full", "--quick"],
+        &["--quick", "--full"],
     ] {
         let out = run({
             let mut c = table1();
