@@ -5,6 +5,54 @@
 //! tick at a time and reports progress honestly; the clock, the
 //! fast-forward stepping, the watchdog and the statistics bookkeeping
 //! all live in the shared [`dva_engine::Driver`].
+//!
+//! # Instruction queues
+//!
+//! The APIQ, SPIQ and VPIQ are windows `[head, tail)` over the compiled
+//! program's AP, SP and VP µop streams. Dispatching an instruction moves
+//! the three tails to its stream ends, issuing moves one head, and each
+//! unit reads its front µop in place; the APIQ head doubles as the
+//! serial number of the AP's front µop for the disambiguation cache.
+//!
+//! # Skipping attempts
+//!
+//! The units interact only through the architectural queues (paper,
+//! Section 4), so a stalled unit can start again only when its own
+//! queues or resources change, or when the clock reaches a time its
+//! gates wait for. The engine therefore keeps, for each of the five
+//! issuing units (AP, SP, VP, store engine, bypass unit), a cached
+//! *wake* — the earliest cycle its front operation's gates can all be
+//! open, or `Cycle::MAX` when only another unit's progress can open them
+//! — and one *stale* bit. A unit attempts to issue only when its bit is
+//! set or the clock has reached its wake; a failed attempt clears the
+//! bit and re-derives the wake, and a successful one sets its own bit
+//! (its front moved). The fast-forward computation reads the same bits
+//! and wakes. Each mutation marks exactly the units whose issue gates or
+//! wake derivation read what it changed:
+//!
+//! | mutation | units marked |
+//! |---|---|
+//! | dispatch into an empty APIQ / SPIQ / VPIQ | AP / SP / VP |
+//! | the final dispatch (the flush gate opens) | store engine |
+//! | push into a SADQ / ASDQ holding under two entries | AP / SP |
+//! | push into an empty SVDQ / VSDQ / SSDQ | VP / SP / store engine |
+//! | push into an empty AVDQ; a bypass copy filling its front slot | VP |
+//! | push into an empty pending-bypass queue | bypass unit |
+//! | push into an empty SSAQ; any push into the VSAQ | store engine |
+//! | push into the VADQ | store engine, bypass unit |
+//! | pop from a full SADQ / ASDQ / SVDQ / VSDQ / SSDQ / VADQ | SP / AP / SP / VP / SP / VP |
+//! | QMOV pop from the AVDQ while every slot is busy | AP |
+//! | AP memory-port reservation | store engine |
+//! | store commit (port, cache, store queues) | AP |
+//! | entering or leaving drain mode | store engine |
+//!
+//! Drain mode needs no AP mark: the AP enters and leaves it in its own
+//! attempts, and while it drains only a store commit can end the drain,
+//! so an unmarked draining AP just counts a drain stall cycle. Debug builds
+//! check the marks: every cached wake the engine trusts, in a skipped
+//! attempt or in the next-event computation, is asserted equal to a
+//! fresh derivation, so a missing mark fails the first test that reaches
+//! it.
 
 // Issue checks are written as guard chains where every arm names one
 // distinct stall reason and yields `false`; clippy would fold the arms
@@ -160,20 +208,85 @@ impl DataReadyRing {
     }
 }
 
+/// An instruction queue: the window `[head, tail)` over one unit's µop
+/// stream in the [`CompiledProgram`]. Dispatch moves the tail, issue the
+/// head; the µops themselves stay in the compiled stream.
+#[derive(Debug, Clone, Copy)]
+struct Window {
+    head: usize,
+    tail: usize,
+    cap: usize,
+    max_occupancy: usize,
+}
+
+impl Window {
+    fn new(cap: usize) -> Window {
+        assert!(cap > 0, "instruction queues must have nonzero capacity");
+        Window {
+            head: 0,
+            tail: 0,
+            cap,
+            max_occupancy: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.tail - self.head
+    }
+
+    fn is_empty(&self) -> bool {
+        self.head == self.tail
+    }
+
+    /// The front µop, read in place from `stream`.
+    fn front<'s, T>(&self, stream: &'s [T]) -> Option<&'s T> {
+        (self.head < self.tail).then(|| &stream[self.head])
+    }
+
+    fn pop(&mut self) {
+        debug_assert!(!self.is_empty());
+        self.head += 1;
+    }
+
+    /// Whether the window can grow to end at `tail` without exceeding
+    /// its capacity.
+    fn fits(&self, tail: usize) -> bool {
+        tail - self.head <= self.cap
+    }
+
+    /// Grows the window to end at `tail`, returning whether that
+    /// installed a new front µop (the queue was empty and now is not).
+    fn extend_to(&mut self, tail: usize) -> bool {
+        let installs = self.is_empty() && tail > self.tail;
+        self.tail = tail;
+        self.max_occupancy = self.max_occupancy.max(self.len());
+        installs
+    }
+}
+
+// The five issuing units, as bits of `Engine::stale`; each unit's wake
+// lives at `Engine::wake[unit.trailing_zeros()]`.
+const AP: u8 = 1 << 0;
+const SP: u8 = 1 << 1;
+const VP: u8 = 1 << 2;
+const STORE: u8 = 1 << 3;
+const BYPASS: u8 = 1 << 4;
+const ALL_UNITS: u8 = AP | SP | VP | STORE | BYPASS;
+
+/// The most entries an issue gate reads at the front of the SADQ or the
+/// ASDQ: an ALU µop pops up to two operands.
+const OPERANDS: usize = 2;
+
 #[derive(Debug)]
 pub(crate) struct Engine {
     cfg: DvaConfig,
     chain: ChainPolicy,
     now: Cycle,
 
-    // Fetch processor state: the pre-translated bundle stream and the
-    // index of the bundle waiting for instruction-queue slots. Keeping an
-    // index (not the bundle) means the fetch/dispatch path never copies
-    // bundles around — dispatch pushes µops straight out of the compiled
-    // stream.
+    // Fetch processor state: the compiled µop streams and the index of
+    // the next instruction to dispatch.
     compiled: Arc<CompiledProgram>,
-    pc: usize,
-    pending: Option<usize>,
+    next: usize,
 
     // Vector processor state.
     vregs: VectorRegFile,
@@ -189,10 +302,10 @@ pub(crate) struct Engine {
     // Memory.
     mem: Memory,
 
-    // Instruction queues.
-    apiq: Fifo<ApOp>,
-    spiq: Fifo<SpOp>,
-    vpiq: Fifo<VpOp>,
+    // Instruction queues: windows over the compiled µop streams.
+    apiq: Window,
+    spiq: Window,
+    vpiq: Window,
 
     // Data queues. `avdq_draining` is kept sorted ascending (see
     // `push_drain`), so expiry is a pop-front-while-expired.
@@ -233,21 +346,12 @@ pub(crate) struct Engine {
     // or leaves the VSAQ/SSAQ. `store_gen` counts those changes; a cached
     // (generation, front-op serial) pair short-circuits the rescan.
     store_gen: u64,
-    disambig_cache: Option<(u64, u64, Option<Conflict>)>,
+    disambig_cache: Option<(u64, usize, Option<Conflict>)>,
 
-    // Attempt-skip caches. `progress_version` counts *every* sub-unit
-    // progress event; a processor's wake time cached at version `v` (by
-    // the fast-forward computation, through a `Cell` because the
-    // next-event probe is `&self`) certifies that until the version
-    // changes or the clock reaches the wake, an issue attempt is a
-    // guaranteed no-op — so the step skips it with two comparisons.
-    // `Cycle::MAX` encodes "blocked on another unit's progress".
-    progress_version: u64,
-    wake_ap_cache: std::cell::Cell<(u64, Cycle)>,
-    wake_sp_cache: std::cell::Cell<(u64, Cycle)>,
-    wake_vp_cache: std::cell::Cell<(u64, Cycle)>,
-    wake_store_cache: std::cell::Cell<(u64, Cycle)>,
-    wake_bypass_cache: std::cell::Cell<(u64, Cycle)>,
+    // Attempt skipping (see the module docs): one stale bit per unit and
+    // each unit's wake as derived after its last failed attempt.
+    stale: u8,
+    wake: [Cycle; 5],
 
     // Measurements.
     fp_stalls: u64,
@@ -271,8 +375,7 @@ impl Engine {
             chain: ChainPolicy::reference(),
             now: 0,
             compiled,
-            pc: 0,
-            pending: None,
+            next: 0,
             vregs: VectorRegFile::new(&cfg.uarch),
             fu1: FuPipe::new("FU1"),
             fu2: FuPipe::new("FU2"),
@@ -281,9 +384,9 @@ impl Engine {
             ap_sb: Scoreboard::new(),
             sp_sb: Scoreboard::new(),
             mem: cfg.memory.instantiate(),
-            apiq: Fifo::new("APIQ", q.instruction_queue),
-            spiq: Fifo::new("SPIQ", q.instruction_queue),
-            vpiq: Fifo::new("VPIQ", q.instruction_queue),
+            apiq: Window::new(q.instruction_queue),
+            spiq: Window::new(q.instruction_queue),
+            vpiq: Window::new(q.instruction_queue),
             avdq: Fifo::new("AVDQ", q.avdq),
             avdq_draining: VecDeque::with_capacity(8),
             next_avdq_id: 0,
@@ -303,12 +406,8 @@ impl Engine {
             ap_drain_until: None,
             store_gen: 0,
             disambig_cache: None,
-            progress_version: 0,
-            wake_ap_cache: std::cell::Cell::new((u64::MAX, 0)),
-            wake_sp_cache: std::cell::Cell::new((u64::MAX, 0)),
-            wake_vp_cache: std::cell::Cell::new((u64::MAX, 0)),
-            wake_store_cache: std::cell::Cell::new((u64::MAX, 0)),
-            wake_bypass_cache: std::cell::Cell::new((u64::MAX, 0)),
+            stale: ALL_UNITS,
+            wake: [0; 5],
             fp_stalls: 0,
             drain_stall_cycles: 0,
             branches_to_fp: 0,
@@ -317,10 +416,11 @@ impl Engine {
 
     /// Restores the engine to its initial state for a fresh run of
     /// (possibly) a different configuration and program, **reusing every
-    /// buffer already allocated**: the architectural queues, the AVDQ
-    /// drain list, the bypass queue and the data-ready ring all keep their
-    /// storage. After `reset`, a run is byte-identical to one on a freshly
-    /// constructed engine — the reset contract the sweep workers and the
+    /// buffer already allocated**: the architectural queues, the memory
+    /// backend's ports and cache tags, the AVDQ drain list, the bypass
+    /// queue and the data-ready ring all keep their storage. After
+    /// `reset`, a run is byte-identical to one on a freshly constructed
+    /// engine — the reset contract the sweep workers and the
     /// allocation-regression tests rely on.
     pub(crate) fn reset(&mut self, cfg: DvaConfig, compiled: Arc<CompiledProgram>) {
         let q = cfg.queues;
@@ -328,8 +428,7 @@ impl Engine {
         self.chain = ChainPolicy::reference();
         self.now = 0;
         self.compiled = compiled;
-        self.pc = 0;
-        self.pending = None;
+        self.next = 0;
         self.vregs = VectorRegFile::new(&cfg.uarch);
         self.fu1 = FuPipe::new("FU1");
         self.fu2 = FuPipe::new("FU2");
@@ -337,10 +436,10 @@ impl Engine {
         self.qmov2 = FuPipe::new("QMOV2");
         self.ap_sb = Scoreboard::new();
         self.sp_sb = Scoreboard::new();
-        self.mem = cfg.memory.instantiate();
-        self.apiq.reset(q.instruction_queue);
-        self.spiq.reset(q.instruction_queue);
-        self.vpiq.reset(q.instruction_queue);
+        self.mem.reset(cfg.memory);
+        self.apiq = Window::new(q.instruction_queue);
+        self.spiq = Window::new(q.instruction_queue);
+        self.vpiq = Window::new(q.instruction_queue);
         self.avdq.reset(q.avdq);
         self.avdq_draining.clear();
         self.next_avdq_id = 0;
@@ -360,12 +459,8 @@ impl Engine {
         self.ap_drain_until = None;
         self.store_gen = 0;
         self.disambig_cache = None;
-        self.progress_version = 0;
-        self.wake_ap_cache.set((u64::MAX, 0));
-        self.wake_sp_cache.set((u64::MAX, 0));
-        self.wake_vp_cache.set((u64::MAX, 0));
-        self.wake_store_cache.set((u64::MAX, 0));
-        self.wake_bypass_cache.set((u64::MAX, 0));
+        self.stale = ALL_UNITS;
+        self.wake = [0; 5];
         self.fp_stalls = 0;
         self.drain_stall_cycles = 0;
         self.branches_to_fp = 0;
@@ -458,7 +553,7 @@ impl Engine {
         identical_to: Option<&dva_isa::VectorAccess>,
     ) -> Option<Conflict> {
         // The serial of the op currently at the APIQ head: pops so far.
-        let serial = self.apiq.total_pushed() - self.apiq.len() as u64;
+        let serial = self.apiq.head;
         if let Some((gen, s, result)) = self.disambig_cache {
             if gen == self.store_gen && s == serial {
                 return result;
@@ -491,7 +586,7 @@ impl Engine {
     /// themselves; the generated address spaces are disjoint, so the
     /// relaxation across the two queues cannot reorder same-address
     /// writes.
-    fn step_store_engine(&mut self, flush: bool) -> bool {
+    fn step_store_engine(&mut self) -> bool {
         let now = self.now;
         // Scalar store: eager.
         if let Some(front) = self.ssaq.front().copied() {
@@ -501,12 +596,17 @@ impl Engine {
             };
             if data_ready && self.mem.port_free(now) {
                 if front.ap_data_ready.is_none() {
+                    if self.ssdq.is_full() {
+                        self.stale |= SP;
+                    }
                     self.ssdq.pop();
                 }
                 self.mem.scalar_store(now, front.addr);
                 self.ssaq.pop();
                 self.store_gen += 1;
                 self.stores_committed += 1;
+                // The AP reads the port, the cache and the store queues.
+                self.stale |= AP;
                 return true;
             }
         }
@@ -517,7 +617,7 @@ impl Engine {
             (Some(limit), Some(front)) => front.seq <= limit,
             _ => false,
         };
-        if !(flush || pressured || draining) {
+        if !(self.all_dispatched() || pressured || draining) {
             return false;
         }
         let (Some(_), Some(data)) = (self.vsaq.front(), self.vadq.front().copied()) else {
@@ -533,10 +633,16 @@ impl Engine {
         );
         let stride = self.vsaq.front().and_then(|e| e.access.stride());
         self.mem.issue_vector_store(now, data.vl, stride);
+        if self.vadq.is_full() {
+            self.stale |= VP;
+        }
         self.vsaq.pop();
         self.vadq.pop();
         self.store_gen += 1;
         self.stores_committed += 1;
+        self.stale |= AP;
+        // Only unreferenced data-ready slots go, so no pending bypass
+        // loses its source.
         self.gc_store_data_ready(data.data);
         true
     }
@@ -583,6 +689,9 @@ impl Engine {
             s.ready_at = ready_at;
             s.pending_bypass = None;
         });
+        if slot == 0 {
+            self.stale |= VP;
+        }
         self.mem.record_bypass(pending.vl);
         self.bypassed_loads += 1;
         self.gc_store_data_ready(pending.data);
@@ -603,12 +712,11 @@ impl Engine {
                 return false;
             }
             self.ap_drain_until = None;
-            // Leaving drain mode changes the store engine's `draining`
-            // gate even when the attempt below fails, so the cached
-            // wakes must be re-derived.
-            self.progress_version += 1;
+            // Leaving drain mode closes the store engine's `draining`
+            // gate even when the attempt below fails.
+            self.stale |= STORE;
         }
-        let Some(op) = self.apiq.front().copied() else {
+        let Some(&op) = self.apiq.front(&self.compiled.ap) else {
             return false;
         };
         let done = match op {
@@ -628,6 +736,9 @@ impl Engine {
                 {
                     false
                 } else {
+                    if pops_sadq > 0 && self.sadq.is_full() {
+                        self.stale |= SP;
+                    }
                     for _ in 0..pops_sadq {
                         self.sadq.pop();
                     }
@@ -639,7 +750,7 @@ impl Engine {
                 if !self.ap_sb.is_ready(src, now) || self.asdq.is_full() {
                     false
                 } else {
-                    self.asdq.push(Timed::new((), now + 1));
+                    self.push_asdq(now + 1);
                     true
                 }
             }
@@ -648,6 +759,9 @@ impl Engine {
                 if self.ssaq.is_full() {
                     false
                 } else {
+                    if self.ssaq.is_empty() {
+                        self.stale |= STORE;
+                    }
                     let ap_data_ready = match data {
                         StoreDataSource::AddressProcessor(reg) => {
                             Some(self.ap_sb.ready_at(reg).max(now))
@@ -670,6 +784,7 @@ impl Engine {
                 } else {
                     self.vsaq.push(VsaqEntry { access, seq, data });
                     self.store_gen += 1;
+                    self.stale |= STORE;
                     true
                 }
             }
@@ -688,14 +803,31 @@ impl Engine {
         done
     }
 
-    /// Puts the AP in drain mode until `seq` commits. Drain entry flips
+    /// Puts the AP in drain mode until `seq` commits. Drain entry opens
     /// the store engine's `draining` gate even though the load attempt
-    /// itself fails, so it counts as a cache-invalidating event: without
-    /// the version bump a store engine skipping on a stamped wake would
-    /// never notice the drain and the machine would deadlock.
+    /// itself fails: without the mark a store engine skipping on its
+    /// cached wake would never notice the drain, and the machine would
+    /// deadlock.
     fn enter_drain(&mut self, seq: StoreSeq) {
         self.ap_drain_until = Some(seq);
-        self.progress_version += 1;
+        self.stale |= STORE;
+    }
+
+    /// Pushes an AP→SP value ready at `ready_at`; the SP's gates read
+    /// the first [`OPERANDS`] entries.
+    fn push_asdq(&mut self, ready_at: Cycle) {
+        if self.asdq.len() < OPERANDS {
+            self.stale |= SP;
+        }
+        self.asdq.push(Timed::new((), ready_at));
+    }
+
+    /// Pushes into the AVDQ; a new front slot is the VP's to read.
+    fn push_avdq(&mut self, slot: AvdqSlot) {
+        if self.avdq.is_empty() {
+            self.stale |= VP;
+        }
+        self.avdq.push(slot);
     }
 
     fn ap_scalar_load(&mut self, dst: Option<ScalarReg>, to_sp: bool, addr: u64) -> bool {
@@ -708,12 +840,16 @@ impl Engine {
         if to_sp && self.asdq.is_full() {
             return false;
         }
-        if self.mem.probe_scalar(addr) == CacheAccess::Miss && !self.mem.port_free(now) {
+        let miss = self.mem.probe_scalar(addr) == CacheAccess::Miss;
+        if miss && !self.mem.port_free(now) {
             return false;
         }
         let issue = self.mem.scalar_load(now, addr);
+        if miss {
+            self.stale |= STORE; // a port reservation
+        }
         if to_sp {
-            self.asdq.push(Timed::new((), issue.data_complete_at));
+            self.push_asdq(issue.data_complete_at);
         } else if let Some(dst) = dst {
             self.ap_sb.set_ready(dst, issue.data_complete_at);
         }
@@ -736,11 +872,14 @@ impl Engine {
                     .expect("identical conflicts are vector stores");
                 let id = self.next_avdq_id;
                 self.next_avdq_id += 1;
-                self.avdq.push(AvdqSlot {
+                self.push_avdq(AvdqSlot {
                     id,
                     ready_at: Cycle::MAX,
                     pending_bypass: Some(data),
                 });
+                if self.pending_bypasses.is_empty() {
+                    self.stale |= BYPASS;
+                }
                 self.pending_bypasses.push_back(PendingBypass {
                     slot_id: id,
                     data,
@@ -761,9 +900,10 @@ impl Engine {
                 let issue = self
                     .mem
                     .issue_vector_load(now, access.vl(), access.stride());
+                self.stale |= STORE; // a port reservation
                 let id = self.next_avdq_id;
                 self.next_avdq_id += 1;
-                self.avdq.push(AvdqSlot {
+                self.push_avdq(AvdqSlot {
                     id,
                     ready_at: issue.data_complete_at,
                     pending_bypass: None,
@@ -777,7 +917,7 @@ impl Engine {
 
     fn step_sp(&mut self) -> bool {
         let now = self.now;
-        let Some(op) = self.spiq.front().copied() else {
+        let Some(&op) = self.spiq.front(&self.compiled.sp) else {
             return false;
         };
         let done = match op {
@@ -797,6 +937,9 @@ impl Engine {
                 {
                     false
                 } else {
+                    if pops_asdq > 0 && self.asdq.is_full() {
+                        self.stale |= AP;
+                    }
                     for _ in 0..pops_asdq {
                         self.asdq.pop();
                     }
@@ -806,6 +949,9 @@ impl Engine {
             }
             SpOp::PopAsdq { dst } => {
                 if self.asdq.front().is_some_and(|e| e.is_ready(now)) {
+                    if self.asdq.is_full() {
+                        self.stale |= AP;
+                    }
                     self.asdq.pop();
                     self.sp_sb.set_ready(dst, now + 1);
                     true
@@ -813,11 +959,14 @@ impl Engine {
                     false
                 }
             }
-            SpOp::PushSadq { src } => self.sp_push(src, |e| &mut e.sadq),
-            SpOp::PushSvdq { src } => self.sp_push(src, |e| &mut e.svdq),
-            SpOp::PushSsdq { src } => self.sp_push(src, |e| &mut e.ssdq),
+            SpOp::PushSadq { src } => self.sp_push(src, AP, OPERANDS, |e| &mut e.sadq),
+            SpOp::PushSvdq { src } => self.sp_push(src, VP, 1, |e| &mut e.svdq),
+            SpOp::PushSsdq { src } => self.sp_push(src, STORE, 1, |e| &mut e.ssdq),
             SpOp::PopVsdq { dst } => {
                 if self.vsdq.front().is_some_and(|e| e.is_ready(now)) {
+                    if self.vsdq.is_full() {
+                        self.stale |= VP;
+                    }
                     self.vsdq.pop();
                     self.sp_sb.set_ready(dst, now + 1);
                     true
@@ -840,19 +989,28 @@ impl Engine {
         done
     }
 
+    /// Pushes `src` into an SP→`consumer` data queue whose consumer's
+    /// gates read its first `reads` entries.
     fn sp_push(
         &mut self,
         src: ScalarReg,
+        consumer: u8,
+        reads: usize,
         queue: impl for<'e> Fn(&'e mut Engine) -> &'e mut Fifo<Timed<()>>,
     ) -> bool {
         let now = self.now;
         if !self.sp_sb.is_ready(src, now) {
             return false;
         }
-        if queue(self).is_full() {
+        let queue = queue(self);
+        if queue.is_full() {
             return false;
         }
-        queue(self).push(Timed::new((), now + 1));
+        let marks = queue.len() < reads;
+        queue.push(Timed::new((), now + 1));
+        if marks {
+            self.stale |= consumer;
+        }
         true
     }
 
@@ -862,7 +1020,7 @@ impl Engine {
         let now = self.now;
         let startup = self.cfg.uarch.fu_startup;
         let qstartup = self.cfg.uarch.qmov_startup;
-        let Some(op) = self.vpiq.front().copied() else {
+        let Some(&op) = self.vpiq.front(&self.compiled.vp) else {
             return false;
         };
         let done = match op {
@@ -890,6 +1048,9 @@ impl Engine {
                     } else {
                         unit.reserve(now, vl.cycles());
                         if pops_svdq {
+                            if self.svdq.is_full() {
+                                self.stale |= SP;
+                            }
                             self.svdq.pop();
                         }
                         self.vregs.begin_reads(now, &reads, vl.cycles());
@@ -917,6 +1078,9 @@ impl Engine {
                     };
                     unit.reserve(now, vl.cycles());
                     self.vregs.begin_reads(now, &[src], vl.cycles());
+                    if self.vsdq.is_empty() {
+                        self.stale |= SP;
+                    }
                     self.vsdq
                         .push(Timed::new((), now + startup + vl.cycles() + 1));
                     true
@@ -936,6 +1100,12 @@ impl Engine {
                         return false;
                     };
                     unit.reserve(now, vl.cycles());
+                    // The slot stays busy while it drains, so occupancy is
+                    // unchanged; with every slot busy, the AP's wait for
+                    // one reads the drain list this changes.
+                    if !self.avdq_has_free_slot() {
+                        self.stale |= AP;
+                    }
                     self.avdq.pop();
                     self.push_drain(now + vl.cycles());
                     if !reads.is_empty() {
@@ -969,6 +1139,7 @@ impl Engine {
                     let first_at = now + qstartup + 1;
                     self.vadq.push(VadqEntry { data, first_at, vl });
                     self.store_data_ready.insert(data, first_at);
+                    self.stale |= STORE | BYPASS;
                     true
                 }
             }
@@ -981,10 +1152,39 @@ impl Engine {
 
     // -- fetch processor ----------------------------------------------------
 
-    fn fp_can_dispatch(&self, slots: (usize, usize, usize)) -> bool {
-        self.apiq.free_slots() >= slots.0
-            && self.spiq.free_slots() >= slots.1
-            && self.vpiq.free_slots() >= slots.2
+    /// Whether every instruction has dispatched (the store engine's
+    /// flush gate).
+    fn all_dispatched(&self) -> bool {
+        self.next == self.compiled.len()
+    }
+
+    /// Dispatches the next instruction when all three instruction queues
+    /// have room for its µops: one architectural instruction per cycle.
+    /// Returns whether it dispatched.
+    fn dispatch(&mut self) -> bool {
+        let Some(&ends) = self.compiled.ends.get(self.next) else {
+            return false;
+        };
+        let [ap, sp, vp] = ends.map(|end| end as usize);
+        if !(self.apiq.fits(ap) && self.spiq.fits(sp) && self.vpiq.fits(vp)) {
+            self.fp_stalls += 1;
+            return false;
+        }
+        // A push into a non-empty queue changes no unit's front µop.
+        for (queue, tail, unit) in [
+            (&mut self.apiq, ap, AP),
+            (&mut self.spiq, sp, SP),
+            (&mut self.vpiq, vp, VP),
+        ] {
+            if queue.extend_to(tail) {
+                self.stale |= unit;
+            }
+        }
+        self.next += 1;
+        if self.all_dispatched() {
+            self.stale |= STORE;
+        }
+        true
     }
 
     // -- fast-forward -------------------------------------------------------
@@ -1022,43 +1222,86 @@ impl Engine {
         // no-progress window every gate is monotone (operands only become
         // ready, ports and slots only free), so the wake is the max over
         // the individual gate times — and `None` means the unit is
-        // blocked on another unit's *progress*, which re-evaluates
-        // everything anyway. Jumps land on ticks that actually advance,
-        // instead of on every timer anywhere in the machine.
-        // Each processor's wake is cached under the progress version: on
-        // consecutive stalls (nothing changed, the clock has not reached
-        // the wake) the cached value is still exact and the whole
-        // gate-time computation is skipped.
-        next.consider_opt(self.cached_wake(&self.wake_ap_cache, now, || self.wake_ap(now)));
-        next.consider_opt(self.cached_wake(&self.wake_sp_cache, now, || self.wake_sp()));
-        next.consider_opt(self.cached_wake(&self.wake_vp_cache, now, || self.wake_vp()));
-        next.consider_opt(self.cached_wake(&self.wake_store_cache, now, || self.wake_store(now)));
-        if self.cfg.bypass {
-            next.consider_opt(
-                self.cached_wake(&self.wake_bypass_cache, now, || self.wake_bypass()),
-            );
+        // blocked on another unit's *progress*, which marks it stale.
+        // Jumps land on ticks that actually advance, instead of on every
+        // timer anywhere in the machine. Each unit's wake is cached until
+        // the unit goes stale or the clock reaches it (see the module
+        // docs), so on consecutive stalls the gate-time computation is
+        // skipped.
+        for unit in [AP, SP, VP, STORE, BYPASS] {
+            if unit == BYPASS && !self.cfg.bypass {
+                continue;
+            }
+            let wake = self
+                .cached_wake(unit, now)
+                .unwrap_or_else(|| self.derive_wake(unit, now));
+            if wake != Cycle::MAX {
+                next.consider(wake);
+            }
         }
         next.get()
     }
 
     // -- per-unit wake times ------------------------------------------------
 
-    /// Reads a wake time through its version-stamped cache, recomputing
-    /// and re-stamping it when the version moved or the clock reached the
-    /// cached value (`Cycle::MAX` encodes "blocked on progress").
-    fn cached_wake(
-        &self,
-        cache: &std::cell::Cell<(u64, Cycle)>,
-        now: Cycle,
-        compute: impl FnOnce() -> Option<Cycle>,
-    ) -> Option<Cycle> {
-        let (version, wake) = cache.get();
-        if version == self.progress_version && now < wake {
-            return (wake != Cycle::MAX).then_some(wake);
+    /// `unit`'s cached wake, when it certifies that an attempt at `now`
+    /// must fail: the unit is not stale and the clock has not reached
+    /// the wake (`Cycle::MAX` encodes "blocked on another unit's
+    /// progress"). Debug builds check it against a fresh derivation.
+    fn cached_wake(&self, unit: u8, now: Cycle) -> Option<Cycle> {
+        let wake = self.wake[unit.trailing_zeros() as usize];
+        if self.stale & unit != 0 || now >= wake {
+            return None;
         }
-        let wake = compute();
-        cache.set((self.progress_version, wake.unwrap_or(Cycle::MAX)));
-        wake
+        debug_assert_eq!(
+            wake,
+            self.derive_wake(unit, now),
+            "the {}'s cached wake went stale at cycle {now} without a mark",
+            ["AP", "SP", "VP", "store engine", "bypass unit"][unit.trailing_zeros() as usize]
+        );
+        Some(wake)
+    }
+
+    /// Derives `unit`'s wake from the current state.
+    fn derive_wake(&self, unit: u8, now: Cycle) -> Cycle {
+        match unit {
+            AP => self.wake_ap(now),
+            SP => self.wake_sp(),
+            VP => self.wake_vp(),
+            STORE => self.wake_store(now),
+            _ => self.wake_bypass(),
+        }
+        .unwrap_or(Cycle::MAX)
+    }
+
+    /// Runs `unit`'s issue attempt at `now`, unless its cached wake
+    /// certifies the attempt must fail. A success marks the unit itself,
+    /// since its front moved; a failure clears its stale bit and
+    /// re-derives its wake, which the attempt's gates just confirmed.
+    #[inline]
+    fn attempt(&mut self, unit: u8, now: Cycle) -> bool {
+        if self.cached_wake(unit, now).is_some() {
+            // A draining AP waits for store commits, and every commit
+            // marks it: unmarked, it is still draining this cycle.
+            if unit == AP && self.ap_drain_until.is_some() {
+                self.drain_stall_cycles += 1;
+            }
+            return false;
+        }
+        let advanced = match unit {
+            AP => self.step_ap(),
+            SP => self.step_sp(),
+            VP => self.step_vp(),
+            STORE => self.step_store_engine(),
+            _ => self.step_bypass_engine(),
+        };
+        if advanced {
+            self.stale |= unit;
+        } else {
+            self.stale &= !unit;
+            self.wake[unit.trailing_zeros() as usize] = self.derive_wake(unit, now);
+        }
+        advanced
     }
 
     /// The first cycle at which at least one memory port can accept an
@@ -1088,9 +1331,8 @@ impl Engine {
     /// stalled step just evaluated it, so this is a lookup; the fallback
     /// recomputes without touching the cache.
     fn cached_conflict(&self, access: &VecAccess) -> Option<Conflict> {
-        let serial = self.apiq.total_pushed() - self.apiq.len() as u64;
         match self.disambig_cache {
-            Some((gen, s, result)) if gen == self.store_gen && s == serial => result,
+            Some((gen, s, result)) if gen == self.store_gen && s == self.apiq.head => result,
             _ => self.disambiguate(access.range(), access.strided()),
         }
     }
@@ -1104,7 +1346,7 @@ impl Engine {
         if self.ap_drain_until.is_some() {
             return None;
         }
-        let op = self.apiq.front()?;
+        let op = self.apiq.front(&self.compiled.ap)?;
         match *op {
             ApOp::Alu {
                 srcs, pops_sadq, ..
@@ -1155,7 +1397,7 @@ impl Engine {
 
     /// Exact wake time of the scalar processor's front µop.
     fn wake_sp(&self) -> Option<Cycle> {
-        let op = self.spiq.front()?;
+        let op = self.spiq.front(&self.compiled.sp)?;
         match *op {
             SpOp::Alu {
                 srcs, pops_asdq, ..
@@ -1180,7 +1422,7 @@ impl Engine {
 
     /// Exact wake time of the vector processor's front µop.
     fn wake_vp(&self) -> Option<Cycle> {
-        let op = self.vpiq.front()?;
+        let op = self.vpiq.front(&self.compiled.vp)?;
         match *op {
             VpOp::Compute {
                 op,
@@ -1250,14 +1492,13 @@ impl Engine {
         }
         // Vector stores write back only under the lazy-writeback gates,
         // all of which flip on progress, not time.
-        let flush = self.pc >= self.compiled.len() && self.pending.is_none();
         let pressured = self.vsaq.len() + 1 >= self.vsaq.capacity()
             || self.vadq.len() + 1 >= self.vadq.capacity();
         let draining = match (self.ap_drain_until, self.vsaq.front()) {
             (Some(limit), Some(front)) => front.seq <= limit,
             _ => false,
         };
-        if flush || pressured || draining {
+        if self.all_dispatched() || pressured || draining {
             if let Some(data) = self.vadq.front() {
                 next.consider(data.first_at.max(self.port_ready_at(now)));
             }
@@ -1288,127 +1529,26 @@ impl Processor for Engine {
             self.avdq_draining.pop_front();
         }
 
-        let mut progress = false;
         // The AP owns the memory port; lazy store writebacks take the
-        // bus only in the cycles the AP leaves it idle. Each processor's
-        // attempt is skipped outright while its cached wake time (from
-        // the last fast-forward computation) certifies it must fail; any
-        // sub-unit progress bumps the version and re-enables the
-        // attempts that follow it, including within this same tick. The
-        // AP attempt always runs in drain mode, which counts its stall
-        // cycles inside the attempt.
-        // A failed attempt immediately re-stamps its unit's wake cache
-        // (the attempt just evaluated every gate, so the wake derivation
-        // is exact *now*): until the version moves or the clock reaches
-        // the wake, the unit skips its attempts — including across
-        // dispatch-only ticks, which leave the version alone.
-        let (ver, wake) = self.wake_ap_cache.get();
-        if self.ap_drain_until.is_some() || ver != self.progress_version || now >= wake {
-            let advanced = self.step_ap();
-            self.progress_version += u64::from(advanced);
-            progress |= advanced;
-            if !advanced {
-                let wake = self.wake_ap(now).unwrap_or(Cycle::MAX);
-                self.wake_ap_cache.set((self.progress_version, wake));
-            }
-        }
-        let (ver, wake) = self.wake_sp_cache.get();
-        if ver != self.progress_version || now >= wake {
-            let advanced = self.step_sp();
-            self.progress_version += u64::from(advanced);
-            progress |= advanced;
-            if !advanced {
-                let wake = self.wake_sp().unwrap_or(Cycle::MAX);
-                self.wake_sp_cache.set((self.progress_version, wake));
-            }
-        }
-        let (ver, wake) = self.wake_vp_cache.get();
-        if ver != self.progress_version || now >= wake {
-            let advanced = self.step_vp();
-            self.progress_version += u64::from(advanced);
-            progress |= advanced;
-            if !advanced {
-                let wake = self.wake_vp().unwrap_or(Cycle::MAX);
-                self.wake_vp_cache.set((self.progress_version, wake));
-            }
-        }
-        let flush = self.pc >= self.compiled.len() && self.pending.is_none();
-        let (ver, wake) = self.wake_store_cache.get();
-        if ver != self.progress_version || now >= wake {
-            let advanced = self.step_store_engine(flush);
-            self.progress_version += u64::from(advanced);
-            progress |= advanced;
-            if !advanced {
-                let wake = self.wake_store(now).unwrap_or(Cycle::MAX);
-                self.wake_store_cache.set((self.progress_version, wake));
-            }
-        }
+        // bus only in the cycles the AP leaves it idle. Each unit's
+        // attempt is skipped while its cached wake certifies it must fail
+        // (see the module docs); a mutation marks the units that read
+        // what it changed, which re-enables their attempts — including
+        // the ones later in this same tick.
+        let mut progress = self.attempt(AP, now);
+        progress |= self.attempt(SP, now);
+        progress |= self.attempt(VP, now);
+        progress |= self.attempt(STORE, now);
         if self.cfg.bypass {
-            let (ver, wake) = self.wake_bypass_cache.get();
-            if ver != self.progress_version || now >= wake {
-                let advanced = self.step_bypass_engine();
-                self.progress_version += u64::from(advanced);
-                progress |= advanced;
-                if !advanced {
-                    let wake = self.wake_bypass().unwrap_or(Cycle::MAX);
-                    self.wake_bypass_cache.set((self.progress_version, wake));
-                }
-            }
+            progress |= self.attempt(BYPASS, now);
         }
-
-        // Fetch/dispatch: one architectural instruction per cycle, read
-        // straight out of the pre-translated bundle stream (no bundle is
-        // ever copied: stalled bundles wait as an index).
-        if self.pending.is_none() && self.pc < self.compiled.len() {
-            self.pending = Some(self.pc);
-            self.pc += 1;
-        }
-        let mut fronts_changed = false;
-        let dispatched = match self.pending {
-            Some(index) => {
-                let bundle = &self.compiled.bundles()[index];
-                if self.fp_can_dispatch(bundle.slots()) {
-                    if let Some(ap) = bundle.ap {
-                        fronts_changed |= self.apiq.is_empty();
-                        self.apiq.push(ap);
-                    }
-                    for sp in bundle.sp.iter() {
-                        fronts_changed |= self.spiq.is_empty();
-                        self.spiq.push(*sp);
-                    }
-                    if let Some(vp) = bundle.vp {
-                        fronts_changed |= self.vpiq.is_empty();
-                        self.vpiq.push(vp);
-                    }
-                    true
-                } else {
-                    self.fp_stalls += 1;
-                    false
-                }
-            }
-            None => false,
-        };
-        if dispatched {
-            self.pending = None;
-            // A push into a non-empty instruction queue changes no unit's
-            // front µop, and the wake times read nothing else the
-            // dispatch touches — the cached wakes stay exact, so the
-            // version is left alone and the units keep skipping their
-            // attempts. A push that installs a new front µop re-enables
-            // that unit; the final dispatch flips the store engine's
-            // flush gate, so it bumps too.
-            if fronts_changed || self.pc >= self.compiled.len() {
-                self.progress_version += 1;
-            }
-            progress = true;
-        }
+        progress |= self.dispatch();
         Progress::from(progress)
     }
 
-    /// Structural completion: everything fetched, all queues drained.
+    /// Structural completion: everything dispatched, all queues drained.
     fn is_done(&self) -> bool {
-        let done = self.pc >= self.compiled.len()
-            && self.pending.is_none()
+        let done = self.all_dispatched()
             && self.apiq.is_empty()
             && self.spiq.is_empty()
             && self.vpiq.is_empty()
@@ -1477,7 +1617,9 @@ impl Processor for Engine {
     }
 
     fn account_skipped(&mut self, _now: Cycle, skipped: u64) {
-        if self.pending.is_some() {
+        // After a stalled tick, an undispatched instruction is one the
+        // fetch processor failed to dispatch.
+        if !self.all_dispatched() {
             self.fp_stalls += skipped;
         }
         let drain_stalled = self
@@ -1504,7 +1646,7 @@ impl Processor for Engine {
         format!(
             "DVA pc={}/{} APIQ={} SPIQ={} VPIQ={} AVDQ={} VADQ={} VSAQ={} SSAQ={} \
              next_commit={} drain={:?} pending_byp={}",
-            self.pc,
+            self.next,
             self.compiled.len(),
             self.apiq.len(),
             self.spiq.len(),
@@ -1538,8 +1680,8 @@ pub(crate) fn drive(engine: &mut Engine, fast_forward: bool) -> Result<DvaResult
         avdq_occupancy,
         bypassed_loads: engine.bypassed_loads,
         drain_stall_cycles: engine.drain_stall_cycles,
-        max_vpiq: engine.vpiq.max_occupancy(),
-        max_apiq: engine.apiq.max_occupancy(),
+        max_vpiq: engine.vpiq.max_occupancy,
+        max_apiq: engine.apiq.max_occupancy,
         max_avdq,
     })
 }

@@ -14,7 +14,6 @@ pub struct Fifo<T> {
     cap: usize,
     items: VecDeque<T>,
     max_occupancy: usize,
-    total_pushed: u64,
 }
 
 impl<T> Fifo<T> {
@@ -33,7 +32,6 @@ impl<T> Fifo<T> {
             // the engines' steady-state tick loops stay allocation-free.
             items: VecDeque::with_capacity(cap),
             max_occupancy: 0,
-            total_pushed: 0,
         }
     }
 
@@ -56,7 +54,6 @@ impl<T> Fifo<T> {
             self.items.reserve(cap);
         }
         self.max_occupancy = 0;
-        self.total_pushed = 0;
     }
 
     /// The queue's diagnostic name.
@@ -98,7 +95,6 @@ impl<T> Fifo<T> {
         assert!(!self.is_full(), "queue {} overflow", self.name);
         self.items.push_back(item);
         self.max_occupancy = self.max_occupancy.max(self.items.len());
-        self.total_pushed += 1;
     }
 
     /// The entry at the head, if any.
@@ -137,11 +133,6 @@ impl<T> Fifo<T> {
     /// Highest occupancy ever observed.
     pub fn max_occupancy(&self) -> usize {
         self.max_occupancy
-    }
-
-    /// Total entries pushed over the run.
-    pub fn total_pushed(&self) -> u64 {
-        self.total_pushed
     }
 }
 
@@ -183,7 +174,6 @@ mod tests {
         q.push(4);
         assert!(q.is_full());
         assert_eq!(q.max_occupancy(), 3);
-        assert_eq!(q.total_pushed(), 4);
         let rest: Vec<u32> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(rest, vec![2, 3, 4]);
     }
@@ -199,7 +189,6 @@ mod tests {
         assert!(q.is_empty());
         assert_eq!(q.capacity(), 3);
         assert_eq!(q.max_occupancy(), 0);
-        assert_eq!(q.total_pushed(), 0);
         assert_eq!(q.items.capacity(), storage, "storage must be reused");
         // Growing past the old storage is allowed (and reallocates).
         q.reset(8);

@@ -292,9 +292,9 @@ pub enum VpOp {
 
 /// The µop bundle one architectural instruction expands to.
 ///
-/// Bundles are plain `Copy` data — no heap storage — so a compiled
-/// program's bundle stream can be replayed by the fetch processor without
-/// any per-instruction allocation.
+/// Bundles are plain `Copy` data — no heap storage. Compiling a program
+/// appends each bundle's µops to the per-unit streams of the
+/// [`CompiledProgram`](crate::CompiledProgram); no bundle is kept.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Bundle {
     /// µop for the address processor, if any.
@@ -304,17 +304,6 @@ pub struct Bundle {
     pub sp: InlineVec<SpOp, 2>,
     /// µop for the vector processor, if any.
     pub vp: Option<VpOp>,
-}
-
-impl Bundle {
-    /// Queue slots this bundle needs in (APIQ, SPIQ, VPIQ).
-    pub fn slots(&self) -> (usize, usize, usize) {
-        (
-            usize::from(self.ap.is_some()),
-            self.sp.len(),
-            usize::from(self.vp.is_some()),
-        )
-    }
 }
 
 impl Default for SpOp {
@@ -696,6 +685,9 @@ mod tests {
             },
             &mut alloc,
         );
-        assert_eq!(b.slots(), (1, 1, 0));
+        // One AP µop (the load) and one SP µop (its QMOV), no VP µop.
+        assert!(matches!(b.ap, Some(ApOp::ScalarLoad { to_sp: true, .. })));
+        assert!(matches!(b.sp[..], [SpOp::PopAsdq { .. }]));
+        assert!(b.vp.is_none());
     }
 }

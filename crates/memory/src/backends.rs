@@ -20,13 +20,25 @@ struct MemCore {
 
 impl MemCore {
     fn new(params: MemoryParams, ports: usize) -> MemCore {
-        assert!(ports > 0, "a memory backend needs at least one port");
-        MemCore {
+        let mut core = MemCore {
             params,
-            ports: vec![AddressBus::new(); ports],
+            ports: Vec::new(),
             cache: ScalarCache::new(params.cache),
             traffic: Traffic::default(),
-        }
+        };
+        core.reset(params, ports);
+        core
+    }
+
+    /// Re-arms the core as [`MemCore::new`] would build it, keeping the
+    /// port and cache-tag storage.
+    fn reset(&mut self, params: MemoryParams, ports: usize) {
+        assert!(ports > 0, "a memory backend needs at least one port");
+        self.params = params;
+        self.ports.clear();
+        self.ports.resize(ports, AddressBus::new());
+        self.cache.reset(params.cache);
+        self.traffic = Traffic::default();
     }
 
     #[inline]
@@ -525,6 +537,43 @@ impl MemoryModel for Memory {
     }
 }
 
+impl Memory {
+    /// Restores the backend `params` describes, equal to what
+    /// [`MemoryParams::instantiate`] builds, but keeping the port and
+    /// cache-tag storage when the backend kind is unchanged — so an
+    /// engine reset between runs allocates nothing here.
+    ///
+    /// ```
+    /// use dva_memory::{MemoryModel, MemoryParams};
+    /// let params = MemoryParams::with_latency(30);
+    /// let mut mem = params.instantiate();
+    /// mem.scalar_load(0, 0x40);
+    /// let ports = mem.ports().as_ptr();
+    /// let slower = MemoryParams::with_latency(50);
+    /// mem.reset(slower);
+    /// assert_eq!(mem.ports().as_ptr(), ports); // storage kept
+    /// assert_eq!(format!("{mem:?}"), format!("{:?}", slower.instantiate()));
+    /// ```
+    pub fn reset(&mut self, params: MemoryParams) {
+        match (self, params.model) {
+            (Memory::Flat(m), MemoryModelKind::Flat) => m.core.reset(params, 1),
+            (Memory::Banked(m), MemoryModelKind::Banked { banks, bank_busy })
+                if banks > 0 && bank_busy > 0 =>
+            {
+                m.core.reset(params, 1);
+                m.banks = u64::from(banks);
+                m.bank_busy = bank_busy;
+            }
+            (Memory::MultiPort(m), MemoryModelKind::MultiPort { ports }) if ports > 0 => {
+                m.core.reset(params, ports as usize);
+            }
+            // Another kind (or an invalid shape, which the constructor
+            // rejects): build afresh.
+            (memory, _) => *memory = params.instantiate(),
+        }
+    }
+}
+
 impl MemoryParams {
     /// Instantiates the configured backend as a concrete [`Memory`] —
     /// the statically-dispatched counterpart of [`MemoryParams::build`],
@@ -724,6 +773,28 @@ mod tests {
         );
         let flat = FlatMemory::new(params.with_model(MemoryModelKind::MultiPort { ports: 9 }));
         assert_eq!(flat.params().model, MemoryModelKind::Flat);
+    }
+
+    #[test]
+    fn reset_equals_a_fresh_instance_across_kinds() {
+        let flat = MemoryParams::with_latency(20);
+        let kinds = [
+            flat,
+            flat.with_model(MemoryModelKind::MultiPort { ports: 3 }),
+            flat.with_model(MemoryModelKind::Banked {
+                banks: 4,
+                bank_busy: 2,
+            }),
+            flat.with_model(MemoryModelKind::MultiPort { ports: 2 }),
+            MemoryParams::with_latency(7),
+        ];
+        let mut mem = flat.instantiate();
+        for params in kinds {
+            mem.issue_vector_load(0, vl(8), None);
+            mem.scalar_store(10, 0x80);
+            mem.reset(params);
+            assert_eq!(format!("{mem:?}"), format!("{:?}", params.instantiate()));
+        }
     }
 
     #[test]

@@ -73,15 +73,31 @@ impl ScalarCache {
     /// Panics unless both `lines` and `line_bytes` are non-zero powers of
     /// two.
     pub fn new(params: ScalarCacheParams) -> ScalarCache {
+        let mut cache = ScalarCache {
+            params,
+            tags: Vec::new(),
+            stats: CacheStats::default(),
+        };
+        cache.reset(params);
+        cache
+    }
+
+    /// Empties the cache and re-arms it with `params`, keeping the tag
+    /// storage when it is large enough: afterwards the cache equals
+    /// [`ScalarCache::new`]`(params)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`ScalarCache::new`].
+    pub fn reset(&mut self, params: ScalarCacheParams) {
         assert!(
             params.lines.is_power_of_two() && params.line_bytes.is_power_of_two(),
             "cache geometry must be powers of two"
         );
-        ScalarCache {
-            params,
-            tags: vec![None; params.lines],
-            stats: CacheStats::default(),
-        }
+        self.params = params;
+        self.tags.clear();
+        self.tags.resize(params.lines, None);
+        self.stats = CacheStats::default();
     }
 
     fn index_and_tag(&self, addr: u64) -> (usize, u64) {

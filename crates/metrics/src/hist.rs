@@ -5,8 +5,13 @@ use std::fmt;
 /// A histogram over small non-negative integer values, used to record how
 /// many cycles a queue spent at each occupancy level.
 ///
-/// Values above the configured capacity are clamped into the last bucket
-/// and also tracked separately via [`Histogram::overflow`].
+/// Values above the configured maximum are clamped into the last bucket,
+/// so every reading — [`total`](Histogram::total),
+/// [`count`](Histogram::count), [`mean`](Histogram::mean),
+/// [`cumulative_fraction`](Histogram::cumulative_fraction) — counts an
+/// overflowed sample as the maximum. [`Histogram::overflow`] additionally
+/// counts how many were clamped; it is a subset of `total()`, not an
+/// addition to it.
 ///
 /// # Examples
 ///
@@ -17,6 +22,14 @@ use std::fmt;
 /// h.add(2, 10);
 /// assert_eq!(h.count(2), 10);
 /// assert_eq!(h.max_observed(), Some(2));
+///
+/// // An overflowing sample lands in the last bucket and is also
+/// // counted as overflow: one observation, not two.
+/// let mut h = Histogram::new(8);
+/// h.add(12, 1);
+/// assert_eq!(h.total(), 1);
+/// assert_eq!(h.overflow(), 1);
+/// assert_eq!(h.count(8), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
@@ -70,8 +83,8 @@ impl Histogram {
         }
     }
 
-    /// Number of observations of exactly `value` (clamped values land in
-    /// the last bucket).
+    /// Number of observations of exactly `value`. Overflowed samples
+    /// count as the maximum, so the last bucket includes them.
     pub fn count(&self, value: usize) -> u64 {
         self.buckets.get(value).copied().unwrap_or(0)
     }
@@ -81,12 +94,14 @@ impl Histogram {
         &self.buckets
     }
 
-    /// Observations that exceeded the configured maximum.
+    /// Observations that exceeded the configured maximum. They are also
+    /// in the last bucket, so this is a subset of [`total`](Self::total).
     pub fn overflow(&self) -> u64 {
         self.overflow
     }
 
-    /// Total observations recorded.
+    /// Total observations recorded, overflowed ones included (each is
+    /// counted once, in the last bucket).
     pub fn total(&self) -> u64 {
         self.buckets.iter().sum()
     }
@@ -97,7 +112,8 @@ impl Histogram {
         self.buckets.iter().rposition(|&c| c > 0)
     }
 
-    /// Mean observed value.
+    /// Mean observed value, counting each overflowed sample as the
+    /// maximum.
     pub fn mean(&self) -> f64 {
         let total = self.total();
         if total == 0 {
@@ -112,7 +128,8 @@ impl Histogram {
         weighted as f64 / total as f64
     }
 
-    /// Fraction of observations at or below `value`.
+    /// Fraction of observations at or below `value`, counting each
+    /// overflowed sample as the maximum.
     pub fn cumulative_fraction(&self, value: usize) -> f64 {
         let total = self.total();
         if total == 0 {

@@ -274,7 +274,7 @@ impl Engine {
         self.sb = Scoreboard::new();
         self.fu1 = FuPipe::new("FU1");
         self.fu2 = FuPipe::new("FU2");
-        self.mem = params.memory.instantiate();
+        self.mem.reset(params.memory);
         self.dispatch_stalls = 0;
     }
 

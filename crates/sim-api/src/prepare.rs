@@ -54,7 +54,7 @@ static REF_COMPILED: CompiledCache<dva_ref::CompiledProgram> = CompiledCache::ne
 /// most once each.
 ///
 /// Every machine family consumes a program differently: the decoupled
-/// engine replays a µop bundle stream
+/// engine replays three per-unit µop streams
 /// ([`dva_core::CompiledProgram`]), the reference dispatcher replays a
 /// decoded issue stream ([`dva_ref::CompiledProgram`]), and the IDEAL
 /// bound is a pure function of the trace. A `PreparedProgram` caches all

@@ -83,6 +83,41 @@ fn fast_forward_skips_most_cycles_at_long_latency() {
     }
 }
 
+/// The executed ticks of every Default-scale program on DVA and BYP 4/8
+/// (flat memory, L = 100), pinned with the cycles. The skip logic may
+/// change how a tick is computed, never which ticks run: one missed or
+/// extra tick would change every result the sweep service renders, so
+/// this table catches it first. Rebaseline only with a CHANGES line
+/// saying why.
+#[test]
+fn default_scale_ticks_are_pinned() {
+    // Per program: (cycles, ticks) on DVA, then on BYP 4/8.
+    let table = [
+        (Benchmark::Bdna, [(392159, 72970), (387965, 72945)]),
+        (Benchmark::Arc2d, [(681540, 66181), (655958, 64184)]),
+        (Benchmark::Dyfesm, [(214724, 42535), (165529, 42058)]),
+        (Benchmark::Flo52, [(361345, 59444), (365412, 61223)]),
+        (Benchmark::Trfd, [(125464, 42301), (107353, 42344)]),
+        (Benchmark::Spec77, [(138030, 45382), (136531, 45322)]),
+    ];
+    for (benchmark, pins) in table {
+        let program = benchmark.program(Scale::Default);
+        for (machine, pin) in [Machine::dva(100), Machine::byp(100, 4, 8)]
+            .into_iter()
+            .zip(pins)
+        {
+            let result = machine.simulate(&program);
+            assert_eq!(
+                (result.cycles, result.ticks_executed.get()),
+                pin,
+                "{} on {}",
+                benchmark.name(),
+                machine.label()
+            );
+        }
+    }
+}
+
 /// Golden cycle counts pinning the model: any change to either engine's
 /// timing (including a fast-forward bug that only shifts results) moves
 /// these numbers.
