@@ -13,7 +13,7 @@ use crate::cli::RunOpts;
 use crate::spec::{ExperimentSpec, SweepPlan};
 use dva_engine::ENGINE_VERSION;
 use dva_metrics::Table;
-use dva_serve::{JobSummary, ResultCache, SweepService, DEFAULT_MEMORY_CAPACITY};
+use dva_serve::{ResultCache, ServeError, SweepService, DEFAULT_MEMORY_CAPACITY};
 use dva_sim_api::{AdaptiveReport, AdaptiveSweep, Sweep, SweepResults};
 use std::fmt;
 
@@ -39,6 +39,14 @@ pub enum RunError {
         /// The violation, with the offending grid coordinate.
         detail: String,
     },
+    /// The sweep service refused or failed one of the experiment's jobs.
+    Refused {
+        /// The experiment whose job failed.
+        experiment: String,
+        /// Why the service failed it (boxed: it carries a whole point
+        /// error).
+        error: Box<ServeError>,
+    },
 }
 
 impl fmt::Display for RunError {
@@ -46,6 +54,9 @@ impl fmt::Display for RunError {
         match self {
             RunError::InvariantViolated { experiment, detail } => {
                 write!(f, "experiment `{experiment}`: invariant violated: {detail}")
+            }
+            RunError::Refused { experiment, error } => {
+                write!(f, "experiment `{experiment}`: {error}")
             }
         }
     }
@@ -69,58 +80,26 @@ impl Runner {
         }
     }
 
-    /// A runner over an existing service (e.g. one backed by the
-    /// `dva-serve` disk cache).
-    pub fn with_service(service: SweepService) -> Runner {
-        Runner {
-            service,
-            hits: 0,
-            simulated: 0,
-        }
+    /// Executes one sweep through the service's content-addressed
+    /// cache: byte-identical to `sweep.run()`.
+    fn run_sweep(&mut self, sweep: &Sweep) -> Result<SweepResults, ServeError> {
+        let (results, job) = self.service.run(sweep)?;
+        self.hits += job.cache_hits;
+        self.simulated += job.simulated;
+        Ok(results)
     }
 
-    /// Executes one sweep through the service's content-addressed cache;
-    /// sweeps the cache cannot address (custom machines) run directly.
-    /// Either way the results are byte-identical to `sweep.run()`.
-    fn run_sweep(&mut self, sweep: &Sweep) -> SweepResults {
-        match self.service.run(sweep) {
-            Ok((
-                results,
-                JobSummary {
-                    cache_hits,
-                    simulated,
-                    ..
-                },
-            )) => {
-                self.hits += cache_hits;
-                self.simulated += simulated;
-                results
-            }
-            Err(_) => {
-                let results = sweep.run();
-                self.simulated += results.points.len();
-                results
-            }
-        }
-    }
-
-    /// Executes one adaptive session, preferring the cache-backed path
-    /// (cache keys are shared with dense jobs); sessions the cache cannot
-    /// address run directly. Either way every sampled point is
-    /// byte-identical to the dense run's.
-    fn run_adaptive(&mut self, adaptive: &AdaptiveSweep) -> (SweepResults, AdaptiveReport) {
-        match self.service.run_adaptive_with(adaptive, |_, _| {}) {
-            Ok((outcome, job)) => {
-                self.hits += job.cache_hits;
-                self.simulated += job.simulated;
-                (outcome.results, outcome.report)
-            }
-            Err(_) => {
-                let outcome = adaptive.run();
-                self.simulated += outcome.report.sampled_points;
-                (outcome.results, outcome.report)
-            }
-        }
+    /// Executes one adaptive session through the same cache (its keys
+    /// are shared with dense jobs): every sampled point is byte-identical
+    /// to the dense run's.
+    fn run_adaptive(
+        &mut self,
+        adaptive: &AdaptiveSweep,
+    ) -> Result<(SweepResults, AdaptiveReport), ServeError> {
+        let (outcome, job) = self.service.run_adaptive_with(adaptive, |_, _| {})?;
+        self.hits += job.cache_hits;
+        self.simulated += job.simulated;
+        Ok((outcome.results, outcome.report))
     }
 
     /// Runs a spec end to end: execute its sweep plans (cache-backed),
@@ -133,16 +112,22 @@ impl Runner {
     /// # Errors
     ///
     /// Returns [`RunError::InvariantViolated`] — and no artifact — if any
-    /// declared invariant fails on any executed sweep.
+    /// declared invariant fails on any executed sweep, and
+    /// [`RunError::Refused`] if the service fails a sweep (a machine the
+    /// cache cannot address, or a faulting point).
     pub fn run(&mut self, spec: &ExperimentSpec, opts: &RunOpts) -> Result<Artifact, RunError> {
         let plans = (spec.sweeps)(opts);
         let mut results = Vec::with_capacity(plans.len());
         let mut reports: Vec<AdaptiveReport> = Vec::new();
+        let refused = |error| RunError::Refused {
+            experiment: spec.name.to_string(),
+            error: Box::new(error),
+        };
         for plan in &plans {
             let measured = match plan {
-                SweepPlan::Dense(sweep) => self.run_sweep(sweep),
+                SweepPlan::Dense(sweep) => self.run_sweep(sweep).map_err(refused)?,
                 SweepPlan::Adaptive(adaptive) => {
-                    let (measured, report) = self.run_adaptive(adaptive);
+                    let (measured, report) = self.run_adaptive(adaptive).map_err(refused)?;
                     reports.push(report);
                     measured
                 }
@@ -389,9 +374,40 @@ mod tests {
             ..DEMO
         };
         let err = Runner::new().run(&BROKEN, &RunOpts::quick()).unwrap_err();
-        let RunError::InvariantViolated { experiment, detail } = &err;
+        let RunError::InvariantViolated { experiment, detail } = &err else {
+            panic!("{err}");
+        };
         assert_eq!(experiment, "demo");
         assert!(detail.contains("violated"), "{detail}");
         assert!(err.to_string().contains("invariant violated"));
+    }
+
+    /// A sweep the service cannot address (a custom machine has no cache
+    /// key) fails the run; nothing is simulated behind the service's back.
+    #[test]
+    fn a_refused_sweep_fails_the_run() {
+        fn custom_sweeps(opts: &RunOpts) -> Vec<SweepPlan> {
+            vec![Sweep::new()
+                .machine(Machine::custom("LOCAL", |_| {
+                    unreachable!("a refused job simulates nothing")
+                }))
+                .benchmark(Benchmark::Trfd)
+                .latencies([1])
+                .scale(opts.scale)
+                .into()]
+        }
+        const CUSTOM: ExperimentSpec = ExperimentSpec {
+            sweeps: custom_sweeps,
+            invariants: &[],
+            ..DEMO
+        };
+        let mut runner = Runner::new();
+        let err = runner.run(&CUSTOM, &RunOpts::quick()).unwrap_err();
+        let RunError::Refused { experiment, error } = &err else {
+            panic!("{err}");
+        };
+        assert_eq!(experiment, "demo");
+        assert!(matches!(**error, ServeError::Spec(_)), "{error}");
+        assert_eq!(runner.simulated(), 0);
     }
 }

@@ -51,8 +51,10 @@
 //! so an unmarked draining AP just counts a drain stall cycle. Debug builds
 //! check the marks: every cached wake the engine trusts, in a skipped
 //! attempt or in the next-event computation, is asserted equal to a
-//! fresh derivation, so a missing mark fails the first test that reaches
-//! it.
+//! fresh derivation, and a skipped AP that waits on the store queues
+//! (draining, or facing a full SSAQ / VSAQ) is asserted still to wait,
+//! since its wake reads neither queue. A missing mark fails the first
+//! test that reaches it.
 
 // Issue checks are written as guard chains where every arm names one
 // distinct stall reason and yields `false`; clippy would fold the arms
@@ -1259,7 +1261,28 @@ impl Engine {
             "the {}'s cached wake went stale at cycle {now} without a mark",
             ["AP", "SP", "VP", "store engine", "bypass unit"][unit.trailing_zeros() as usize]
         );
+        debug_assert!(
+            unit != AP || self.ap_store_wait_holds(),
+            "the AP's wait on the store queues ended at cycle {now} without a mark"
+        );
         Some(wake)
+    }
+
+    /// Whether the AP's wait on the store queues, if any, still holds: a
+    /// drain's limit store is still pending, a store-address µop still
+    /// faces a full queue. The AP's wake is `None` either way, so only
+    /// this check sees a commit that ended the wait without a mark.
+    fn ap_store_wait_holds(&self) -> bool {
+        if let Some(limit) = self.ap_drain_until {
+            return self
+                .oldest_pending_store()
+                .is_some_and(|oldest| oldest <= limit);
+        }
+        match self.apiq.front(&self.compiled.ap) {
+            Some(ApOp::ScalarStoreAddr { .. }) => self.ssaq.is_full(),
+            Some(ApOp::VectorStoreAddr { .. }) => self.vsaq.is_full(),
+            _ => true,
+        }
     }
 
     /// Derives `unit`'s wake from the current state.

@@ -1,8 +1,8 @@
 //! Program/trace containers.
 
 use crate::inst::Inst;
-use std::fmt;
-use std::sync::Arc;
+use std::fmt::{self, Write as _};
+use std::sync::{Arc, OnceLock};
 
 /// A decoded dynamic instruction trace, as produced by the workload
 /// generator (the stand-in for the paper's Dixie traces).
@@ -14,6 +14,8 @@ use std::sync::Arc;
 /// deriving one with [`Program::with_name`]) shares the trace instead of
 /// copying it, so sweep sessions and compiled-program caches can hand the
 /// same multi-thousand-instruction trace to many simulations for free.
+/// The trace's [content hash](Program::content_hash) is shared the same
+/// way: computed once, on first use, by whichever copy asks first.
 ///
 /// # Examples
 ///
@@ -30,12 +32,31 @@ use std::sync::Arc;
 /// let alias = program.with_name("tiny-alias");
 /// assert_eq!(alias.insts().as_ptr(), program.insts().as_ptr());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Program {
     name: Arc<str>,
     insts: Arc<[Inst]>,
     /// Indices into `insts` where each basic block begins.
     block_starts: Arc<[usize]>,
+    /// The memoized [`content_hash`](Program::content_hash) of `insts`.
+    hash: Arc<OnceLock<u128>>,
+}
+
+/// FNV-1a, 128-bit: tiny, dependency-free, and collision-safe far beyond
+/// the handful of distinct programs a sweep service ever sees.
+struct Fnv128(u128);
+
+const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
+const FNV_PRIME: u128 = 0x0000000001000000000000000000013b;
+
+impl fmt::Write for Fnv128 {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 ^= u128::from(b);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
+        Ok(())
+    }
 }
 
 impl Program {
@@ -63,7 +84,28 @@ impl Program {
             name: Arc::from(name.into()),
             insts: Arc::clone(&self.insts),
             block_starts: Arc::clone(&self.block_starts),
+            hash: Arc::clone(&self.hash),
         }
+    }
+
+    /// The content hash of the instruction stream: FNV-1a (128-bit) over
+    /// each instruction's `Debug` rendering (a pure function of its
+    /// fields) followed by `;`, fed through without materializing the
+    /// text. Equal instruction streams hash equal wherever they are
+    /// stored and in every process; the name plays no part.
+    ///
+    /// Computed on the first call and kept with the instructions, so
+    /// clones and [`with_name`](Program::with_name) derivations share
+    /// one computation.
+    pub fn content_hash(&self) -> u128 {
+        *self.hash.get_or_init(|| {
+            let mut hasher = Fnv128(FNV_OFFSET);
+            for inst in self.insts() {
+                // The separator keeps adjacent instructions from sharing bytes.
+                let _ = write!(hasher, "{inst:?};");
+            }
+            hasher.0
+        })
     }
 
     /// The dynamic instruction stream.
@@ -118,6 +160,29 @@ impl Program {
             }
         }
         s
+    }
+}
+
+/// Equality is by name and trace; the memoized hash plays no part.
+impl PartialEq for Program {
+    fn eq(&self, other: &Program) -> bool {
+        self.name == other.name
+            && self.insts == other.insts
+            && self.block_starts == other.block_starts
+    }
+}
+
+impl Eq for Program {}
+
+/// Renders the name and trace exactly as a derived `Debug` would,
+/// leaving out the memoized hash.
+impl fmt::Debug for Program {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Program")
+            .field("name", &self.name)
+            .field("insts", &self.insts)
+            .field("block_starts", &self.block_starts)
+            .finish()
     }
 }
 
@@ -211,6 +276,7 @@ impl ProgramBuilder {
             name: Arc::from(self.name),
             insts: Arc::from(self.insts),
             block_starts: Arc::from(self.block_starts),
+            hash: Arc::default(),
         }
     }
 }
@@ -346,6 +412,38 @@ mod tests {
         // plain clones.
         assert_eq!(alias.insts().as_ptr(), program.insts().as_ptr());
         assert_eq!(program.clone().insts().as_ptr(), program.insts().as_ptr());
+    }
+
+    #[test]
+    fn program_hashes_are_content_hashes() {
+        let insts = vec![salu(), branch(true), vload(8)];
+        let a = Program::from_insts("a", insts.clone());
+        let b = Program::from_insts("b", insts);
+        assert_ne!(a.insts().as_ptr(), b.insts().as_ptr());
+        assert_eq!(
+            a.content_hash(),
+            b.content_hash(),
+            "fresh storage, same content"
+        );
+        let c = Program::from_insts("a", vec![salu(), branch(true), vload(16)]);
+        assert_ne!(a.content_hash(), c.content_hash());
+        // Clones and renamed views share the one memoized computation.
+        let alias = a.with_name("other");
+        assert!(Arc::ptr_eq(&alias.hash, &a.hash));
+        assert!(Arc::ptr_eq(&a.clone().hash, &a.hash));
+        assert_eq!(alias.content_hash(), a.content_hash());
+    }
+
+    #[test]
+    fn the_memoized_hash_is_invisible_to_eq_and_debug() {
+        let a = Program::from_insts("a", vec![salu(), branch(false)]);
+        let b = Program::from_insts("a", vec![salu(), branch(false)]);
+        let before = format!("{b:?}");
+        a.content_hash();
+        assert_eq!(a, b);
+        assert_eq!(format!("{a:?}"), before);
+        assert!(before.starts_with("Program { name: \"a\", insts: [SAlu"));
+        assert!(before.ends_with("block_starts: [0] }"), "{before}");
     }
 
     #[test]

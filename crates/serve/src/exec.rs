@@ -90,7 +90,7 @@ impl SweepService {
             for (position, mut spec) in specs.into_iter().enumerate() {
                 let key = PointKey::of(&spec, sweep.fast_forward_enabled())?;
                 match cache.get(&key) {
-                    Some(result) => hits.push_back((position, point_from(&spec, result))),
+                    Some(result) => hits.push_back((position, spec.point(result))),
                     None => {
                         spec.index = position;
                         misses.push(spec);
@@ -256,21 +256,6 @@ impl AdaptiveSummary {
             pruned_curves: report.pruned().count(),
             rounds: report.rounds,
         }
-    }
-}
-
-/// Rebuilds the full sweep point for a cached result. Every field except
-/// the measurement is a pure function of the spec, so a cached point is
-/// byte-identical to a freshly measured one.
-fn point_from(spec: &PointSpec, result: dva_sim_api::SimResult) -> SweepPoint {
-    SweepPoint {
-        machine: spec.machine,
-        label: spec.machine.label(),
-        benchmark: spec.benchmark,
-        program: spec.program.name().to_string(),
-        latency: spec.latency,
-        memory: spec.memory,
-        result,
     }
 }
 

@@ -1,7 +1,8 @@
 //! Content-addressed identity of a grid point.
 //!
 //! A [`PointKey`] names everything that determines a simulation's
-//! outcome — the program's instruction stream (by content hash), the full
+//! outcome — the program's instruction stream (by the content hash the
+//! program carries, [`Program::content_hash`]), the full
 //! machine configuration (including the stamped latency and memory
 //! model), the fast-forward flag, and the engine version — and nothing
 //! that doesn't (program *names*, benchmark labels, grid position).
@@ -12,14 +13,13 @@
 //! Because IDEAL machines carry no latency or memory knob, every IDEAL
 //! point of a latency grid collapses onto one key: a 4-machine × 6-latency
 //! sweep simulates IDEAL once and serves the other five from cache.
+//!
+//! [`Program::content_hash`]: dva_isa::Program::content_hash
 
 use dva_engine::ENGINE_VERSION;
-use dva_isa::Program;
 use dva_json::{JsonError, Writer};
 use dva_sim_api::PointSpec;
-use std::collections::HashMap;
 use std::fmt::{self, Write as _};
-use std::sync::{Mutex, OnceLock};
 
 /// The capacity a key is written into: enough for the prefix and the
 /// largest machine configuration (a decoupled machine's, about 330
@@ -41,7 +41,7 @@ impl PointKey {
     /// machine: its behaviour lives in a function pointer, which has no
     /// content address.
     pub fn of(spec: &PointSpec, fast_forward: bool) -> Result<PointKey, JsonError> {
-        let program = program_hash(&spec.program);
+        let program = spec.program.content_hash();
         let mut key = String::with_capacity(KEY_CAPACITY);
         let _ = write!(
             key,
@@ -68,74 +68,6 @@ impl fmt::Display for PointKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.0)
     }
-}
-
-/// FNV-1a, 128-bit: tiny, dependency-free, and collision-safe far beyond
-/// the handful of distinct programs a sweep service ever sees.
-struct Fnv128(u128);
-
-const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-const FNV_PRIME: u128 = 0x0000000001000000000000000000013b;
-
-impl Fnv128 {
-    fn new() -> Fnv128 {
-        Fnv128(FNV_OFFSET)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u128::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-}
-
-impl fmt::Write for Fnv128 {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.update(s.as_bytes());
-        Ok(())
-    }
-}
-
-/// Hashes a program's instruction stream by content: each instruction's
-/// canonical `Debug` rendering (a pure function of the instruction's
-/// fields) is fed through FNV-1a without materializing the text.
-fn hash_insts(program: &Program) -> u128 {
-    let mut hasher = Fnv128::new();
-    for inst in program.insts() {
-        // The separator keeps adjacent instructions from sharing bytes.
-        let _ = write!(hasher, "{inst:?};");
-    }
-    hasher.0
-}
-
-/// Process-wide memo of program content hashes, keyed by the identity of
-/// the shared instruction storage. Each entry holds a clone of its
-/// program, which pins the storage — an equal pointer is therefore the
-/// same allocation, hence the same content (the same soundness argument
-/// as `dva-sim-api`'s compiled-program cache). Cleared wholesale past a
-/// bound so unique-program workloads don't accumulate entries forever.
-static HASHES: OnceLock<Mutex<HashMap<usize, (Program, u128)>>> = OnceLock::new();
-
-/// Distinct programs memoized before the memo is flushed.
-const HASH_CACHE_BOUND: usize = 64;
-
-/// The content hash of a program's instruction stream, memoized by
-/// storage identity: sweeping one program across a big grid hashes it
-/// once, not once per point.
-pub fn program_hash(program: &Program) -> u128 {
-    let key = program.insts().as_ptr() as usize;
-    let map = HASHES.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some((_, hash)) = map.lock().unwrap().get(&key) {
-        return *hash;
-    }
-    let hash = hash_insts(program);
-    let mut map = map.lock().unwrap();
-    if map.len() >= HASH_CACHE_BOUND {
-        map.clear();
-    }
-    map.insert(key, (program.clone(), hash));
-    hash
 }
 
 #[cfg(test)]
@@ -210,17 +142,6 @@ mod tests {
         let naive = PointKey::of(spec, false).unwrap();
         assert_ne!(fast, naive);
         assert!(fast.as_str().starts_with(&format!("v{ENGINE_VERSION};")));
-    }
-
-    #[test]
-    fn program_hashes_are_content_hashes() {
-        let a = Benchmark::Trfd.program(Scale::Quick);
-        let b = Benchmark::Trfd.program(Scale::Quick);
-        let c = Benchmark::Trfd.program(Scale::Default);
-        assert_eq!(program_hash(&a), program_hash(&b));
-        assert_ne!(program_hash(&a), program_hash(&c));
-        // Renaming shares storage, so the hash (and the memo hit) agree.
-        assert_eq!(program_hash(&a.with_name("other")), program_hash(&a));
     }
 
     #[test]

@@ -65,5 +65,5 @@ pub use client::{Client, RetryPolicy};
 pub use dva_engine::ENGINE_VERSION;
 pub use error::ServeError;
 pub use exec::{AdaptiveSummary, JobSummary, ServeRun, SweepService};
-pub use key::{program_hash, PointKey};
+pub use key::PointKey;
 pub use server::{serve_connection, serve_stdio, serve_unix, serve_unix_with, ServeOptions};

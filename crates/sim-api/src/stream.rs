@@ -15,7 +15,7 @@ use crate::cancel::CancelToken;
 use crate::fault::{PointError, PointErrorKind};
 use crate::prepare::{PreparedProgram, Runners};
 use crate::sweep::SweepPoint;
-use crate::Machine;
+use crate::{Machine, SimResult};
 use dva_isa::Program;
 use dva_memory::MemoryModelKind;
 use dva_testutil::failpoint;
@@ -58,10 +58,27 @@ pub struct PointSpec {
     pub memory: MemoryModelKind,
 }
 
+impl PointSpec {
+    /// The sweep point measuring `result` at this spec. Every field but
+    /// the measurement is a pure function of the spec, so a cached
+    /// result makes a point byte-identical to a freshly measured one.
+    pub fn point(&self, result: SimResult) -> SweepPoint {
+        SweepPoint {
+            machine: self.machine,
+            label: self.machine.label(),
+            benchmark: self.benchmark,
+            program: self.program.name().to_string(),
+            latency: self.latency,
+            memory: self.memory,
+            result,
+        }
+    }
+}
+
 /// A spec bound to its shared translate-once program.
 pub(crate) struct Entry {
     pub(crate) spec: PointSpec,
-    pub(crate) prepared: Arc<PreparedProgram>,
+    pub(crate) prepared: PreparedProgram,
 }
 
 impl Entry {
@@ -74,7 +91,7 @@ impl Entry {
         format!(
             "{}|{}|L{}",
             self.spec.machine.label(),
-            self.prepared.program().name(),
+            self.spec.program.name(),
             self.spec.latency
         )
     }
@@ -84,7 +101,7 @@ impl Entry {
         PointError {
             index: self.spec.index,
             label: self.spec.machine.label(),
-            program: self.prepared.program().name().to_string(),
+            program: self.spec.program.name().to_string(),
             latency: self.spec.latency,
             memory: self.spec.memory,
             kind,
@@ -112,15 +129,7 @@ impl Entry {
                 .try_simulate_prepared(&self.prepared, fast_forward, runners)
         }));
         match outcome {
-            Ok(Ok(result)) => Ok(SweepPoint {
-                machine: self.spec.machine,
-                label: self.spec.machine.label(),
-                benchmark: self.spec.benchmark,
-                program: self.prepared.program().name().to_string(),
-                latency: self.spec.latency,
-                memory: self.spec.memory,
-                result,
-            }),
+            Ok(Ok(result)) => Ok(self.spec.point(result)),
             Ok(Err(deadlock)) => Err(self.fail(PointErrorKind::Deadlock, deadlock.to_string())),
             Err(payload) => {
                 *runners = Runners::new();
@@ -130,24 +139,15 @@ impl Entry {
     }
 }
 
-/// Binds each spec to a [`PreparedProgram`], shared between all specs
-/// whose programs share instruction storage — the grid pays one
-/// translation per program no matter how many points reference it.
+/// Binds each spec to its program's [`PreparedProgram`] handle: points
+/// on one program share its translations, within this grid and across
+/// every other grid in the process.
 pub(crate) fn prepare(specs: Vec<PointSpec>) -> Vec<Entry> {
-    let mut seen: Vec<(usize, Arc<PreparedProgram>)> = Vec::new();
     specs
         .into_iter()
-        .map(|spec| {
-            let key = spec.program.insts().as_ptr() as usize;
-            let prepared = match seen.iter().find(|(k, _)| *k == key) {
-                Some((_, prepared)) => Arc::clone(prepared),
-                None => {
-                    let prepared = Arc::new(PreparedProgram::new(&spec.program));
-                    seen.push((key, Arc::clone(&prepared)));
-                    prepared
-                }
-            };
-            Entry { spec, prepared }
+        .map(|spec| Entry {
+            prepared: PreparedProgram::new(&spec.program),
+            spec,
         })
         .collect()
 }

@@ -338,8 +338,8 @@ impl Sweep {
     /// Runs every point of the session, fanning out across worker
     /// threads, and returns the points in deterministic grid order.
     ///
-    /// Each program is *translated once*: the grid shares one
-    /// [`PreparedProgram`](crate::PreparedProgram) per program axis entry
+    /// Each program is *translated once* per process: every point takes
+    /// its program's [`PreparedProgram`](crate::PreparedProgram) handle
     /// (compiled lazily, by whichever worker gets there first), and each
     /// worker thread reuses one set of engine allocations ([`Runners`])
     /// across all the points it claims. Results are byte-identical to

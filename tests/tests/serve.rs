@@ -169,7 +169,7 @@ proptest! {
         let key_b = PointKey::of(&b, ff_b).unwrap();
         let same_inputs = a.machine.to_json().unwrap().render()
             == b.machine.to_json().unwrap().render()
-            && dva_serve::program_hash(&a.program) == dva_serve::program_hash(&b.program)
+            && a.program.content_hash() == b.program.content_hash()
             && ff_a == ff_b;
         prop_assert_eq!(key_a == key_b, same_inputs);
     }

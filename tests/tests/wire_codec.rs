@@ -287,7 +287,7 @@ fn a_point_renders_parses_and_keys_in_a_few_allocations() {
             index: spec.index,
             point: Box::new(point),
         };
-        // Warm up: the program-hash memo fills on first use.
+        // Warm up: the program computes its content hash on first use.
         let line = frame.render().unwrap();
         drop(Response::parse(&line).unwrap());
         drop(PointKey::of(spec, true).unwrap());
