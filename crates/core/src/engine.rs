@@ -23,11 +23,13 @@
 //! issuing units (AP, SP, VP, store engine, bypass unit), a cached
 //! *wake* — the earliest cycle its front operation's gates can all be
 //! open, or `Cycle::MAX` when only another unit's progress can open them
-//! — and one *stale* bit. A unit attempts to issue only when its bit is
-//! set or the clock has reached its wake; a failed attempt clears the
-//! bit and re-derives the wake, and a successful one sets its own bit
-//! (its front moved). The fast-forward computation reads the same bits
-//! and wakes. Each mutation marks exactly the units whose issue gates or
+//! — and one *stale* bit. Each tick, `step` tests every unit inline —
+//! its bit is set, or the clock has reached its wake — and calls the
+//! unit's own issue attempt only when the test says it is due; a failed
+//! attempt clears the bit and re-derives the wake, and a successful one
+//! sets its own bit (its front moved). The fast-forward computation
+//! reads a wake that is not due as it stands and derives only the
+//! others. Each mutation marks exactly the units whose issue gates or
 //! wake derivation read what it changed:
 //!
 //! | mutation | units marked |
@@ -38,23 +40,32 @@
 //! | push into an empty SVDQ / VSDQ / SSDQ | VP / SP / store engine |
 //! | push into an empty AVDQ; a bypass copy filling its front slot | VP |
 //! | push into an empty pending-bypass queue | bypass unit |
-//! | push into an empty SSAQ; any push into the VSAQ | store engine |
-//! | push into the VADQ | store engine, bypass unit |
+//! | push into an empty SSAQ | store engine |
+//! | push into an empty VSAQ / VADQ, or one leaving it one entry short of full | store engine |
+//! | push into the VADQ | bypass unit |
 //! | pop from a full SADQ / ASDQ / SVDQ / VSDQ / SSDQ / VADQ | SP / AP / SP / VP / SP / VP |
 //! | QMOV pop from the AVDQ while every slot is busy | AP |
-//! | AP memory-port reservation | store engine |
+//! | AP memory-port reservation while the store engine's wake is finite | store engine |
 //! | store commit (port, cache, store queues) | AP |
 //! | entering or leaving drain mode | store engine |
 //!
+//! The store engine reads the VSAQ and VADQ only at their fronts and
+//! against the lazy-writeback pressure threshold, so a push that
+//! installs no front and reaches no threshold changes nothing it reads;
+//! and the memory port enters its wake only beside a commit it could
+//! make, so a reservation cannot move a wake of `Cycle::MAX`.
+//!
 //! Drain mode needs no AP mark: the AP enters and leaves it in its own
 //! attempts, and while it drains only a store commit can end the drain,
-//! so an unmarked draining AP just counts a drain stall cycle. Debug builds
-//! check the marks: every cached wake the engine trusts, in a skipped
-//! attempt or in the next-event computation, is asserted equal to a
-//! fresh derivation, and a skipped AP that waits on the store queues
-//! (draining, or facing a full SSAQ / VSAQ) is asserted still to wait,
-//! since its wake reads neither queue. A missing mark fails the first
-//! test that reaches it.
+//! so an AP that is not due while draining just counts a drain stall
+//! cycle. Debug builds check the marks wherever the engine trusts a
+//! cached wake instead of attempting or deriving — for a unit `step`
+//! finds not due, and in the next-event computation: the wake is
+//! asserted equal to a fresh derivation, and a trusted AP that waits on
+//! the store queues (draining, or facing a full SSAQ / VSAQ) is asserted
+//! still to wait, since its wake reads neither queue. A missing mark
+//! fails the first test that reaches it. Release builds compile the
+//! check out, so they run only the inline test.
 
 // Issue checks are written as guard chains where every arm names one
 // distinct stall reason and yields `false`; clippy would fold the arms
@@ -267,7 +278,7 @@ impl Window {
 }
 
 // The five issuing units, as bits of `Engine::stale`; each unit's wake
-// lives at `Engine::wake[unit.trailing_zeros()]`.
+// lives at `Engine::wake[slot(unit)]`.
 const AP: u8 = 1 << 0;
 const SP: u8 = 1 << 1;
 const VP: u8 = 1 << 2;
@@ -275,9 +286,51 @@ const STORE: u8 = 1 << 3;
 const BYPASS: u8 = 1 << 4;
 const ALL_UNITS: u8 = AP | SP | VP | STORE | BYPASS;
 
+/// The index of `unit`'s wake in `Engine::wake`.
+const fn slot(unit: u8) -> usize {
+    unit.trailing_zeros() as usize
+}
+
 /// The most entries an issue gate reads at the front of the SADQ or the
 /// ASDQ: an ALU µop pops up to two operands.
 const OPERANDS: usize = 2;
+
+/// Whether a push that just landed in the VSAQ or the VADQ can open a
+/// gate the store engine reads: it installed the queue's front, or it
+/// brought the queue to the lazy-writeback pressure threshold (one entry
+/// short of full). Any other push changes only a length the store engine
+/// compares against that threshold.
+fn opens_writeback<T>(queue: &Fifo<T>) -> bool {
+    queue.len() == 1 || queue.len() + 1 == queue.capacity()
+}
+
+/// When the first `pops` entries of an operand queue are all ready, or
+/// `None` while the queue holds fewer (the producer must push first).
+fn operands_ready_at(queue: &Fifo<Timed<()>>, pops: u8) -> Option<Cycle> {
+    let mut at: Cycle = 0;
+    for i in 0..pops as usize {
+        at = at.max(queue.get(i)?.ready_at);
+    }
+    Some(at)
+}
+
+/// Issue attempts and failed attempts per unit (indexed by [`slot`]),
+/// counted only in this crate's test build so that the tick costs the
+/// same as without them everywhere else.
+#[cfg(test)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct AttemptCounts {
+    attempts: [u64; 5],
+    failures: [u64; 5],
+}
+
+#[cfg(test)]
+impl AttemptCounts {
+    fn record(&mut self, slot: usize, advanced: bool) {
+        self.attempts[slot] += 1;
+        self.failures[slot] += u64::from(!advanced);
+    }
+}
 
 #[derive(Debug)]
 pub(crate) struct Engine {
@@ -354,6 +407,8 @@ pub(crate) struct Engine {
     // each unit's wake as derived after its last failed attempt.
     stale: u8,
     wake: [Cycle; 5],
+    #[cfg(test)]
+    counts: AttemptCounts,
 
     // Measurements.
     fp_stalls: u64,
@@ -410,6 +465,8 @@ impl Engine {
             disambig_cache: None,
             stale: ALL_UNITS,
             wake: [0; 5],
+            #[cfg(test)]
+            counts: AttemptCounts::default(),
             fp_stalls: 0,
             drain_stall_cycles: 0,
             branches_to_fp: 0,
@@ -463,6 +520,10 @@ impl Engine {
         self.disambig_cache = None;
         self.stale = ALL_UNITS;
         self.wake = [0; 5];
+        #[cfg(test)]
+        {
+            self.counts = AttemptCounts::default();
+        }
         self.fp_stalls = 0;
         self.drain_stall_cycles = 0;
         self.branches_to_fp = 0;
@@ -484,16 +545,15 @@ impl Engine {
         self.avdq_draining.insert(pos, until);
     }
 
-    fn avdq_busy_slots_at(&self, now: Cycle) -> usize {
+    fn avdq_busy_slots(&self) -> usize {
         // Every caller runs after the tick's expiry sweep, so the drain
         // list holds only live entries and the count is just its length.
-        debug_assert!(self.avdq_draining.front().is_none_or(|&t| t > now));
-        let _ = now;
+        debug_assert!(self.avdq_draining.front().is_none_or(|&t| t > self.now));
         self.avdq.len() + self.avdq_draining.len()
     }
 
     fn avdq_has_free_slot(&self) -> bool {
-        self.avdq_busy_slots_at(self.now) < self.avdq.capacity()
+        self.avdq_busy_slots() < self.avdq.capacity()
     }
 
     /// The (FU2, FU1, LD) state tuple of the paper's Figure 1 at `now`.
@@ -613,13 +673,7 @@ impl Engine {
             }
         }
         // Vector store: lazy.
-        let pressured = self.vsaq.len() + 1 >= self.vsaq.capacity()
-            || self.vadq.len() + 1 >= self.vadq.capacity();
-        let draining = match (self.ap_drain_until, self.vsaq.front()) {
-            (Some(limit), Some(front)) => front.seq <= limit,
-            _ => false,
-        };
-        if !(self.all_dispatched() || pressured || draining) {
+        if !self.vector_writeback_open() {
             return false;
         }
         let (Some(_), Some(data)) = (self.vsaq.front(), self.vadq.front().copied()) else {
@@ -647,6 +701,19 @@ impl Engine {
         // loses its source.
         self.gc_store_data_ready(data.data);
         true
+    }
+
+    /// The lazy-writeback gates: vector stores commit only while the
+    /// program is flushing, a store queue is one entry short of full
+    /// (pressure), or the AP drains up to the VSAQ's front store.
+    fn vector_writeback_open(&self) -> bool {
+        let pressured = self.vsaq.len() + 1 >= self.vsaq.capacity()
+            || self.vadq.len() + 1 >= self.vadq.capacity();
+        let draining = match (self.ap_drain_until, self.vsaq.front()) {
+            (Some(limit), Some(front)) => front.seq <= limit,
+            _ => false,
+        };
+        self.all_dispatched() || pressured || draining
     }
 
     /// Drops a store's data-ready entry once nothing can reference it
@@ -729,13 +796,7 @@ impl Engine {
             } => {
                 if !self.ap_sb.all_ready(&srcs, now) {
                     false
-                } else if (self.sadq.len() as u8) < pops_sadq
-                    || !self
-                        .sadq
-                        .iter()
-                        .take(pops_sadq as usize)
-                        .all(|e| e.is_ready(now))
-                {
+                } else if operands_ready_at(&self.sadq, pops_sadq).is_none_or(|t| t > now) {
                     false
                 } else {
                     if pops_sadq > 0 && self.sadq.is_full() {
@@ -786,7 +847,9 @@ impl Engine {
                 } else {
                     self.vsaq.push(VsaqEntry { access, seq, data });
                     self.store_gen += 1;
-                    self.stale |= STORE;
+                    if opens_writeback(&self.vsaq) {
+                        self.stale |= STORE;
+                    }
                     true
                 }
             }
@@ -813,6 +876,16 @@ impl Engine {
     fn enter_drain(&mut self, seq: StoreSeq) {
         self.ap_drain_until = Some(seq);
         self.stale |= STORE;
+    }
+
+    /// Marks the store engine after an AP memory-port reservation. The
+    /// port enters only a finite store wake: a store engine waiting on
+    /// another unit's progress (`Cycle::MAX`) reads no port time, and a
+    /// stale one attempts anyway.
+    fn mark_port_reserved(&mut self) {
+        if self.wake[slot(STORE)] != Cycle::MAX {
+            self.stale |= STORE;
+        }
     }
 
     /// Pushes an AP→SP value ready at `ready_at`; the SP's gates read
@@ -848,7 +921,7 @@ impl Engine {
         }
         let issue = self.mem.scalar_load(now, addr);
         if miss {
-            self.stale |= STORE; // a port reservation
+            self.mark_port_reserved();
         }
         if to_sp {
             self.push_asdq(issue.data_complete_at);
@@ -902,7 +975,7 @@ impl Engine {
                 let issue = self
                     .mem
                     .issue_vector_load(now, access.vl(), access.stride());
-                self.stale |= STORE; // a port reservation
+                self.mark_port_reserved();
                 let id = self.next_avdq_id;
                 self.next_avdq_id += 1;
                 self.push_avdq(AvdqSlot {
@@ -930,13 +1003,7 @@ impl Engine {
             } => {
                 if !self.sp_sb.all_ready(&srcs, now) {
                     false
-                } else if (self.asdq.len() as u8) < pops_asdq
-                    || !self
-                        .asdq
-                        .iter()
-                        .take(pops_asdq as usize)
-                        .all(|e| e.is_ready(now))
-                {
+                } else if operands_ready_at(&self.asdq, pops_asdq).is_none_or(|t| t > now) {
                     false
                 } else {
                     if pops_asdq > 0 && self.asdq.is_full() {
@@ -1141,7 +1208,10 @@ impl Engine {
                     let first_at = now + qstartup + 1;
                     self.vadq.push(VadqEntry { data, first_at, vl });
                     self.store_data_ready.insert(data, first_at);
-                    self.stale |= STORE | BYPASS;
+                    self.stale |= BYPASS;
+                    if opens_writeback(&self.vadq) {
+                        self.stale |= STORE;
+                    }
                     true
                 }
             }
@@ -1173,19 +1243,21 @@ impl Engine {
             return false;
         }
         // A push into a non-empty queue changes no unit's front µop.
-        for (queue, tail, unit) in [
-            (&mut self.apiq, ap, AP),
-            (&mut self.spiq, sp, SP),
-            (&mut self.vpiq, vp, VP),
-        ] {
-            if queue.extend_to(tail) {
-                self.stale |= unit;
-            }
+        let mut marks = 0;
+        if self.apiq.extend_to(ap) {
+            marks |= AP;
+        }
+        if self.spiq.extend_to(sp) {
+            marks |= SP;
+        }
+        if self.vpiq.extend_to(vp) {
+            marks |= VP;
         }
         self.next += 1;
         if self.all_dispatched() {
-            self.stale |= STORE;
+            marks |= STORE;
         }
+        self.stale |= marks;
         true
     }
 
@@ -1230,13 +1302,18 @@ impl Engine {
         // the unit goes stale or the clock reaches it (see the module
         // docs), so on consecutive stalls the gate-time computation is
         // skipped.
-        for unit in [AP, SP, VP, STORE, BYPASS] {
-            if unit == BYPASS && !self.cfg.bypass {
-                continue;
-            }
-            let wake = self
-                .cached_wake(unit, now)
-                .unwrap_or_else(|| self.derive_wake(unit, now));
+        let bypass = if self.cfg.bypass {
+            self.wake_at::<BYPASS>(now)
+        } else {
+            Cycle::MAX
+        };
+        for wake in [
+            self.wake_at::<AP>(now),
+            self.wake_at::<SP>(now),
+            self.wake_at::<VP>(now),
+            self.wake_at::<STORE>(now),
+            bypass,
+        ] {
             if wake != Cycle::MAX {
                 next.consider(wake);
             }
@@ -1246,26 +1323,31 @@ impl Engine {
 
     // -- per-unit wake times ------------------------------------------------
 
-    /// `unit`'s cached wake, when it certifies that an attempt at `now`
-    /// must fail: the unit is not stale and the clock has not reached
-    /// the wake (`Cycle::MAX` encodes "blocked on another unit's
-    /// progress"). Debug builds check it against a fresh derivation.
-    fn cached_wake(&self, unit: u8, now: Cycle) -> Option<Cycle> {
-        let wake = self.wake[unit.trailing_zeros() as usize];
-        if self.stale & unit != 0 || now >= wake {
-            return None;
-        }
+    /// Whether `UNIT` must attempt at `now`: it is stale, or the clock
+    /// has reached its wake. Otherwise its cached wake certifies that the
+    /// attempt would fail (`Cycle::MAX` encodes "blocked on another
+    /// unit's progress").
+    #[inline(always)]
+    fn due<const UNIT: u8>(&self, now: Cycle) -> bool {
+        self.stale & UNIT != 0 || now >= self.wake[slot(UNIT)]
+    }
+
+    /// Checks, in debug builds only, the cached wake of a `UNIT` that is
+    /// not [`due`](Engine::due) at `now`, where the engine trusts it in
+    /// place of an attempt or a derivation: it must equal a fresh
+    /// derivation, and a waiting AP must still wait on the store queues.
+    #[inline(always)]
+    fn check_cached_wake<const UNIT: u8>(&self, now: Cycle) {
         debug_assert_eq!(
-            wake,
-            self.derive_wake(unit, now),
+            self.wake[slot(UNIT)],
+            self.derive_wake::<UNIT>(now),
             "the {}'s cached wake went stale at cycle {now} without a mark",
-            ["AP", "SP", "VP", "store engine", "bypass unit"][unit.trailing_zeros() as usize]
+            ["AP", "SP", "VP", "store engine", "bypass unit"][slot(UNIT)]
         );
         debug_assert!(
-            unit != AP || self.ap_store_wait_holds(),
+            UNIT != AP || self.ap_store_wait_holds(),
             "the AP's wait on the store queues ended at cycle {now} without a mark"
         );
-        Some(wake)
     }
 
     /// Whether the AP's wait on the store queues, if any, still holds: a
@@ -1285,9 +1367,10 @@ impl Engine {
         }
     }
 
-    /// Derives `unit`'s wake from the current state.
-    fn derive_wake(&self, unit: u8, now: Cycle) -> Cycle {
-        match unit {
+    /// Derives `UNIT`'s wake from the current state.
+    #[inline(always)]
+    fn derive_wake<const UNIT: u8>(&self, now: Cycle) -> Cycle {
+        match UNIT {
             AP => self.wake_ap(now),
             SP => self.wake_sp(),
             VP => self.wake_vp(),
@@ -1297,34 +1380,54 @@ impl Engine {
         .unwrap_or(Cycle::MAX)
     }
 
-    /// Runs `unit`'s issue attempt at `now`, unless its cached wake
-    /// certifies the attempt must fail. A success marks the unit itself,
-    /// since its front moved; a failure clears its stale bit and
-    /// re-derives its wake, which the attempt's gates just confirmed.
-    #[inline]
-    fn attempt(&mut self, unit: u8, now: Cycle) -> bool {
-        if self.cached_wake(unit, now).is_some() {
-            // A draining AP waits for store commits, and every commit
-            // marks it: unmarked, it is still draining this cycle.
-            if unit == AP && self.ap_drain_until.is_some() {
-                self.drain_stall_cycles += 1;
-            }
-            return false;
+    /// `UNIT`'s wake for the next-event computation: the cached one
+    /// while the unit is not due, else a fresh derivation.
+    #[inline(always)]
+    fn wake_at<const UNIT: u8>(&self, now: Cycle) -> Cycle {
+        if self.due::<UNIT>(now) {
+            return self.derive_wake::<UNIT>(now);
         }
-        let advanced = match unit {
+        self.check_cached_wake::<UNIT>(now);
+        self.wake[slot(UNIT)]
+    }
+
+    /// Runs `UNIT`'s issue attempt at `now`; the caller has found it
+    /// [`due`](Engine::due). A success marks the unit itself, since its
+    /// front moved; a failure clears its stale bit and re-derives its
+    /// wake, which the attempt's gates just confirmed.
+    fn attempt<const UNIT: u8>(&mut self, now: Cycle) -> bool {
+        let advanced = match UNIT {
             AP => self.step_ap(),
             SP => self.step_sp(),
             VP => self.step_vp(),
             STORE => self.step_store_engine(),
             _ => self.step_bypass_engine(),
         };
+        #[cfg(test)]
+        self.counts.record(slot(UNIT), advanced);
         if advanced {
-            self.stale |= unit;
+            self.stale |= UNIT;
         } else {
-            self.stale &= !unit;
-            self.wake[unit.trailing_zeros() as usize] = self.derive_wake(unit, now);
+            self.stale &= !UNIT;
+            self.wake[slot(UNIT)] = self.derive_wake::<UNIT>(now);
         }
         advanced
+    }
+
+    /// Attempts `UNIT` at `now` if it is [`due`](Engine::due); otherwise
+    /// its cached wake stands (checked in debug builds) and, for a
+    /// draining AP, the cycle counts as a drain stall: every store
+    /// commit marks the AP, so unmarked it is still draining.
+    #[inline(always)]
+    fn visit<const UNIT: u8>(&mut self, now: Cycle) -> bool {
+        if self.due::<UNIT>(now) {
+            return self.attempt::<UNIT>(now);
+        }
+        self.check_cached_wake::<UNIT>(now);
+        if UNIT == AP && self.ap_drain_until.is_some() {
+            self.drain_stall_cycles += 1;
+        }
+        false
     }
 
     /// The first cycle at which at least one memory port can accept an
@@ -1342,7 +1445,7 @@ impl Engine {
     /// VP pop (progress) can free one. The drain list is sorted and holds
     /// only unexpired entries, so the k-th entry is the exact answer.
     fn avdq_slot_free_at(&self, now: Cycle) -> Option<Cycle> {
-        let busy = self.avdq_busy_slots_at(now);
+        let busy = self.avdq_busy_slots();
         let cap = self.avdq.capacity();
         if busy < cap {
             return Some(now);
@@ -1374,14 +1477,9 @@ impl Engine {
             ApOp::Alu {
                 srcs, pops_sadq, ..
             } => {
-                if (self.sadq.len() as u8) < pops_sadq {
-                    return None; // waiting on an SP push
-                }
-                let mut at = self.ap_sb.ready_after(&srcs);
-                for e in self.sadq.iter().take(pops_sadq as usize) {
-                    at = at.max(e.ready_at);
-                }
-                Some(at)
+                // `None`: waiting on an SP push.
+                let operands = operands_ready_at(&self.sadq, pops_sadq)?;
+                Some(operands.max(self.ap_sb.ready_after(&srcs)))
             }
             ApOp::PushAsdq { src } => {
                 if self.asdq.is_full() {
@@ -1425,14 +1523,9 @@ impl Engine {
             SpOp::Alu {
                 srcs, pops_asdq, ..
             } => {
-                if (self.asdq.len() as u8) < pops_asdq {
-                    return None; // waiting on an AP push
-                }
-                let mut at = self.sp_sb.ready_after(&srcs);
-                for e in self.asdq.iter().take(pops_asdq as usize) {
-                    at = at.max(e.ready_at);
-                }
-                Some(at)
+                // `None`: waiting on an AP push.
+                let operands = operands_ready_at(&self.asdq, pops_asdq)?;
+                Some(operands.max(self.sp_sb.ready_after(&srcs)))
             }
             SpOp::PopAsdq { .. } => self.asdq.front().map(|e| e.ready_at),
             SpOp::PushSadq { src } => (!self.sadq.is_full()).then(|| self.sp_sb.ready_at(src)),
@@ -1515,13 +1608,7 @@ impl Engine {
         }
         // Vector stores write back only under the lazy-writeback gates,
         // all of which flip on progress, not time.
-        let pressured = self.vsaq.len() + 1 >= self.vsaq.capacity()
-            || self.vadq.len() + 1 >= self.vadq.capacity();
-        let draining = match (self.ap_drain_until, self.vsaq.front()) {
-            (Some(limit), Some(front)) => front.seq <= limit,
-            _ => false,
-        };
-        if self.all_dispatched() || pressured || draining {
+        if self.vector_writeback_open() {
             if let Some(data) = self.vadq.front() {
                 next.consider(data.first_at.max(self.port_ready_at(now)));
             }
@@ -1558,12 +1645,12 @@ impl Processor for Engine {
         // (see the module docs); a mutation marks the units that read
         // what it changed, which re-enables their attempts — including
         // the ones later in this same tick.
-        let mut progress = self.attempt(AP, now);
-        progress |= self.attempt(SP, now);
-        progress |= self.attempt(VP, now);
-        progress |= self.attempt(STORE, now);
+        let mut progress = self.visit::<AP>(now);
+        progress |= self.visit::<SP>(now);
+        progress |= self.visit::<VP>(now);
+        progress |= self.visit::<STORE>(now);
         if self.cfg.bypass {
-            progress |= self.attempt(BYPASS, now);
+            progress |= self.visit::<BYPASS>(now);
         }
         progress |= self.dispatch();
         Progress::from(progress)
@@ -1627,7 +1714,7 @@ impl Processor for Engine {
     }
 
     fn sample(&self, now: Cycle, obs: &mut Observers) {
-        obs.record_occupancy(self.avdq_busy_slots_at(now));
+        obs.record_occupancy(self.avdq_busy_slots());
         obs.record_state(self.state_at(now));
     }
 
@@ -1848,6 +1935,83 @@ mod tests {
             let reused = drive(&mut engine, true).unwrap();
             let fresh = drive(&mut Engine::new(cfg, Arc::clone(compiled)), true).unwrap();
             assert_eq!(reused, fresh, "cfg={cfg:?}");
+        }
+    }
+
+    /// The SP pushes a scalar store's data while the AP still waits on a
+    /// branch, so the store engine, idle with data but no address, has
+    /// its wake at `Cycle::MAX` when the address lands in the SSAQ: only
+    /// the SSAQ mark lets it commit, and in debug builds the wake oracle
+    /// names a missing one.
+    #[test]
+    fn scalar_store_data_may_wait_for_its_address() {
+        use dva_isa::ScalarReg;
+        let program = Program::from_insts(
+            "data-first",
+            vec![
+                Inst::SLoad {
+                    dst: ScalarReg::addr(1),
+                    addr: 0x100,
+                },
+                Inst::Branch {
+                    cond: ScalarReg::addr(1),
+                    taken: false,
+                },
+                Inst::SStore {
+                    src: ScalarReg::scalar(0),
+                    addr: 0x200,
+                },
+            ],
+        );
+        for latency in [1, 100] {
+            let cfg = DvaConfig::dva(latency);
+            let fast = run(cfg, &program, true);
+            assert_eq!(fast, run(cfg, &program, false), "L={latency}");
+            assert!(fast.cycles > latency, "L={latency}");
+        }
+    }
+
+    /// Attempts and failed attempts per unit (AP, SP, VP, store engine,
+    /// bypass unit) and executed ticks on ARC2D Quick: a host-independent
+    /// count of the work per tick. A change to the skip logic or the mark
+    /// table moves these numbers, and must say why.
+    #[test]
+    fn attempt_counts_are_pinned() {
+        let program = dva_workloads::Benchmark::Arc2d.program(dva_workloads::Scale::Quick);
+        let compiled = Arc::new(CompiledProgram::compile(&program));
+        let pins: [(DvaConfig, [u64; 5], [u64; 5], u64); 4] = [
+            (
+                DvaConfig::dva(1),
+                [2922, 1651, 2344, 1039, 0],
+                [1039, 399, 1096, 735, 0],
+                6966,
+            ),
+            (
+                DvaConfig::dva(100),
+                [2950, 1674, 2332, 1033, 0],
+                [1067, 422, 1084, 729, 0],
+                7399,
+            ),
+            (
+                DvaConfig::byp(1, 4, 8),
+                [2903, 1597, 2320, 1090, 293],
+                [1020, 345, 1072, 786, 253],
+                6682,
+            ),
+            (
+                DvaConfig::byp(100, 4, 8),
+                [2950, 1618, 2320, 1069, 297],
+                [1067, 366, 1072, 765, 257],
+                7172,
+            ),
+        ];
+        for (cfg, attempts, failures, ticks) in pins {
+            let mut engine = Engine::new(cfg, Arc::clone(&compiled));
+            let r = drive(&mut engine, true).unwrap();
+            let label = format!("L={} bypass={}", cfg.memory.latency, cfg.bypass);
+            assert_eq!(engine.counts.attempts, attempts, "attempts, {label}");
+            assert_eq!(engine.counts.failures, failures, "failures, {label}");
+            assert_eq!(r.ticks_executed.get(), ticks, "ticks, {label}");
         }
     }
 

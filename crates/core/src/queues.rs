@@ -102,6 +102,11 @@ impl<T> Fifo<T> {
         self.items.front()
     }
 
+    /// The entry at `index` (0 = oldest), if the queue holds that many.
+    pub fn get(&self, index: usize) -> Option<&T> {
+        self.items.get(index)
+    }
+
     /// Mutable access to the head entry.
     pub fn front_mut(&mut self) -> Option<&mut T> {
         self.items.front_mut()
