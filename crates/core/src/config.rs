@@ -4,7 +4,12 @@ use dva_json::{FromJson, JsonError, Reader, ToJson, Writer};
 use dva_memory::MemoryParams;
 use dva_uarch::UarchParams;
 
+/// The largest queue capacity a decoded [`QueueConfig`] may name: each
+/// capacity sizes a queue's storage. The paper's largest queue is 512.
+pub const MAX_QUEUE_CAPACITY: usize = 512;
+
 /// Capacities of the architectural queues (paper, Sections 4 and 5).
+/// Decoding holds each to `1..=`[`MAX_QUEUE_CAPACITY`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueConfig {
     /// Instruction queues (APIQ, SPIQ, VPIQ). The paper uses 16: reducing
@@ -106,12 +111,13 @@ impl ToJson for QueueConfig {
 impl FromJson for QueueConfig {
     fn read_json(r: &mut Reader<'_>) -> Result<QueueConfig, JsonError> {
         r.object(|o| {
+            let capacities = 1..=MAX_QUEUE_CAPACITY;
             Ok(QueueConfig {
-                instruction_queue: o.field("instruction_queue")?,
-                avdq: o.field("avdq")?,
-                store_queue: o.field("store_queue")?,
-                scalar_store_queue: o.field("scalar_store_queue")?,
-                scalar_data_queue: o.field("scalar_data_queue")?,
+                instruction_queue: o.field_in("instruction_queue", capacities.clone())?,
+                avdq: o.field_in("avdq", capacities.clone())?,
+                store_queue: o.field_in("store_queue", capacities.clone())?,
+                scalar_store_queue: o.field_in("scalar_store_queue", capacities.clone())?,
+                scalar_data_queue: o.field_in("scalar_data_queue", capacities)?,
             })
         })
     }
@@ -295,6 +301,41 @@ mod tests {
                 .build(),
         ] {
             assert_eq!(DvaConfig::from_json(&config.to_json()).unwrap(), config);
+        }
+    }
+
+    #[test]
+    fn decoding_rejects_queue_capacities_outside_the_bound() {
+        let fields = [
+            "instruction_queue",
+            "avdq",
+            "store_queue",
+            "scalar_store_queue",
+            "scalar_data_queue",
+        ];
+        let widest = QueueConfig {
+            instruction_queue: MAX_QUEUE_CAPACITY,
+            avdq: MAX_QUEUE_CAPACITY,
+            store_queue: MAX_QUEUE_CAPACITY,
+            scalar_store_queue: MAX_QUEUE_CAPACITY,
+            scalar_data_queue: MAX_QUEUE_CAPACITY,
+        };
+        assert_eq!(QueueConfig::from_json(&widest.to_json()).unwrap(), widest);
+        for hostile in [0, MAX_QUEUE_CAPACITY + 1, 1 << 40] {
+            for field in fields {
+                let line = fields
+                    .map(|f| {
+                        let value = if f == field { hostile } else { 16 };
+                        format!("\"{f}\":{value}")
+                    })
+                    .join(",");
+                assert_eq!(
+                    QueueConfig::parse_json(&format!("{{{line}}}"))
+                        .unwrap_err()
+                        .0,
+                    format!("field `{field}` = {hostile} outside 1..={MAX_QUEUE_CAPACITY}")
+                );
+            }
         }
     }
 

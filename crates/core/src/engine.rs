@@ -79,7 +79,7 @@ use crate::result::DvaResult;
 use crate::uops::{ApOp, DataSlot, SpOp, StoreDataSource, StoreSeq, VecAccess, VpOp};
 use dva_engine::{Driver, Observers, Processor, Progress, Report, SimError};
 use dva_isa::{Cycle, MemRange, ScalarReg, VectorLength};
-use dva_memory::{CacheAccess, Memory, MemoryModel};
+use dva_memory::{CacheAccess, Memory};
 use dva_metrics::{Histogram, UnitState};
 use dva_uarch::{ChainPolicy, FuPipe, Producer, Scoreboard, VectorRegFile};
 use std::collections::VecDeque;
@@ -440,7 +440,7 @@ impl Engine {
             qmov2: FuPipe::new("QMOV2"),
             ap_sb: Scoreboard::new(),
             sp_sb: Scoreboard::new(),
-            mem: cfg.memory.instantiate(),
+            mem: Memory::new(cfg.memory),
             apiq: Window::new(q.instruction_queue),
             spiq: Window::new(q.instruction_queue),
             vpiq: Window::new(q.instruction_queue),

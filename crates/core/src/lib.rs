@@ -65,7 +65,7 @@ mod result;
 mod uops;
 
 pub use compiled::CompiledProgram;
-pub use config::{DvaConfig, DvaConfigBuilder, QueueConfig};
+pub use config::{DvaConfig, DvaConfigBuilder, QueueConfig, MAX_QUEUE_CAPACITY};
 pub use ideal::{ideal_bound, IdealBound};
 pub use queues::{Fifo, Timed};
 pub use result::DvaResult;

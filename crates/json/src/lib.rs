@@ -98,6 +98,7 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::RangeInclusive;
 
 /// A parsed JSON value.
 ///
@@ -1125,6 +1126,31 @@ impl<'a> Fields<'_, 'a> {
     /// field, or the error reading the value.
     pub fn field<T: FromJson>(&mut self, key: &str) -> Result<T, JsonError> {
         self.field_with(key, T::read_json)
+    }
+
+    /// Reads field `key` as a `T` that `range` must hold — for the shape
+    /// fields of a decoded configuration that size storage or a per-tick
+    /// scan, so one document cannot ask for an unbounded machine.
+    ///
+    /// # Errors
+    ///
+    /// As [`field`](Fields::field), or `field `key` = value outside
+    /// start..=end` when the value is out of range.
+    pub fn field_in<T: FromJson + PartialOrd + fmt::Display>(
+        &mut self,
+        key: &str,
+        range: RangeInclusive<T>,
+    ) -> Result<T, JsonError> {
+        let value: T = self.field(key)?;
+        if range.contains(&value) {
+            Ok(value)
+        } else {
+            Err(JsonError(format!(
+                "field `{key}` = {value} outside {}..={}",
+                range.start(),
+                range.end()
+            )))
+        }
     }
 
     /// Reads field `key` with `read`.

@@ -8,10 +8,15 @@
 use dva_metrics::CacheStats;
 use std::fmt;
 
+/// The most lines a decoded [`ScalarCacheParams`] may have: the tag
+/// store is sized by the line count.
+pub const MAX_CACHE_LINES: usize = 512;
+
 /// Configuration of the direct-mapped scalar cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScalarCacheParams {
-    /// Number of cache lines (must be a power of two).
+    /// Number of cache lines (a power of two; decoding also bounds it by
+    /// [`MAX_CACHE_LINES`]).
     pub lines: usize,
     /// Line size in bytes (must be a power of two).
     pub line_bytes: usize,

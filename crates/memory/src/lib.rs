@@ -12,16 +12,18 @@
 //! * a small **scalar cache** that holds only scalar data — vector accesses
 //!   go directly to main memory.
 //!
-//! That model is the [`FlatMemory`] backend of a *pluggable* layer: both
-//! simulators issue every access through the [`MemoryModel`] trait, and
-//! [`MemoryParams::build`] instantiates whichever [`MemoryModelKind`] the
-//! configuration names —
+//! One [`Memory`] runs that model for both simulators: every access
+//! goes through it, so their memory timing rules are identical by
+//! construction. The configuration's [`MemoryModelKind`] generalizes the
+//! model along two axes — how many ports there are
+//! ([`MemoryModelKind::ports`]) and how long a vector access holds one
+//! ([`MemoryModelKind::slowdown`]):
 //!
-//! | backend | timing rule |
-//! |---|---|
-//! | [`FlatMemory`] | one port; a length-`VL` access holds it `VL` cycles |
-//! | [`BankedMemory`] | one port over `banks` interleaved banks; strides that revisit a busy bank throttle the stream |
-//! | [`MultiPortMemory`] | `N` independent ports; accesses arbitrate for the first free one |
+//! | kind | ports | a length-`VL` vector access holds its port |
+//! |---|---|---|
+//! | [`Flat`](MemoryModelKind::Flat) | 1 | `VL` cycles (the paper's model) |
+//! | [`Banked`](MemoryModelKind::Banked) | 1 | `VL * slowdown(stride)` cycles: strides that revisit a busy bank throttle the stream |
+//! | [`MultiPort`](MemoryModelKind::MultiPort) | `N` | `VL` cycles on the first free port |
 //!
 //! so bank conflicts and extra memory ports become sweep axes without
 //! either engine changing.
@@ -29,18 +31,19 @@
 //! # Examples
 //!
 //! ```
-//! use dva_memory::{MemoryModelKind, MemoryParams};
+//! use dva_memory::{Memory, MemoryModelKind, MemoryParams};
 //! use dva_isa::VectorLength;
 //!
-//! let mut mem = MemoryParams::with_latency(30).build(); // flat by default
+//! let mut mem = Memory::new(MemoryParams::with_latency(30)); // flat by default
 //! let vl = VectorLength::new(64).unwrap();
 //! let issue = mem.issue_vector_load(0, vl, None);
 //! assert_eq!(issue.port_free_at, 64);     // bus held for VL cycles
 //! assert_eq!(issue.data_complete_at, 94); // L + VL
 //!
-//! let banked = MemoryParams::with_latency(30)
-//!     .with_model(MemoryModelKind::Banked { banks: 8, bank_busy: 8 });
-//! assert_eq!(banked.build().params().latency, 30);
+//! let two = MemoryParams::with_latency(30)
+//!     .with_model(MemoryModelKind::MultiPort { ports: 2 });
+//! mem.reset(two); // same storage, another kind
+//! assert_eq!(mem.ports().len(), 2);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -51,7 +54,7 @@ mod bus;
 mod cache;
 mod model;
 
-pub use backends::{BankedMemory, FlatMemory, Memory, MultiPortMemory};
+pub use backends::Memory;
 pub use bus::AddressBus;
-pub use cache::{CacheAccess, ScalarCache, ScalarCacheParams};
-pub use model::{LoadIssue, MemoryModel, MemoryModelKind, MemoryParams};
+pub use cache::{CacheAccess, ScalarCache, ScalarCacheParams, MAX_CACHE_LINES};
+pub use model::{LoadIssue, MemoryModelKind, MemoryParams, MAX_BANKS, MAX_BANK_BUSY, MAX_PORTS};

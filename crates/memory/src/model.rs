@@ -1,16 +1,24 @@
-//! The pluggable memory-model layer: [`MemoryParams`], the
-//! [`MemoryModelKind`] axis, and the [`MemoryModel`] trait both engines
-//! issue their accesses through.
+//! The memory configuration: [`MemoryParams`], the [`MemoryModelKind`]
+//! axis and its two timing factors, and their wire form.
 
-use crate::backends::{BankedMemory, FlatMemory, MultiPortMemory};
-use crate::bus::AddressBus;
-use crate::cache::{CacheAccess, ScalarCache, ScalarCacheParams};
-use dva_isa::{Cycle, Stride, VectorLength};
+use crate::cache::{ScalarCacheParams, MAX_CACHE_LINES};
+use dva_isa::{Cycle, Stride};
 use dva_json::{FromJson, JsonError, Reader, ToJson, Writer};
-use dva_metrics::Traffic;
 use std::fmt;
 
-/// Which main-memory timing backend a machine runs against.
+/// The most address ports a decoded [`MemoryModelKind::MultiPort`] may
+/// have. Every tick scans the ports, so a client's port count is bounded.
+pub const MAX_PORTS: u32 = 4;
+
+/// The most banks a decoded [`MemoryModelKind::Banked`] may have.
+pub const MAX_BANKS: u32 = 32;
+
+/// The longest bank-busy time a decoded [`MemoryModelKind::Banked`] may
+/// have. It bounds the [`slowdown`](MemoryModelKind::slowdown), so a
+/// vector access's port hold never overflows.
+pub const MAX_BANK_BUSY: u64 = 32;
+
+/// Which main-memory timing model a machine runs against.
 ///
 /// The paper's model (Section 4.2) is [`Flat`](MemoryModelKind::Flat):
 /// one address bus, one uniform latency `L`. The other kinds generalize
@@ -20,11 +28,14 @@ use std::fmt;
 ///
 /// * [`Banked`](MemoryModelKind::Banked) interleaves main memory over
 ///   `banks` banks; a non-unit stride can revisit a bank before it is
-///   ready and throttle the stream (see [`BankedMemory`] for the exact
-///   rule).
+///   ready and throttle the stream (see
+///   [`slowdown`](MemoryModelKind::slowdown) for the exact rule).
 /// * [`MultiPort`](MemoryModelKind::MultiPort) provides `ports`
 ///   independent address buses; accesses arbitrate for the first free
-///   one (see [`MultiPortMemory`]).
+///   one (see [`ports`](MemoryModelKind::ports)).
+///
+/// [`Memory`](crate::Memory) runs every kind by one rule; these two
+/// methods are the only places the kinds differ.
 ///
 /// # Examples
 ///
@@ -40,20 +51,22 @@ pub enum MemoryModelKind {
     /// The paper's single-ported, conflict-free memory: a vector access
     /// of length `VL` holds the one address bus for exactly `VL` cycles.
     Flat,
-    /// Interleaved main memory: `banks` banks, each able to accept a new
-    /// access only every `bank_busy` cycles. Stride-aware — unit strides
-    /// stream at full speed, strides that are a multiple of the bank
-    /// count serialize on one bank.
+    /// Interleaved main memory: `banks` banks behind one address bus,
+    /// each able to accept a new access only every `bank_busy` cycles.
+    /// Stride-aware — unit strides stream at full speed, strides that
+    /// are a multiple of the bank count serialize on one bank.
     Banked {
-        /// Number of interleaved banks (> 0).
+        /// Number of interleaved banks (`1..=`[`MAX_BANKS`]).
         banks: u32,
-        /// Cycles a bank is busy after accepting an access (> 0).
+        /// Cycles a bank is busy after accepting an access
+        /// (`1..=`[`MAX_BANK_BUSY`]).
         bank_busy: u64,
     },
-    /// `ports` independent address buses; loads and stores arbitrate for
-    /// the first free one.
+    /// `ports` independent address buses in front of a conflict-free
+    /// memory; loads and stores arbitrate for the lowest-numbered free
+    /// one and then time exactly like the flat model on it.
     MultiPort {
-        /// Number of address ports (> 0).
+        /// Number of address ports (`1..=`[`MAX_PORTS`]).
         ports: u32,
     },
 }
@@ -71,6 +84,74 @@ impl MemoryModelKind {
     pub fn label(&self) -> String {
         self.to_string()
     }
+
+    /// How many address ports the memory has: `ports` for
+    /// [`MultiPort`](MemoryModelKind::MultiPort), one otherwise.
+    ///
+    /// ```
+    /// use dva_memory::MemoryModelKind;
+    /// assert_eq!(MemoryModelKind::Flat.ports(), 1);
+    /// assert_eq!(MemoryModelKind::Banked { banks: 8, bank_busy: 8 }.ports(), 1);
+    /// assert_eq!(MemoryModelKind::MultiPort { ports: 2 }.ports(), 2);
+    /// ```
+    pub fn ports(&self) -> usize {
+        match *self {
+            MemoryModelKind::MultiPort { ports } => ports as usize,
+            MemoryModelKind::Flat | MemoryModelKind::Banked { .. } => 1,
+        }
+    }
+
+    /// The per-element issue slowdown an access at `stride` pays (1 =
+    /// full speed): a vector access of length `VL` holds its port for
+    /// `VL * slowdown` cycles. Only [`Banked`](MemoryModelKind::Banked)
+    /// memory is ever slower than 1.
+    ///
+    /// Consecutive elements of a stride-`s` access map to banks `s` apart
+    /// (element addresses are word-interleaved), so the stream cycles over
+    /// `banks / gcd(s mod banks, banks)` *distinct* banks and revisits each
+    /// one every that-many issue slots. When the revisit interval is
+    /// shorter than `bank_busy` the stream throttles to the banks'
+    /// aggregate service rate:
+    ///
+    /// ```text
+    /// slowdown = max(1, ceil(bank_busy / distinct_banks))
+    /// ```
+    ///
+    /// Unit strides touch every bank and stream at full speed (whenever
+    /// `bank_busy <= banks`); a stride that is a multiple of the bank
+    /// count hammers a single bank and pays `bank_busy` cycles per
+    /// element — the classic worst case. Indexed (gather/scatter)
+    /// accesses carry no stride (`None`) and are modeled conflict-free.
+    ///
+    /// ```
+    /// use dva_memory::MemoryModelKind;
+    /// use dva_isa::Stride;
+    ///
+    /// let banked = MemoryModelKind::Banked { banks: 8, bank_busy: 8 };
+    /// assert_eq!(banked.slowdown(Some(Stride::UNIT)), 1);    // 8 distinct banks
+    /// assert_eq!(banked.slowdown(Some(Stride::new(2))), 2);  // 4 distinct banks
+    /// assert_eq!(banked.slowdown(Some(Stride::new(8))), 8);  // one bank only
+    /// assert_eq!(banked.slowdown(Some(Stride::new(-2))), 2); // sign is irrelevant
+    /// assert_eq!(banked.slowdown(None), 1);                  // indexed: conflict-free
+    /// assert_eq!(MemoryModelKind::Flat.slowdown(Some(Stride::new(8))), 1);
+    /// ```
+    pub fn slowdown(&self, stride: Option<Stride>) -> u64 {
+        let (MemoryModelKind::Banked { banks, bank_busy }, Some(stride)) = (*self, stride) else {
+            return 1;
+        };
+        let banks = u64::from(banks);
+        let s = stride.elems().unsigned_abs() % banks;
+        let g = if s == 0 { banks } else { gcd(s, banks) };
+        let distinct = banks / g;
+        bank_busy.div_ceil(distinct).max(1)
+    }
+}
+
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
 }
 
 impl fmt::Display for MemoryModelKind {
@@ -94,7 +175,7 @@ pub struct MemoryParams {
     pub latency: u64,
     /// Scalar cache geometry.
     pub cache: ScalarCacheParams,
-    /// Which timing backend [`MemoryParams::build`] instantiates.
+    /// Which memory kind [`Memory`](crate::Memory) runs.
     pub model: MemoryModelKind,
 }
 
@@ -114,27 +195,6 @@ impl MemoryParams {
     pub fn with_model(mut self, model: MemoryModelKind) -> MemoryParams {
         self.model = model;
         self
-    }
-
-    /// Instantiates the configured backend.
-    ///
-    /// ```
-    /// use dva_memory::{MemoryModelKind, MemoryParams};
-    /// let flat = MemoryParams::with_latency(30).build();
-    /// assert_eq!(flat.ports().len(), 1);
-    /// let two = MemoryParams::with_latency(30)
-    ///     .with_model(MemoryModelKind::MultiPort { ports: 2 })
-    ///     .build();
-    /// assert_eq!(two.ports().len(), 2);
-    /// ```
-    pub fn build(&self) -> Box<dyn MemoryModel> {
-        match self.model {
-            MemoryModelKind::Flat => Box::new(FlatMemory::new(*self)),
-            MemoryModelKind::Banked { banks, bank_busy } => {
-                Box::new(BankedMemory::new(*self, banks, bank_busy))
-            }
-            MemoryModelKind::MultiPort { ports } => Box::new(MultiPortMemory::new(*self, ports)),
-        }
     }
 }
 
@@ -168,13 +228,12 @@ impl FromJson for MemoryModelKind {
         r.object(|o| match &*o.field_with("kind", Reader::str)? {
             "flat" => Ok(MemoryModelKind::Flat),
             "banked" => Ok(MemoryModelKind::Banked {
-                banks: u32::try_from(o.field::<u64>("banks")?)
-                    .map_err(|_| JsonError::msg("bank count out of range"))?,
-                bank_busy: o.field("bank_busy")?,
+                // In range, so the casts are exact.
+                banks: o.field_in("banks", 1..=u64::from(MAX_BANKS))? as u32,
+                bank_busy: o.field_in("bank_busy", 1..=MAX_BANK_BUSY)?,
             }),
             "multiport" => Ok(MemoryModelKind::MultiPort {
-                ports: u32::try_from(o.field::<u64>("ports")?)
-                    .map_err(|_| JsonError::msg("port count out of range"))?,
+                ports: o.field_in("ports", 1..=u64::from(MAX_PORTS))? as u32,
             }),
             other => Err(JsonError(format!("unknown memory model kind `{other}`"))),
         })
@@ -191,12 +250,19 @@ impl ToJson for ScalarCacheParams {
 }
 
 impl FromJson for ScalarCacheParams {
+    /// Rejects a geometry [`ScalarCache`](crate::ScalarCache) cannot take:
+    /// either field not a power of two, or more than [`MAX_CACHE_LINES`]
+    /// lines.
     fn read_json(r: &mut Reader<'_>) -> Result<ScalarCacheParams, JsonError> {
         r.object(|o| {
-            Ok(ScalarCacheParams {
-                lines: o.field("lines")?,
+            let params = ScalarCacheParams {
+                lines: o.field_in("lines", 1..=MAX_CACHE_LINES)?,
                 line_bytes: o.field("line_bytes")?,
-            })
+            };
+            if !params.lines.is_power_of_two() || !params.line_bytes.is_power_of_two() {
+                return Err(JsonError::msg("cache geometry must be powers of two"));
+            }
+            Ok(params)
         })
     }
 }
@@ -233,133 +299,6 @@ pub struct LoadIssue {
     /// When the last element has arrived (a vector register or AVDQ slot is
     /// complete and consumable — the model never chains off memory).
     pub data_complete_at: Cycle,
-}
-
-/// A main-memory timing backend: address-port arbitration, the latency
-/// model, the scalar cache and traffic accounting.
-///
-/// Both the reference and the decoupled simulators issue every access
-/// through this trait, so their memory timing rules are identical by
-/// construction — and swapping the backend changes *both* machines'
-/// memory behavior at once. Backends are built from
-/// [`MemoryParams::build`].
-///
-/// The trait deliberately mirrors what the engines need and nothing
-/// more: issue hooks ([`issue_vector_load`](MemoryModel::issue_vector_load),
-/// [`issue_vector_store`](MemoryModel::issue_vector_store),
-/// [`scalar_load`](MemoryModel::scalar_load),
-/// [`scalar_store`](MemoryModel::scalar_store)), non-mutating probes
-/// ([`port_free`](MemoryModel::port_free),
-/// [`probe_scalar`](MemoryModel::probe_scalar)), the next-event hooks
-/// fast-forward relies on ([`next_free_at`](MemoryModel::next_free_at),
-/// [`quiesce_at`](MemoryModel::quiesce_at)), and the measurement hooks
-/// ([`traffic`](MemoryModel::traffic), [`cache`](MemoryModel::cache),
-/// [`ports`](MemoryModel::ports)).
-pub trait MemoryModel: fmt::Debug + Send {
-    /// The configured parameters.
-    fn params(&self) -> MemoryParams;
-
-    /// Whether a new access can issue at `now` (at least one address
-    /// port is free).
-    fn port_free(&self, now: Cycle) -> bool;
-
-    /// Whether any address port is mid-transfer at `now` (the `LD` flag
-    /// of the paper's Figure 1 state tuple).
-    fn busy(&self, now: Cycle) -> bool;
-
-    /// The earliest cycle strictly after `now` at which any address
-    /// port frees — the memory system's contribution to the engines'
-    /// next-event (fast-forward) computation, or `None` when every port
-    /// is already quiet. Every port freeing is an event: it can flip
-    /// both the issue gate ([`port_free`](MemoryModel::port_free)) and
-    /// the sampled busy flag ([`busy`](MemoryModel::busy)), and the two
-    /// flip at *different* ports' free times on a multi-ported memory.
-    fn next_free_at(&self, now: Cycle) -> Option<Cycle>;
-
-    /// The cycle at which *every* address port is free — the memory
-    /// system's contribution to the engines' post-completion drain.
-    fn quiesce_at(&self) -> Cycle;
-
-    /// Issues a vector load of length `vl` at cycle `now`. `stride` is
-    /// the access's element stride, `None` for indexed (gather)
-    /// accesses; only stride-aware backends read it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no port is free at `now`; callers gate on
-    /// [`MemoryModel::port_free`].
-    fn issue_vector_load(
-        &mut self,
-        now: Cycle,
-        vl: VectorLength,
-        stride: Option<Stride>,
-    ) -> LoadIssue;
-
-    /// Issues a vector store of length `vl` at cycle `now`, returning
-    /// when its port frees. Stores never expose memory latency to the
-    /// processor (paper, Section 4.2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no port is free at `now`.
-    fn issue_vector_store(&mut self, now: Cycle, vl: VectorLength, stride: Option<Stride>)
-        -> Cycle;
-
-    /// Checks whether a scalar load would hit in the cache without
-    /// updating any state.
-    fn probe_scalar(&self, addr: u64) -> CacheAccess;
-
-    /// Performs a scalar load at cycle `now`.
-    ///
-    /// On a hit the access completes next cycle without touching any
-    /// port. On a miss a port is held for one cycle and the data arrives
-    /// after the memory latency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the access misses while no port is free; callers must
-    /// gate on [`MemoryModel::port_free`] when
-    /// [`MemoryModel::probe_scalar`] reports a miss.
-    fn scalar_load(&mut self, now: Cycle, addr: u64) -> LoadIssue;
-
-    /// Performs a scalar store at cycle `now` (write-through: always one
-    /// port cycle of traffic), returning when its port frees.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no port is free at `now`.
-    fn scalar_store(&mut self, now: Cycle, addr: u64) -> Cycle;
-
-    /// Records a vector load satisfied entirely by the store→load bypass:
-    /// no port usage, no memory traffic.
-    fn record_bypass(&mut self, vl: VectorLength);
-
-    /// Traffic counters accumulated so far.
-    fn traffic(&self) -> Traffic;
-
-    /// The scalar cache (for hit-rate reporting).
-    fn cache(&self) -> &ScalarCache;
-
-    /// The address ports, in arbitration order (for utilization
-    /// reporting; flat and banked memories have exactly one).
-    fn ports(&self) -> &[AddressBus];
-
-    /// Mean port utilization over `total` elapsed cycles (0..=1) — for a
-    /// single-ported backend, exactly the old address-bus utilization.
-    fn utilization(&self, total: Cycle) -> f64 {
-        let ports = self.ports();
-        if ports.is_empty() {
-            0.0
-        } else {
-            ports.iter().map(|p| p.utilization(total)).sum::<f64>() / ports.len() as f64
-        }
-    }
-
-    /// Per-port utilization over `total` elapsed cycles, in arbitration
-    /// order.
-    fn port_utilizations(&self, total: Cycle) -> Vec<f64> {
-        self.ports().iter().map(|p| p.utilization(total)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -409,14 +348,95 @@ mod tests {
     }
 
     #[test]
-    fn build_dispatches_on_the_kind() {
+    fn new_sizes_the_ports_by_kind() {
         let banked = MemoryParams::with_latency(1).with_model(MemoryModelKind::Banked {
             banks: 8,
             bank_busy: 8,
         });
-        assert_eq!(banked.build().ports().len(), 1);
+        assert_eq!(crate::Memory::new(banked).ports().len(), 1);
         let multi =
             MemoryParams::with_latency(1).with_model(MemoryModelKind::MultiPort { ports: 3 });
-        assert_eq!(multi.build().ports().len(), 3);
+        assert_eq!(crate::Memory::new(multi).ports().len(), 3);
+    }
+
+    #[test]
+    fn decoding_rejects_shapes_outside_the_bounds() {
+        for (line, message) in [
+            (
+                r#"{"kind":"multiport","ports":0}"#,
+                "field `ports` = 0 outside 1..=4",
+            ),
+            (
+                r#"{"kind":"multiport","ports":5}"#,
+                "field `ports` = 5 outside 1..=4",
+            ),
+            (
+                r#"{"kind":"multiport","ports":4294967295}"#,
+                "field `ports` = 4294967295 outside 1..=4",
+            ),
+            (
+                r#"{"kind":"multiport","ports":4294967296}"#,
+                "field `ports` = 4294967296 outside 1..=4",
+            ),
+            (
+                r#"{"kind":"banked","banks":0,"bank_busy":8}"#,
+                "field `banks` = 0 outside 1..=32",
+            ),
+            (
+                r#"{"kind":"banked","banks":33,"bank_busy":8}"#,
+                "field `banks` = 33 outside 1..=32",
+            ),
+            (
+                r#"{"kind":"banked","banks":8,"bank_busy":0}"#,
+                "field `bank_busy` = 0 outside 1..=32",
+            ),
+            (
+                r#"{"kind":"banked","banks":8,"bank_busy":1099511627776}"#,
+                "field `bank_busy` = 1099511627776 outside 1..=32",
+            ),
+        ] {
+            assert_eq!(MemoryModelKind::parse_json(line).unwrap_err().0, message);
+        }
+        for (line, message) in [
+            (
+                r#"{"lines":1024,"line_bytes":32}"#,
+                "field `lines` = 1024 outside 1..=512",
+            ),
+            (
+                r#"{"lines":1099511627776,"line_bytes":32}"#,
+                "field `lines` = 1099511627776 outside 1..=512",
+            ),
+            (
+                r#"{"lines":0,"line_bytes":32}"#,
+                "field `lines` = 0 outside 1..=512",
+            ),
+            (
+                r#"{"lines":3,"line_bytes":32}"#,
+                "cache geometry must be powers of two",
+            ),
+            (
+                r#"{"lines":512,"line_bytes":24}"#,
+                "cache geometry must be powers of two",
+            ),
+        ] {
+            assert_eq!(ScalarCacheParams::parse_json(line).unwrap_err().0, message);
+        }
+        // The bounds themselves decode.
+        let widest = MemoryModelKind::Banked {
+            banks: MAX_BANKS,
+            bank_busy: MAX_BANK_BUSY,
+        };
+        assert_eq!(
+            MemoryModelKind::from_json(&widest.to_json()).unwrap(),
+            widest
+        );
+        let ports = MemoryModelKind::MultiPort { ports: MAX_PORTS };
+        assert_eq!(MemoryModelKind::from_json(&ports.to_json()).unwrap(), ports);
+        let cache = ScalarCacheParams::default();
+        assert_eq!(cache.lines, MAX_CACHE_LINES);
+        assert_eq!(
+            ScalarCacheParams::from_json(&cache.to_json()).unwrap(),
+            cache
+        );
     }
 }

@@ -1,9 +1,8 @@
-//! Property-based tests of the memory backends' timing rules.
+//! Property-based tests of the memory system's timing rules.
 
 use dva_isa::{Stride, VectorLength};
 use dva_memory::{
-    BankedMemory, CacheAccess, FlatMemory, MemoryModel, MemoryModelKind, MemoryParams,
-    MultiPortMemory, ScalarCache, ScalarCacheParams,
+    CacheAccess, Memory, MemoryModelKind, MemoryParams, ScalarCache, ScalarCacheParams,
 };
 use proptest::prelude::*;
 
@@ -21,7 +20,7 @@ proptest! {
     /// completes after L + VL.
     #[test]
     fn vector_load_timing_formulas(latency in 1u64..=200, vl in arb_vl(), start in 0u64..10_000) {
-        let mut mem = FlatMemory::new(MemoryParams::with_latency(latency));
+        let mut mem = Memory::new(MemoryParams::with_latency(latency));
         let issue = mem.issue_vector_load(start, vl, None);
         prop_assert_eq!(issue.port_free_at, start + vl.cycles());
         prop_assert_eq!(issue.data_first_at, start + latency);
@@ -33,7 +32,7 @@ proptest! {
     /// Stores hold the bus for VL cycles and never expose latency.
     #[test]
     fn store_timing_is_latency_free(latency in 1u64..=200, vl in arb_vl()) {
-        let mut mem = FlatMemory::new(MemoryParams::with_latency(latency));
+        let mut mem = Memory::new(MemoryParams::with_latency(latency));
         let free = mem.issue_vector_store(0, vl, None);
         prop_assert_eq!(free, vl.cycles());
         prop_assert_eq!(mem.traffic().vector_store_elems, u64::from(vl.get()));
@@ -43,7 +42,7 @@ proptest! {
     /// immediately follows it.
     #[test]
     fn probe_predicts_access(addrs in proptest::collection::vec(0u64..1 << 20, 1..64)) {
-        let mut mem = FlatMemory::new(MemoryParams::default());
+        let mut mem = Memory::new(MemoryParams::default());
         let mut now = 0;
         for addr in addrs {
             let predicted = mem.probe_scalar(addr);
@@ -102,7 +101,7 @@ proptest! {
     /// Traffic accounting is additive over a sequence of operations.
     #[test]
     fn traffic_is_additive(ops in proptest::collection::vec((any::<bool>(), arb_vl()), 0..40)) {
-        let mut mem = FlatMemory::new(MemoryParams::with_latency(5));
+        let mut mem = Memory::new(MemoryParams::with_latency(5));
         let mut now = 0u64;
         let (mut loads, mut stores) = (0u64, 0u64);
         for (is_load, vl) in ops {
@@ -132,9 +131,10 @@ proptest! {
         bank_busy in 1u64..=32,
     ) {
         let params = MemoryParams::with_latency(latency);
-        let mut flat = FlatMemory::new(params);
-        let mut banked = BankedMemory::new(params, banks, bank_busy);
-        let slowdown = banked.slowdown(Some(stride));
+        let mut flat = Memory::new(params);
+        let kind = MemoryModelKind::Banked { banks, bank_busy };
+        let mut banked = Memory::new(params.with_model(kind));
+        let slowdown = kind.slowdown(Some(stride));
         let f = flat.issue_vector_load(0, vl, Some(stride));
         let b = banked.issue_vector_load(0, vl, Some(stride));
         prop_assert!(slowdown >= 1);
@@ -157,8 +157,8 @@ proptest! {
     ) {
         let params = MemoryParams::with_latency(latency)
             .with_model(MemoryModelKind::MultiPort { ports: 1 });
-        let mut multi = MultiPortMemory::new(params, 1);
-        let mut flat = FlatMemory::new(MemoryParams::with_latency(latency));
+        let mut multi = Memory::new(params);
+        let mut flat = Memory::new(MemoryParams::with_latency(latency));
         let mut now = 0u64;
         for (is_load, vl) in ops {
             if is_load {

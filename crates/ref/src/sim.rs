@@ -10,7 +10,7 @@ use crate::result::RefResult;
 use dva_engine::{Driver, Observers, Processor, Progress, Report, SimError};
 use dva_isa::{Cycle, Program};
 use dva_json::{FromJson, JsonError, Reader, ToJson, Writer};
-use dva_memory::{CacheAccess, Memory, MemoryModel, MemoryParams};
+use dva_memory::{CacheAccess, Memory, MemoryParams};
 use dva_metrics::UnitState;
 use dva_uarch::{ChainPolicy, FuPipe, Producer, Scoreboard, UarchParams, VectorRegFile};
 use std::sync::Arc;
@@ -256,7 +256,7 @@ impl Engine {
             sb: Scoreboard::new(),
             fu1: FuPipe::new("FU1"),
             fu2: FuPipe::new("FU2"),
-            mem: params.memory.instantiate(),
+            mem: Memory::new(params.memory),
             dispatch_stalls: 0,
         }
     }

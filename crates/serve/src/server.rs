@@ -11,7 +11,7 @@ use crate::exec::{AdaptiveSummary, SweepService};
 use crate::proto::{Request, Response};
 use dva_engine::ENGINE_VERSION;
 use dva_json::Writer;
-use dva_sim_api::CancelToken;
+use dva_sim_api::{available_workers, CancelToken};
 use dva_testutil::failpoint;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixListener;
@@ -63,6 +63,40 @@ fn clip(mut message: String) -> String {
     message
 }
 
+/// Admits a parsed request, or says why not. A job over
+/// [`MAX_JOB_POINTS`] is refused. A job asking for more worker threads
+/// than the host's available parallelism is lowered to it: results do
+/// not depend on the thread count, and a client's count would otherwise
+/// start that many OS threads.
+fn admit(request: Request) -> Result<Request, String> {
+    let points = match &request {
+        Request::Sweep { spec, .. } => spec.len(),
+        Request::Adaptive { spec, .. } => spec.dense_len(),
+        Request::Ping | Request::Shutdown => 0,
+    };
+    if points > MAX_JOB_POINTS {
+        return Err(format!(
+            "job of {points} grid points exceeds the limit of {MAX_JOB_POINTS}"
+        ));
+    }
+    let workers = available_workers();
+    Ok(match request {
+        Request::Sweep { spec, deadline_ms } if spec.effective_threads() > workers => {
+            Request::Sweep {
+                spec: Box::new((*spec).threads(workers)),
+                deadline_ms,
+            }
+        }
+        Request::Adaptive { spec, deadline_ms } if spec.dense().effective_threads() > workers => {
+            Request::Adaptive {
+                spec: Box::new((*spec).threads(workers)),
+                deadline_ms,
+            }
+        }
+        request => request,
+    })
+}
+
 /// The cancel token governing a job with an optional deadline.
 fn cancel_for(deadline_ms: Option<u64>) -> CancelToken {
     match deadline_ms {
@@ -90,7 +124,8 @@ fn is_disconnect(e: &io::Error) -> bool {
 ///
 /// A line that is not UTF-8, does not parse or asks for more than
 /// [`MAX_JOB_POINTS`] gets one `error` response and the connection stays
-/// usable. An idle timeout or reset on the read side closes the
+/// usable; a job's worker threads are capped at the host's available
+/// parallelism. An idle timeout or reset on the read side closes the
 /// connection quietly (`Ok(false)`), as does a line longer than
 /// [`MAX_REQUEST_LINE`] after its one `error` response; write failures
 /// — the client hung up mid-stream — cancel the in-flight job and
@@ -165,22 +200,13 @@ pub fn serve_connection(
                 continue;
             }
         };
-        let points = match &request {
-            Request::Sweep { spec, .. } => spec.len(),
-            Request::Adaptive { spec, .. } => spec.dense_len(),
-            Request::Ping | Request::Shutdown => 0,
+        let request = match admit(request) {
+            Ok(request) => request,
+            Err(message) => {
+                respond(&mut writer, &Response::Error { message })?;
+                continue;
+            }
         };
-        if points > MAX_JOB_POINTS {
-            respond(
-                &mut writer,
-                &Response::Error {
-                    message: format!(
-                        "job of {points} grid points exceeds the limit of {MAX_JOB_POINTS}"
-                    ),
-                },
-            )?;
-            continue;
-        }
         match request {
             Request::Ping => respond(
                 &mut writer,
@@ -530,6 +556,37 @@ mod tests {
                     );
                 }
                 other => panic!("expected an error then a pong, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn admission_caps_worker_threads_at_the_available_parallelism() {
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(available_workers(), workers);
+        let template = Sweep::new()
+            .machine(Machine::reference(1))
+            .benchmark(Benchmark::Trfd)
+            .scale(Scale::Quick);
+        // Only admitted, never run: no worker thread starts here.
+        for (asked, admitted) in [(65_536, workers), (1, 1), (0, workers)] {
+            let requests = [
+                Request::Sweep {
+                    spec: Box::new(template.clone().latencies([1]).threads(asked)),
+                    deadline_ms: None,
+                },
+                Request::Adaptive {
+                    spec: Box::new(AdaptiveSweep::over(template.clone().threads(asked), 1..=8)),
+                    deadline_ms: None,
+                },
+            ];
+            for request in requests {
+                let threads = match admit(request).unwrap() {
+                    Request::Sweep { spec, .. } => spec.effective_threads(),
+                    Request::Adaptive { spec, .. } => spec.dense().effective_threads(),
+                    other => panic!("admission changed the request kind: {other:?}"),
+                };
+                assert_eq!(threads, admitted, "threads: {asked}");
             }
         }
     }

@@ -155,6 +155,13 @@ impl AdaptiveSweep {
         self
     }
 
+    /// Sets the template's worker thread count (see [`Sweep::threads`]).
+    #[must_use]
+    pub fn threads(mut self, threads: usize) -> AdaptiveSweep {
+        self.template = self.template.threads(threads);
+        self
+    }
+
     /// A handle on the template's cancellation token (clones share
     /// state).
     pub fn cancel_handle(&self) -> crate::CancelToken {

@@ -2,8 +2,8 @@
 //!
 //! The paper's results are a cross-product of *machines* (REF, DVA,
 //! BYP n/m, IDEAL) × *programs* × *memory latencies* — extended here by
-//! a fourth axis, the *memory model* (flat / banked / multi-port
-//! backends of [`dva_memory::MemoryModel`]). The underlying crates
+//! a fourth axis, the *memory model* (the flat / banked / multi-port
+//! kinds of [`dva_memory::MemoryModelKind`]). The underlying crates
 //! expose one front door per machine ([`dva_ref::RefSim`],
 //! [`dva_core::DvaSim`], [`dva_core::ideal_bound`]); this crate folds them
 //! into a single [`Machine`] abstraction with a uniform
@@ -68,7 +68,7 @@ pub use machine::{CustomMachine, CustomSim, Machine};
 pub use prepare::{PreparedProgram, Runners};
 pub use result::{MachineDetail, SimResult};
 pub use stream::{IndexedSweepStream, PointSpec, SweepStream};
-pub use sweep::{Sweep, SweepPoint, SweepResults};
+pub use sweep::{available_workers, Sweep, SweepPoint, SweepResults};
 
 // Re-exported so custom machines can be written against this crate
 // alone: the processor contract, its statistics sink, the shared result

@@ -8,6 +8,15 @@ use crate::{Machine, SimResult};
 use dva_isa::Program;
 use dva_memory::MemoryModelKind;
 use dva_workloads::{Benchmark, Scale};
+use std::sync::OnceLock;
+
+/// The host's [`std::thread::available_parallelism`] (or `1` when that
+/// cannot be determined), read once per process: a read costs file I/O
+/// under cgroups, and a daemon asks for every job it admits.
+pub fn available_workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
 
 /// A sweep session: the cross-product of machines, programs, memory
 /// latencies and memory-model backends, executed by a pool of OS
@@ -217,13 +226,10 @@ impl Sweep {
     /// The worker count [`run`](Sweep::run) will actually use before
     /// clamping to the grid size: the configured
     /// [`threads`](Sweep::threads), with `0` resolved to
-    /// [`std::thread::available_parallelism`] (or `1` when that cannot be
-    /// determined).
+    /// [`available_workers`].
     pub fn effective_threads(&self) -> usize {
         match self.threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            0 => available_workers(),
             n => n,
         }
     }

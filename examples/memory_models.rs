@@ -1,4 +1,4 @@
-//! Compare the pluggable memory backends on one strided kernel.
+//! Compare the memory kinds (flat, banked, multi-port) on one strided kernel.
 //!
 //! The same daxpy-style loop runs on both machines against all three
 //! memory models: the paper's flat memory, a banked memory where the

@@ -1,6 +1,6 @@
-//! The pluggable memory-backend layer: `Flat` through the `MemoryModel`
-//! trait must be byte-identical to the pre-refactor memory system, and
-//! the `Banked`/`MultiPort` backends must obey the same fast-forward
+//! The memory kinds at the machine surface: an explicit `Flat` memory
+//! model must be byte-identical to the machines' default memory, and the
+//! `Banked`/`MultiPort` kinds must obey the same fast-forward
 //! equivalence contract as everything else the shared driver runs.
 
 use dva_core::{DvaConfig, DvaSim};
@@ -31,12 +31,11 @@ fn grid(memory: MemoryModelKind, fast_forward: bool) -> SweepResults {
         .run()
 }
 
-/// The golden acceptance gate: an explicit `Flat` backend selected
-/// through the trait layer reproduces the machines' default results
-/// exactly — typed values and rendered `Debug` output alike — on the
+/// The golden acceptance gate: an explicitly selected `Flat` memory
+/// model reproduces the machines' default results exactly — typed values and rendered `Debug` output alike — on the
 /// full machines × benchmarks × latencies grid.
 #[test]
-fn flat_through_the_trait_is_byte_identical_to_the_default() {
+fn explicit_flat_is_byte_identical_to_the_default() {
     let default = Sweep::new()
         .machines([
             Machine::reference(1),
@@ -59,8 +58,8 @@ fn flat_through_the_trait_is_byte_identical_to_the_default() {
     }
 }
 
-/// The pre-refactor golden cycle counts, pinned through the explicit
-/// `Flat` backend: the trait layer is an API change, not a model change.
+/// The golden cycle counts, pinned through the explicit `Flat` memory
+/// model.
 #[test]
 fn golden_cycle_counts_pin_the_flat_backend() {
     let program = Benchmark::Trfd.program(Scale::Quick);
@@ -79,8 +78,8 @@ fn golden_cycle_counts_pin_the_flat_backend() {
     }
 }
 
-/// Fast-forward is exact under the new backends too: the banked
-/// backend's stride-dependent bus holds and the multi-port backend's
+/// Fast-forward is exact under the other kinds too: the banked
+/// memory's stride-dependent bus holds and the multi-port memory's
 /// `next_free_at` (earliest port) both feed the next-event computation,
 /// and the full grid is byte-identical with fast-forward on vs off.
 #[test]
@@ -88,7 +87,7 @@ fn full_grid_is_byte_identical_with_fast_forward_under_banked() {
     assert_eq!(grid(BANKED, true), grid(BANKED, false));
 }
 
-/// Same for the multi-port backend.
+/// Same for the multi-port memory.
 #[test]
 fn full_grid_is_byte_identical_with_fast_forward_under_multiport() {
     assert_eq!(grid(TWO_PORT, true), grid(TWO_PORT, false));
@@ -183,7 +182,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Randomized equivalence: fast-forward and naive stepping agree on
-    /// arbitrary compiled programs under the banked backend, for both
+    /// arbitrary compiled programs under the banked memory, for both
     /// machines and a bypass configuration.
     #[test]
     fn banked_fast_forward_matches_naive(program in arb_program(), latency in 1u64..=100) {
@@ -203,7 +202,7 @@ proptest! {
         prop_assert_eq!(&fast, &naive);
     }
 
-    /// Same under the multi-port backend (ports in {2, 3}).
+    /// Same under the multi-port memory (ports in {2, 3}).
     #[test]
     fn multiport_fast_forward_matches_naive(
         program in arb_program(),

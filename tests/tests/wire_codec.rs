@@ -11,8 +11,9 @@
 //! * **Cost.** Rendering, parsing and keying a point costs a handful of
 //!   allocations, counted on this thread, independent of the host.
 
-use dva_core::IdealBound;
+use dva_core::{IdealBound, MAX_QUEUE_CAPACITY};
 use dva_json::Json;
+use dva_memory::{MAX_BANKS, MAX_BANK_BUSY, MAX_PORTS};
 use dva_metrics::{CacheStats, Diag, Histogram, StateTracker, Traffic};
 use dva_serve::proto::{Request, Response};
 use dva_serve::{AdaptiveSummary, JobSummary, PointKey, ResultCache};
@@ -331,17 +332,23 @@ impl Words {
             .unwrap_or(0.25)
     }
 
+    /// A memory kind inside the decode bounds.
     fn memory(&mut self) -> MemoryModelKind {
         match self.below(3) {
             0 => MemoryModelKind::Flat,
             1 => MemoryModelKind::Banked {
-                banks: self.below(64) as u32 + 1,
-                bank_busy: self.below(64),
+                banks: self.below(u64::from(MAX_BANKS)) as u32 + 1,
+                bank_busy: self.below(MAX_BANK_BUSY) + 1,
             },
             _ => MemoryModelKind::MultiPort {
-                ports: self.below(8) as u32 + 1,
+                ports: self.below(u64::from(MAX_PORTS)) as u32 + 1,
             },
         }
+    }
+
+    /// A queue capacity inside the decode bound.
+    fn capacity(&mut self) -> usize {
+        self.below(MAX_QUEUE_CAPACITY as u64) as usize + 1
     }
 
     fn machine(&mut self) -> Machine {
@@ -350,8 +357,7 @@ impl Words {
         match self.below(4) {
             0 => Machine::reference(latency).with_memory_model(memory),
             1 => Machine::dva(latency).with_memory_model(memory),
-            2 => Machine::byp(latency, self.below(300) as usize, self.below(300) as usize)
-                .with_memory_model(memory),
+            2 => Machine::byp(latency, self.capacity(), self.capacity()).with_memory_model(memory),
             _ => Machine::ideal(),
         }
     }

@@ -5,7 +5,7 @@
 //! of the same shape but different lengths outside the measurement, warm
 //! a reusable runner (first run builds the engine's buffers), then
 //! compare the allocation deltas of a short and a long run. Each run
-//! pays the same small constant (the memory backend, the observers, the
+//! pays the same small constant (the memory, the observers, the
 //! result assembly); if the long run — thousands of additional ticks —
 //! allocates exactly as much as the short one, the per-tick allocation
 //! count is pinned at zero.
@@ -17,6 +17,7 @@
 use dva_core::{CompiledProgram, DvaConfig, DvaRunner, DvaSim};
 use dva_isa::{Program, VectorReg};
 use dva_ref::{RefParams, RefRunner, RefSim};
+use dva_sim_api::MemoryModelKind;
 use dva_testutil::{thread_allocation_count, vadd, vload, vstore};
 use std::sync::Arc;
 
@@ -83,7 +84,7 @@ fn steady_state_ticks_do_not_allocate() {
             short_result.ticks_executed.get(),
         );
         // The per-run constant is exact: the occupancy histogram and the
-        // per-port utilization list of the result. The memory backend
+        // per-port utilization list of the result. The memory
         // and every queue keep their storage across resets.
         assert_eq!(
             short_allocs, 2,
@@ -116,6 +117,42 @@ fn ref_steady_state_ticks_do_not_allocate() {
         long_result.ticks_executed.get(),
     );
     // The per-port utilization list of the result, and nothing else:
-    // the memory backend keeps its storage across resets.
+    // the memory keeps its storage across resets.
     assert_eq!(short_allocs, 1, "REF per-run allocations changed");
+}
+
+/// A run on another memory kind reuses the memory's port and cache-tag
+/// storage: after a flat warm-up, a banked run allocates exactly the
+/// per-run constant of a same-kind run.
+#[test]
+fn a_memory_kind_change_keeps_the_storage() {
+    let banked = MemoryModelKind::Banked {
+        banks: 8,
+        bank_busy: 8,
+    };
+    let program = kernel(40);
+
+    let flat = DvaConfig::dva(30);
+    let mut config = flat;
+    config.memory.model = banked;
+    let compiled = Arc::new(CompiledProgram::compile(&program));
+    let (flat_sim, banked_sim) = (DvaSim::new(flat), DvaSim::new(config));
+    let mut runner = DvaRunner::new();
+    let _ = runner.try_run(&flat_sim, &compiled).unwrap();
+    let before = thread_allocation_count();
+    let result = runner.try_run(&banked_sim, &compiled).unwrap();
+    assert_eq!(thread_allocation_count() - before, 2, "DVA flat → banked");
+    assert_eq!(result, banked_sim.run(&program));
+
+    let flat = RefParams::with_latency(30);
+    let mut params = flat;
+    params.memory.model = banked;
+    let compiled = Arc::new(dva_ref::CompiledProgram::compile(&program));
+    let (flat_sim, banked_sim) = (RefSim::new(flat), RefSim::new(params));
+    let mut runner = RefRunner::new();
+    let _ = runner.try_run(&flat_sim, &compiled).unwrap();
+    let before = thread_allocation_count();
+    let result = runner.try_run(&banked_sim, &compiled).unwrap();
+    assert_eq!(thread_allocation_count() - before, 1, "REF flat → banked");
+    assert_eq!(result, banked_sim.run(&program));
 }
