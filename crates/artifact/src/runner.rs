@@ -39,7 +39,7 @@ pub enum RunError {
         /// The violation, with the offending grid coordinate.
         detail: String,
     },
-    /// The sweep service refused or failed one of the experiment's jobs.
+    /// The sweep service failed one of the experiment's jobs.
     Refused {
         /// The experiment whose job failed.
         experiment: String,
@@ -113,8 +113,8 @@ impl Runner {
     ///
     /// Returns [`RunError::InvariantViolated`] — and no artifact — if any
     /// declared invariant fails on any executed sweep, and
-    /// [`RunError::Refused`] if the service fails a sweep (a machine the
-    /// cache cannot address, or a faulting point).
+    /// [`RunError::Refused`] if the service fails a sweep (a faulting
+    /// point or an interrupted job).
     pub fn run(&mut self, spec: &ExperimentSpec, opts: &RunOpts) -> Result<Artifact, RunError> {
         let plans = (spec.sweeps)(opts);
         let mut results = Vec::with_capacity(plans.len());
@@ -382,32 +382,45 @@ mod tests {
         assert!(err.to_string().contains("invariant violated"));
     }
 
-    /// A sweep the service cannot address (a custom machine has no cache
-    /// key) fails the run; nothing is simulated behind the service's back.
+    /// A sweep the service fails — here a point that panics — fails the
+    /// run, and no artifact is produced from a partial grid. The only
+    /// test in this crate that arms `sim.point`; its filter names a
+    /// latency no other test measures.
     #[test]
     fn a_refused_sweep_fails_the_run() {
-        fn custom_sweeps(opts: &RunOpts) -> Vec<SweepPlan> {
+        use dva_serve::ServeError;
+        use dva_sim_api::PointErrorKind;
+        use dva_testutil::failpoint::{self, FailAction, Failpoint};
+        fn faulting_sweeps(opts: &RunOpts) -> Vec<SweepPlan> {
             vec![Sweep::new()
-                .machine(Machine::custom("LOCAL", |_| {
-                    unreachable!("a refused job simulates nothing")
-                }))
+                .machine(Machine::reference(1))
                 .benchmark(Benchmark::Trfd)
-                .latencies([1])
+                .latencies([7949])
                 .scale(opts.scale)
                 .into()]
         }
-        const CUSTOM: ExperimentSpec = ExperimentSpec {
-            sweeps: custom_sweeps,
+        const FAULTING: ExperimentSpec = ExperimentSpec {
+            sweeps: faulting_sweeps,
             invariants: &[],
             ..DEMO
         };
+        failpoint::arm(
+            "sim.point",
+            Failpoint::new(FailAction::Panic).filter("REF|TRFD|L7949"),
+        );
         let mut runner = Runner::new();
-        let err = runner.run(&CUSTOM, &RunOpts::quick()).unwrap_err();
+        let outcome = runner.run(&FAULTING, &RunOpts::quick());
+        failpoint::disarm("sim.point");
+        let err = outcome.unwrap_err();
         let RunError::Refused { experiment, error } = &err else {
             panic!("{err}");
         };
         assert_eq!(experiment, "demo");
-        assert!(matches!(**error, ServeError::Spec(_)), "{error}");
-        assert_eq!(runner.simulated(), 0);
+        let ServeError::Point(fault) = &**error else {
+            panic!("{error}");
+        };
+        assert_eq!(fault.kind, PointErrorKind::Panic);
+        assert_eq!(fault.latency, 7949);
+        assert_eq!(runner.simulated(), 0, "a failed sweep adds nothing");
     }
 }

@@ -2,7 +2,7 @@
 //! axis and its two timing factors, and their wire form.
 
 use crate::cache::{ScalarCacheParams, MAX_CACHE_LINES};
-use dva_isa::{Cycle, Stride};
+use dva_isa::{Cycle, Stride, MAX_DELAY};
 use dva_json::{FromJson, JsonError, Reader, ToJson, Writer};
 use std::fmt;
 
@@ -281,7 +281,7 @@ impl FromJson for MemoryParams {
     fn read_json(r: &mut Reader<'_>) -> Result<MemoryParams, JsonError> {
         r.object(|o| {
             Ok(MemoryParams {
-                latency: o.field("latency")?,
+                latency: o.field_in("latency", 0..=MAX_DELAY)?,
                 cache: o.field("cache")?,
                 model: o.field("model")?,
             })
@@ -357,6 +357,23 @@ mod tests {
         let multi =
             MemoryParams::with_latency(1).with_model(MemoryModelKind::MultiPort { ports: 3 });
         assert_eq!(crate::Memory::new(multi).ports().len(), 3);
+    }
+
+    #[test]
+    fn decoding_rejects_a_latency_outside_the_bound() {
+        let line = |latency: u64| {
+            format!(
+                r#"{{"latency":{latency},"cache":{{"lines":512,"line_bytes":32}},"model":{{"kind":"flat"}}}}"#
+            )
+        };
+        for hostile in [MAX_DELAY + 1, 1 << 62, i64::MAX as u64] {
+            assert_eq!(
+                MemoryParams::parse_json(&line(hostile)).unwrap_err().0,
+                format!("field `latency` = {hostile} outside 0..={MAX_DELAY}")
+            );
+        }
+        let widest = MemoryParams::with_latency(MAX_DELAY);
+        assert_eq!(MemoryParams::parse_json(&line(MAX_DELAY)).unwrap(), widest);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! The serving stack's failure taxonomy.
 //!
-//! Three layers of fault are kept distinct end-to-end:
+//! A request that does not decode never becomes a job: the server
+//! answers it with one `error` line. Every decoded job can be keyed and
+//! cached, so the faults left are two kinds, kept distinct end-to-end:
 //!
-//! * **Job faults** ([`ServeError::Spec`]) — the request itself is
-//!   unservable (a machine that cannot be content-addressed). Nothing
-//!   ran; the client gets one error line.
 //! * **Point faults** ([`ServeError::Point`]) — one grid point
 //!   deadlocked or panicked. The point is isolated by the streaming
 //!   executor; every other point of the job is still served,
@@ -14,8 +13,11 @@
 //!   [`ServeError::Cancelled`]) — the job stopped early because its
 //!   deadline passed or its client went away. Work already done stays
 //!   cached; the rest was never simulated.
+//!
+//! A panic on a connection's own thread — in the merge, a render or a
+//! summary — is a server bug, not a fault of the request; the server's
+//! backstop ends that job with one `error` line and keeps serving.
 
-use dva_json::JsonError;
 use dva_sim_api::PointError;
 use std::fmt;
 
@@ -23,9 +25,6 @@ use std::fmt;
 /// docs](self) for the taxonomy.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServeError {
-    /// The job specification cannot be served (e.g. a custom machine
-    /// that cannot be content-addressed for caching).
-    Spec(JsonError),
     /// One grid point failed; carries the point's coordinates and the
     /// diagnosis.
     Point(PointError),
@@ -40,7 +39,6 @@ pub enum ServeError {
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ServeError::Spec(e) => write!(f, "unservable job: {e}"),
             ServeError::Point(e) => write!(f, "{e}"),
             ServeError::DeadlineExceeded => write!(f, "job deadline exceeded"),
             ServeError::Cancelled => write!(f, "job cancelled"),
@@ -49,12 +47,6 @@ impl fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
-
-impl From<JsonError> for ServeError {
-    fn from(e: JsonError) -> ServeError {
-        ServeError::Spec(e)
-    }
-}
 
 impl From<PointError> for ServeError {
     fn from(e: PointError) -> ServeError {

@@ -52,13 +52,7 @@ impl SweepService {
     /// the misses are simulated (work-stealing, streaming), and their
     /// workers start when the run first needs a miss: a fully cached job
     /// spawns no thread at all.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the sweep contains a machine that cannot be
-    /// content-addressed (a [`Machine::custom`](dva_sim_api::Machine::custom)
-    /// machine).
-    pub fn submit(&self, sweep: &Sweep) -> Result<ServeRun, ServeError> {
+    pub fn submit(&self, sweep: &Sweep) -> ServeRun {
         self.submit_specs(sweep, sweep.grid())
     }
 
@@ -68,15 +62,7 @@ impl SweepService {
     /// refinement round, say, rather than a full grid). The specs'
     /// cache keys are the same as in a full-grid job — subset and dense
     /// runs share cache entries in both directions.
-    ///
-    /// # Errors
-    ///
-    /// Fails under the same conditions as [`submit`](SweepService::submit).
-    pub fn submit_specs(
-        &self,
-        sweep: &Sweep,
-        specs: Vec<PointSpec>,
-    ) -> Result<ServeRun, ServeError> {
+    pub fn submit_specs(&self, sweep: &Sweep, specs: Vec<PointSpec>) -> ServeRun {
         let total = specs.len();
         let mut hits: VecDeque<(usize, SweepPoint)> = VecDeque::new();
         let mut misses: Vec<PointSpec> = Vec::new();
@@ -88,7 +74,7 @@ impl SweepService {
             // dense, which is what the in-order merge below needs. (For a
             // full grid the two coincide.)
             for (position, mut spec) in specs.into_iter().enumerate() {
-                let key = PointKey::of(&spec, sweep.fast_forward_enabled())?;
+                let Ok(key) = PointKey::of(&spec, sweep.fast_forward_enabled());
                 match cache.get(&key) {
                     Some(result) => hits.push_back((position, spec.point(result))),
                     None => {
@@ -105,7 +91,7 @@ impl SweepService {
             simulated: misses.len(),
             errors: 0,
         };
-        Ok(ServeRun {
+        ServeRun {
             cache: Arc::clone(&self.cache),
             hits,
             sweep: sweep.clone(),
@@ -115,7 +101,7 @@ impl SweepService {
             summary,
             yielded: 0,
             cancel: sweep.cancel_handle(),
-        })
+        }
     }
 
     /// Runs a job to completion, returning the collected results (equal
@@ -129,7 +115,7 @@ impl SweepService {
     /// [`ServeError::Cancelled`] / [`ServeError::DeadlineExceeded`].
     /// Points measured before the failure stay cached either way.
     pub fn run(&self, sweep: &Sweep) -> Result<(SweepResults, JobSummary), ServeError> {
-        let mut run = self.submit(sweep)?;
+        let mut run = self.submit(sweep);
         let mut points = Vec::with_capacity(run.summary().total);
         while let Some(outcome) = run.next_outcome() {
             points.push(outcome?);
@@ -154,8 +140,7 @@ impl SweepService {
     ///
     /// # Errors
     ///
-    /// Fails under the same conditions as [`submit`](SweepService::submit);
-    /// additionally, an isolated point fault aborts the refinement (a
+    /// An isolated point fault aborts the refinement (a
     /// planner fed a partial round would refine a different curve) as
     /// [`ServeError::Point`], and a cancelled token or expired deadline
     /// on the adaptive session stops the job between rounds as
@@ -187,7 +172,7 @@ impl SweepService {
             // The round's dense indices, in submission order — the run
             // below yields points in exactly this order.
             let indices: Vec<usize> = specs.iter().map(|spec| spec.index).collect();
-            let mut run = self.submit_specs(&sweep, specs)?;
+            let mut run = self.submit_specs(&sweep, specs);
             let round = run.summary();
             summary.total += round.total;
             summary.cache_hits += round.cache_hits;
@@ -421,9 +406,7 @@ mod tests {
         let cached = service.cached_results();
 
         let token = CancelToken::new();
-        let mut run = service
-            .submit(&sweep().cancel_token(token.clone()))
-            .unwrap();
+        let mut run = service.submit(&sweep().cancel_token(token.clone()));
         assert_eq!(run.summary().cache_hits, 6);
         let first = run.next_outcome().unwrap().unwrap();
         assert_eq!(first, trfd.clone().threads(1).run().points[0]);
@@ -437,7 +420,7 @@ mod tests {
         assert!(run.stream.is_none());
         assert_eq!(service.cached_results(), cached, "no miss was simulated");
 
-        let mut run = service.submit(&trfd).unwrap();
+        let mut run = service.submit(&trfd);
         assert_eq!(drain(&mut run).len(), 6);
         assert!(!run.interrupted());
         assert!(run.stream.is_none(), "a fully cached job starts no stream");
@@ -479,7 +462,7 @@ mod tests {
                 .map(|s| dense.points[s.index].clone())
                 .collect()
         };
-        let mut run = service.submit_specs(&job, subset).unwrap();
+        let mut run = service.submit_specs(&job, subset);
         assert!(run.summary().cache_hits > 0 && run.summary().simulated > 0);
         let streamed = drain(&mut run);
         assert_eq!(
@@ -564,7 +547,7 @@ mod tests {
         service.run(&half).unwrap();
 
         let job = sweep();
-        let mut run = service.submit(&job).unwrap();
+        let mut run = service.submit(&job);
         let summary = run.summary();
         // Latency-1 points all hit (6), and so do the IDEAL points at
         // latency 30 — IDEAL keys carry no latency.

@@ -17,8 +17,9 @@
 //! [`Program::content_hash`]: dva_isa::Program::content_hash
 
 use dva_engine::ENGINE_VERSION;
-use dva_json::{JsonError, Writer};
+use dva_json::{ToJson, Writer};
 use dva_sim_api::PointSpec;
+use std::convert::Infallible;
 use std::fmt::{self, Write as _};
 
 /// The capacity a key is written into: enough for the prefix and the
@@ -33,21 +34,18 @@ const KEY_CAPACITY: usize = 512;
 pub struct PointKey(String);
 
 impl PointKey {
-    /// Computes the key of a grid point.
-    ///
-    /// # Errors
-    ///
-    /// Fails for points on a [`Machine::custom`](dva_sim_api::Machine::custom)
-    /// machine: its behaviour lives in a function pointer, which has no
-    /// content address.
-    pub fn of(spec: &PointSpec, fast_forward: bool) -> Result<PointKey, JsonError> {
+    /// Computes the key of a grid point. Every machine is plain data, so
+    /// every point has a key: the error type is [`Infallible`], and the
+    /// `Result` only keeps existing callers compiling
+    /// (`let Ok(key) = PointKey::of(..);`).
+    pub fn of(spec: &PointSpec, fast_forward: bool) -> Result<PointKey, Infallible> {
         let program = spec.program.content_hash();
         let mut key = String::with_capacity(KEY_CAPACITY);
         let _ = write!(
             key,
             "v{ENGINE_VERSION};prog={program:032x};ff={fast_forward};machine="
         );
-        spec.machine.write_json(&mut Writer::new(&mut key))?;
+        spec.machine.write_json(&mut Writer::new(&mut key));
         key.shrink_to_fit();
         Ok(PointKey(key))
     }
@@ -76,6 +74,11 @@ mod tests {
     use dva_sim_api::{Machine, Sweep};
     use dva_workloads::{Benchmark, Scale};
 
+    fn key(spec: &PointSpec, fast_forward: bool) -> PointKey {
+        let Ok(key) = PointKey::of(spec, fast_forward);
+        key
+    }
+
     fn spec_grid() -> Vec<PointSpec> {
         Sweep::new()
             .machines([Machine::reference(1), Machine::dva(1), Machine::ideal()])
@@ -93,10 +96,7 @@ mod tests {
         let a = spec_grid();
         let b = spec_grid();
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(
-                PointKey::of(x, true).unwrap(),
-                PointKey::of(y, true).unwrap()
-            );
+            assert_eq!(key(x, true), key(y, true));
         }
         let spec = &a[0];
         let mut copied = spec.clone();
@@ -107,10 +107,7 @@ mod tests {
             spec.program.insts().as_ptr(),
             "the copy must not share storage for this test to mean anything"
         );
-        assert_eq!(
-            PointKey::of(&copied, true).unwrap(),
-            PointKey::of(spec, true).unwrap()
-        );
+        assert_eq!(key(&copied, true), key(spec, true));
     }
 
     #[test]
@@ -120,7 +117,7 @@ mod tests {
         // IDEAL collapses across the latency axis by design.
         let mut seen = std::collections::HashMap::new();
         for spec in &grid {
-            let key = PointKey::of(spec, true).unwrap();
+            let key = key(spec, true);
             if let Some(prev) = seen.insert(key.clone(), spec) {
                 assert_eq!(prev.machine, Machine::ideal(), "{key} collided");
                 assert_eq!(prev.benchmark, spec.benchmark);
@@ -129,7 +126,7 @@ mod tests {
         let ideal_keys: std::collections::HashSet<_> = grid
             .iter()
             .filter(|s| s.machine == Machine::ideal())
-            .map(|s| PointKey::of(s, true).unwrap())
+            .map(|s| key(s, true))
             .collect();
         // 2 benchmarks × 2 latencies, but only 2 distinct IDEAL keys.
         assert_eq!(ideal_keys.len(), 2);
@@ -138,19 +135,9 @@ mod tests {
     #[test]
     fn fast_forward_and_engine_version_are_part_of_the_key() {
         let spec = &spec_grid()[0];
-        let fast = PointKey::of(spec, true).unwrap();
-        let naive = PointKey::of(spec, false).unwrap();
+        let fast = key(spec, true);
+        let naive = key(spec, false);
         assert_ne!(fast, naive);
         assert!(fast.as_str().starts_with(&format!("v{ENGINE_VERSION};")));
-    }
-
-    #[test]
-    fn custom_machines_have_no_key() {
-        fn build(_: &dva_isa::Program) -> dva_sim_api::CustomSim<'_> {
-            unreachable!()
-        }
-        let mut spec = spec_grid().remove(0);
-        spec.machine = Machine::custom("LOCAL", build);
-        assert!(PointKey::of(&spec, true).is_err());
     }
 }

@@ -39,6 +39,7 @@
 use crate::exec::{AdaptiveSummary, JobSummary};
 use dva_json::{JsonError, Reader, Writer};
 use dva_sim_api::{AdaptiveSweep, PointError, PointErrorKind, Sweep, SweepPoint};
+use std::convert::Infallible;
 
 /// The capacity [`Response::render`] starts a line with: most point
 /// frames fit, and one doubling fits a decoupled machine's with its
@@ -96,8 +97,8 @@ impl Request {
     ///
     /// # Errors
     ///
-    /// Fails only for sweeps that cannot be serialized (custom machines
-    /// or custom programs).
+    /// Fails only for sweeps that cannot be serialized (custom
+    /// programs).
     pub fn render(&self) -> Result<String, JsonError> {
         let mut line = String::new();
         Writer::new(&mut line).object(|w| {
@@ -216,71 +217,60 @@ impl Response {
     }
 
     /// Renders this response as its wire line (no trailing newline).
-    ///
-    /// # Errors
-    ///
-    /// Fails only for points measured on machines that cannot be
-    /// serialized; the server never produces those.
-    pub fn render(&self) -> Result<String, JsonError> {
+    /// Every response renders: the error type is [`Infallible`], and the
+    /// `Result` only keeps existing callers compiling.
+    pub fn render(&self) -> Result<String, Infallible> {
         let mut line = String::with_capacity(LINE_CAPACITY);
-        self.write_json(&mut Writer::new(&mut line))?;
+        self.write_json(&mut Writer::new(&mut line));
         Ok(line)
     }
 
     /// Writes this response's wire line (no trailing newline); a point
     /// is written straight from the [`SweepPoint`].
-    ///
-    /// # Errors
-    ///
-    /// As [`render`](Response::render).
-    pub(crate) fn write_json(&self, w: &mut Writer<'_>) -> Result<(), JsonError> {
-        w.object(|w| {
-            match self {
-                Response::Pong { engine_version } => {
-                    w.field("type", "pong");
-                    w.field("engine_version", engine_version);
-                }
-                Response::Point { index, point } => {
-                    w.field("type", "point");
-                    w.field("index", index);
-                    w.key("point");
-                    point.write_json(w)?;
-                }
-                Response::PointError(e) => {
-                    w.field("type", "point_error");
-                    w.field("index", &e.index);
-                    w.field("kind", e.kind.as_str());
-                    w.field("label", e.label.as_str());
-                    w.field("program", e.program.as_str());
-                    w.field("latency", &e.latency);
-                    w.field("memory", &e.memory);
-                    w.field("message", e.message.as_str());
-                }
-                Response::Summary(summary) => {
-                    w.field("type", "summary");
-                    w.field("total", &summary.total);
-                    w.field("cache_hits", &summary.cache_hits);
-                    w.field("simulated", &summary.simulated);
-                    w.field("errors", &summary.errors);
-                }
-                Response::AdaptiveSummary(summary) => {
-                    w.field("type", "adaptive_summary");
-                    w.field("dense", &summary.dense);
-                    w.field("sampled", &summary.sampled);
-                    w.field("cache_hits", &summary.cache_hits);
-                    w.field("simulated", &summary.simulated);
-                    w.field("interpolated", &summary.interpolated);
-                    w.field("dominated", &summary.dominated);
-                    w.field("pruned_curves", &summary.pruned_curves);
-                    w.field("rounds", &summary.rounds);
-                }
-                Response::Error { message } => {
-                    w.field("type", "error");
-                    w.field("message", message.as_str());
-                }
-                Response::Bye => w.field("type", "bye"),
+    pub(crate) fn write_json(&self, w: &mut Writer<'_>) {
+        w.object(|w| match self {
+            Response::Pong { engine_version } => {
+                w.field("type", "pong");
+                w.field("engine_version", engine_version);
             }
-            Ok(())
+            Response::Point { index, point } => {
+                w.field("type", "point");
+                w.field("index", index);
+                w.field("point", &**point);
+            }
+            Response::PointError(e) => {
+                w.field("type", "point_error");
+                w.field("index", &e.index);
+                w.field("kind", e.kind.as_str());
+                w.field("label", e.label.as_str());
+                w.field("program", e.program.as_str());
+                w.field("latency", &e.latency);
+                w.field("memory", &e.memory);
+                w.field("message", e.message.as_str());
+            }
+            Response::Summary(summary) => {
+                w.field("type", "summary");
+                w.field("total", &summary.total);
+                w.field("cache_hits", &summary.cache_hits);
+                w.field("simulated", &summary.simulated);
+                w.field("errors", &summary.errors);
+            }
+            Response::AdaptiveSummary(summary) => {
+                w.field("type", "adaptive_summary");
+                w.field("dense", &summary.dense);
+                w.field("sampled", &summary.sampled);
+                w.field("cache_hits", &summary.cache_hits);
+                w.field("simulated", &summary.simulated);
+                w.field("interpolated", &summary.interpolated);
+                w.field("dominated", &summary.dominated);
+                w.field("pruned_curves", &summary.pruned_curves);
+                w.field("rounds", &summary.rounds);
+            }
+            Response::Error { message } => {
+                w.field("type", "error");
+                w.field("message", message.as_str());
+            }
+            Response::Bye => w.field("type", "bye"),
         })
     }
 }
@@ -289,6 +279,7 @@ impl Response {
 mod tests {
     use super::*;
     use dva_engine::ENGINE_VERSION;
+    use dva_json::Json;
     use dva_sim_api::Machine;
     use dva_workloads::{Benchmark, Scale};
 
@@ -429,6 +420,143 @@ mod tests {
             let line = response.render().unwrap();
             assert_eq!(Response::parse(&line).unwrap(), response);
         }
+    }
+
+    /// Every integer leaf of `json`: its path (member or element
+    /// positions) and the name of the member that holds it.
+    fn integer_leaves(
+        json: &Json,
+        path: &mut Vec<usize>,
+        name: &str,
+        out: &mut Vec<(Vec<usize>, String)>,
+    ) {
+        match json {
+            Json::Int(_) => out.push((path.clone(), name.to_string())),
+            Json::Array(items) => {
+                for (i, item) in items.iter().enumerate() {
+                    path.push(i);
+                    integer_leaves(item, path, name, out);
+                    path.pop();
+                }
+            }
+            Json::Object(fields) => {
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    path.push(i);
+                    integer_leaves(value, path, key, out);
+                    path.pop();
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn leaf_at<'j>(json: &'j mut Json, path: &[usize]) -> &'j mut Json {
+        path.iter().fold(json, |node, &i| match node {
+            Json::Array(items) => &mut items[i],
+            Json::Object(fields) => &mut fields[i].1,
+            other => panic!("no child {i} in {other:?}"),
+        })
+    }
+
+    /// The schema-wide bound check: every integer a client can send in a
+    /// canonical DVA sweep, REF sweep or adaptive request, set to
+    /// `i64::MAX`, is refused at decode — unless it is one of the few
+    /// fields that are safe at any value. A new integer field with no
+    /// bound fails here. Decode only: nothing is simulated.
+    #[test]
+    fn every_integer_a_request_carries_is_bounded_or_safe_by_construction() {
+        use dva_sim_api::MemoryModelKind;
+        // Safe at any value: a deadline is only compared with the clock,
+        // and admission and the planner clamp threads and seeds.
+        const SAFE: [&str; 3] = ["deadline_ms", "threads", "seeds"];
+        let banked = MemoryModelKind::Banked {
+            banks: 8,
+            bank_busy: 4,
+        };
+        let multiport = MemoryModelKind::MultiPort { ports: 2 };
+        let models = [MemoryModelKind::Flat, banked, multiport];
+        let dva = Sweep::new()
+            .machines([
+                Machine::dva(1).with_memory_model(banked),
+                Machine::byp(1, 4, 8).with_memory_model(multiport),
+            ])
+            .benchmark(Benchmark::Trfd)
+            .latencies([1, 30])
+            .memory_models(models)
+            .scale(Scale::Quick)
+            .threads(2);
+        let reference = Sweep::new()
+            .machines([Machine::reference(1), Machine::ideal()])
+            .benchmark(Benchmark::Trfd)
+            .latencies([1, 30])
+            .memory_models(models)
+            .scale(Scale::Quick)
+            .threads(2);
+        let adaptive = AdaptiveSweep::over(
+            Sweep::new()
+                .machines([Machine::reference(1), Machine::dva(1)])
+                .benchmark(Benchmark::Trfd)
+                .memory_models(models)
+                .scale(Scale::Quick),
+            [1, 30, 100],
+        )
+        .seeds(3)
+        .prune_against("DVA", ["REF"]);
+        let requests = [
+            Request::Sweep {
+                spec: Box::new(dva),
+                deadline_ms: Some(2_500),
+            },
+            Request::Sweep {
+                spec: Box::new(reference),
+                deadline_ms: Some(2_500),
+            },
+            Request::Adaptive {
+                spec: Box::new(adaptive),
+                deadline_ms: Some(2_500),
+            },
+        ];
+        let mut names = std::collections::BTreeSet::new();
+        for request in requests {
+            let line = request.render().unwrap();
+            let json = Json::parse(&line).unwrap();
+            let mut leaves = Vec::new();
+            integer_leaves(&json, &mut Vec::new(), "", &mut leaves);
+            for (path, name) in leaves {
+                let mut hostile = json.clone();
+                *leaf_at(&mut hostile, &path) = Json::Int(i64::MAX);
+                let decoded = Request::parse(&hostile.render());
+                assert_eq!(
+                    decoded.is_ok(),
+                    SAFE.contains(&name.as_str()),
+                    "`{name}` = i64::MAX: {:?}",
+                    decoded.map(drop)
+                );
+                names.insert(name);
+            }
+        }
+        // The walk reached every integer field of the schema.
+        let expected = [
+            "avdq",
+            "axis",
+            "bank_busy",
+            "banks",
+            "deadline_ms",
+            "fu_startup",
+            "instruction_queue",
+            "latencies",
+            "latency",
+            "line_bytes",
+            "lines",
+            "ports",
+            "qmov_startup",
+            "scalar_data_queue",
+            "scalar_store_queue",
+            "seeds",
+            "store_queue",
+            "threads",
+        ];
+        assert_eq!(names.into_iter().collect::<Vec<_>>(), expected);
     }
 
     #[test]

@@ -15,6 +15,7 @@ use dva_sim_api::{available_workers, CancelToken};
 use dva_testutil::failpoint;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixListener;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -117,36 +118,48 @@ fn is_disconnect(e: &io::Error) -> bool {
     )
 }
 
+/// Writes response lines: each is built in one reused buffer, newline
+/// included, and goes out as one write and one flush, so clients see
+/// points as they complete.
+struct Responder<W> {
+    writer: W,
+    line: String,
+}
+
+impl<W: Write> Responder<W> {
+    fn send(&mut self, response: &Response) -> io::Result<()> {
+        // Cleared first, so a line a panic left half-written is dropped.
+        self.line.clear();
+        response.write_json(&mut Writer::new(&mut self.line));
+        failpoint::hit("serve.socket.write", || self.line.clone())?;
+        self.line.push('\n');
+        self.writer.write_all(self.line.as_bytes())?;
+        self.writer.flush()
+    }
+}
+
 /// Serves one connection: reads request lines until EOF or a shutdown
-/// request, writing response lines (one write and one flush per line, so
-/// clients see points as they complete). Returns `true` if the client
-/// asked the whole server to shut down.
+/// request, writing response lines. Returns `true` if the client asked
+/// the whole server to shut down.
 ///
 /// A line that is not UTF-8, does not parse or asks for more than
 /// [`MAX_JOB_POINTS`] gets one `error` response and the connection stays
 /// usable; a job's worker threads are capped at the host's available
-/// parallelism. An idle timeout or reset on the read side closes the
-/// connection quietly (`Ok(false)`), as does a line longer than
-/// [`MAX_REQUEST_LINE`] after its one `error` response; write failures
-/// — the client hung up mid-stream — cancel the in-flight job and
-/// surface as the error.
+/// parallelism. A panic while serving a job — in the merge, a render or
+/// a summary, on this thread — cancels that job and costs one `error`
+/// line; the connection stays usable. An idle timeout or reset on the
+/// read side closes the connection quietly (`Ok(false)`), as does a line
+/// longer than [`MAX_REQUEST_LINE`] after its one `error` response;
+/// write failures — the client hung up mid-stream — cancel the in-flight
+/// job and surface as the error.
 pub fn serve_connection(
     service: &SweepService,
     mut reader: impl BufRead,
-    mut writer: impl Write,
+    writer: impl Write,
 ) -> io::Result<bool> {
-    // Every response line is written into this one buffer, newline
-    // included, and goes out as one write.
-    let mut line = String::new();
-    let mut respond = |writer: &mut dyn Write, response: &Response| -> io::Result<()> {
-        line.clear();
-        response
-            .write_json(&mut Writer::new(&mut line))
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        failpoint::hit("serve.socket.write", || line.clone())?;
-        line.push('\n');
-        writer.write_all(line.as_bytes())?;
-        writer.flush()
+    let mut out = Responder {
+        writer,
+        line: String::new(),
     };
     let mut buf = Vec::new();
     loop {
@@ -162,23 +175,17 @@ pub fn serve_connection(
             Err(e) => return Err(e),
         }
         if buf.len() == MAX_REQUEST_LINE && buf.last() != Some(&b'\n') {
-            respond(
-                &mut writer,
-                &Response::Error {
-                    message: format!("request line longer than {MAX_REQUEST_LINE} bytes"),
-                },
-            )?;
+            out.send(&Response::Error {
+                message: format!("request line longer than {MAX_REQUEST_LINE} bytes"),
+            })?;
             return Ok(false);
         }
         let request_line = match std::str::from_utf8(&buf) {
             Ok(text) => text,
             Err(e) => {
-                respond(
-                    &mut writer,
-                    &Response::Error {
-                        message: format!("request line is not UTF-8 ({e})"),
-                    },
-                )?;
+                out.send(&Response::Error {
+                    message: format!("request line is not UTF-8 ({e})"),
+                })?;
                 continue;
             }
         };
@@ -191,112 +198,121 @@ pub fn serve_connection(
         let request = match Request::parse(request_line) {
             Ok(request) => request,
             Err(e) => {
-                respond(
-                    &mut writer,
-                    &Response::Error {
-                        message: clip(e.to_string()),
-                    },
-                )?;
+                out.send(&Response::Error {
+                    message: clip(e.to_string()),
+                })?;
                 continue;
             }
         };
         let request = match admit(request) {
             Ok(request) => request,
             Err(message) => {
-                respond(&mut writer, &Response::Error { message })?;
+                out.send(&Response::Error { message })?;
                 continue;
             }
         };
-        match request {
-            Request::Ping => respond(
-                &mut writer,
-                &Response::Pong {
+        let cancel = match request {
+            Request::Ping => {
+                out.send(&Response::Pong {
                     engine_version: ENGINE_VERSION,
-                },
-            )?,
+                })?;
+                continue;
+            }
             Request::Shutdown => {
-                respond(&mut writer, &Response::Bye)?;
+                out.send(&Response::Bye)?;
                 return Ok(true);
             }
-            Request::Sweep { spec, deadline_ms } => {
-                let cancel = cancel_for(deadline_ms);
-                let sweep = spec.cancel_token(cancel.clone());
-                match service.submit(&sweep) {
-                    Err(e) => respond(
-                        &mut writer,
-                        &Response::Error {
-                            message: e.to_string(),
-                        },
-                    )?,
-                    Ok(mut run) => {
-                        let mut index = 0;
-                        while let Some(outcome) = run.next_outcome() {
-                            let frame = match outcome {
-                                Ok(point) => Response::Point {
-                                    index,
-                                    point: Box::new(point),
-                                },
-                                Err(error) => Response::PointError(error),
-                            };
-                            index += 1;
-                            if let Err(e) = respond(&mut writer, &frame) {
-                                // The client is gone: stop simulating
-                                // the rest of the job, keep the daemon.
-                                cancel.cancel();
-                                return Err(e);
-                            }
-                        }
-                        if run.interrupted() {
-                            respond(
-                                &mut writer,
-                                &Response::Error {
-                                    message: run.interruption().to_string(),
-                                },
-                            )?;
-                        } else {
-                            respond(&mut writer, &Response::Summary(run.summary()))?;
-                        }
-                    }
-                }
+            Request::Sweep { deadline_ms, .. } | Request::Adaptive { deadline_ms, .. } => {
+                cancel_for(deadline_ms)
             }
-            Request::Adaptive { spec, deadline_ms } => {
-                let cancel = cancel_for(deadline_ms);
-                let adaptive = spec.cancel_token(cancel.clone());
-                // Points stream from inside the adaptive driver's rounds;
-                // a write failure is carried out through this slot and
-                // cancels the session so no further round is simulated.
-                let mut write_error: Option<io::Error> = None;
-                let outcome = service.run_adaptive_with(&adaptive, |index, point| {
-                    if write_error.is_none() {
-                        if let Err(e) = respond(
-                            &mut writer,
-                            &Response::Point {
-                                index,
-                                point: Box::new(point.clone()),
-                            },
-                        ) {
-                            cancel.cancel();
-                            write_error = Some(e);
-                        }
-                    }
-                });
-                if let Some(e) = write_error {
-                    return Err(e);
-                }
-                match outcome {
-                    Err(e) => respond(
-                        &mut writer,
-                        &Response::Error {
-                            message: e.to_string(),
-                        },
-                    )?,
-                    Ok((outcome, job)) => respond(
-                        &mut writer,
-                        &Response::AdaptiveSummary(AdaptiveSummary::of(&outcome.report, job)),
-                    )?,
-                }
+        };
+        // The backstop: a panic on this thread ends the job, not the
+        // connection. Workers already isolate a point's own panic.
+        let served = catch_unwind(AssertUnwindSafe(|| {
+            serve_job(service, request, &cancel, &mut out)
+        }));
+        match served {
+            Ok(result) => result?,
+            Err(_) => {
+                cancel.cancel();
+                out.send(&Response::Error {
+                    message: "internal error while serving the job; the job was cancelled"
+                        .to_string(),
+                })?;
             }
         }
+    }
+}
+
+/// Serves one admitted sweep or adaptive job under `cancel`: its point
+/// lines, then its summary (or the `error` line of an interrupted job).
+/// A write failure cancels the job and is returned.
+fn serve_job(
+    service: &SweepService,
+    request: Request,
+    cancel: &CancelToken,
+    out: &mut Responder<impl Write>,
+) -> io::Result<()> {
+    match request {
+        Request::Sweep { spec, .. } => {
+            let mut run = service.submit(&spec.cancel_token(cancel.clone()));
+            let mut index = 0;
+            while let Some(outcome) = run.next_outcome() {
+                let frame = match outcome {
+                    Ok(point) => Response::Point {
+                        index,
+                        point: Box::new(point),
+                    },
+                    Err(error) => Response::PointError(error),
+                };
+                index += 1;
+                if let Err(e) = out.send(&frame) {
+                    // The client is gone: stop simulating the rest of
+                    // the job, keep the daemon.
+                    cancel.cancel();
+                    return Err(e);
+                }
+            }
+            if run.interrupted() {
+                out.send(&Response::Error {
+                    message: run.interruption().to_string(),
+                })
+            } else {
+                out.send(&Response::Summary(run.summary()))
+            }
+        }
+        Request::Adaptive { spec, .. } => {
+            let adaptive = spec.cancel_token(cancel.clone());
+            // Points stream from inside the adaptive driver's rounds; a
+            // write failure is carried out through this slot and cancels
+            // the session so no further round is simulated.
+            let mut write_error: Option<io::Error> = None;
+            let outcome = service.run_adaptive_with(&adaptive, |index, point| {
+                if write_error.is_none() {
+                    if let Err(e) = out.send(&Response::Point {
+                        index,
+                        point: Box::new(point.clone()),
+                    }) {
+                        cancel.cancel();
+                        write_error = Some(e);
+                    }
+                }
+            });
+            if let Some(e) = write_error {
+                return Err(e);
+            }
+            match outcome {
+                Err(e) => out.send(&Response::Error {
+                    message: e.to_string(),
+                }),
+                Ok((outcome, job)) => out.send(&Response::AdaptiveSummary(AdaptiveSummary::of(
+                    &outcome.report,
+                    job,
+                ))),
+            }
+        }
+        // Answered by the connection loop; never a job.
+        Request::Ping | Request::Shutdown => Ok(()),
     }
 }
 
@@ -474,6 +490,114 @@ mod tests {
                 }
             }
             prop_assert!(matches!(responses[lines.len()], Response::Pong { .. }));
+        }
+    }
+
+    /// Request lines with a timing value past [`dva_isa::MAX_DELAY`]: a
+    /// sweep latency of `i64::MAX` and of 2^62, an FU startup and a QMOV
+    /// startup of `i64::MAX`, and an adaptive axis reaching `i64::MAX`.
+    /// Unbounded, each was simulated and its cycle counts then overflowed
+    /// the JSON integer range, panicking the writer.
+    fn hostile_timing_lines() -> [String; 5] {
+        let template = |machine| {
+            Sweep::new()
+                .machine(machine)
+                .benchmark(Benchmark::Trfd)
+                .scale(Scale::Quick)
+                .threads(1)
+        };
+        let sweep = |machine| {
+            Request::Sweep {
+                spec: Box::new(template(machine).latencies([1])),
+                deadline_ms: None,
+            }
+            .render()
+            .unwrap()
+        };
+        let adaptive = Request::Adaptive {
+            spec: Box::new(AdaptiveSweep::over(template(Machine::dva(1)), [1, 2])),
+            deadline_ms: None,
+        }
+        .render()
+        .unwrap();
+        let max = i64::MAX;
+        let [reference, dva] = [sweep(Machine::reference(1)), sweep(Machine::dva(1))];
+        let lines = [
+            reference.replace(r#""latencies":[1]"#, &format!(r#""latencies":[{max}]"#)),
+            reference.replace(
+                r#""latencies":[1]"#,
+                &format!(r#""latencies":[{}]"#, 1u64 << 62),
+            ),
+            reference.replace(r#""fu_startup":4"#, &format!(r#""fu_startup":{max}"#)),
+            dva.replace(r#""qmov_startup":2"#, &format!(r#""qmov_startup":{max}"#)),
+            adaptive.replace(r#""axis":[1,2]"#, &format!(r#""axis":[1,{max}]"#)),
+        ];
+        for (line, source) in lines
+            .iter()
+            .zip([&reference, &reference, &reference, &dva, &adaptive])
+        {
+            assert_ne!(line, source, "the hostile value must land in the line");
+        }
+        lines
+    }
+
+    #[test]
+    fn hostile_timing_values_cost_one_error_each_and_the_connection_answers_ping() {
+        let mut input = String::new();
+        for line in hostile_timing_lines() {
+            input += &line;
+            input += "\n{\"type\":\"ping\"}\n";
+        }
+        let responses = converse(input);
+        assert_eq!(responses.len(), 10, "{responses:?}");
+        for pair in responses.chunks(2) {
+            match pair {
+                [Response::Error { message }, Response::Pong { .. }] => {
+                    let bound = format!("outside 0..={}", dva_isa::MAX_DELAY);
+                    assert!(message.contains(&bound), "{message}");
+                }
+                other => panic!("expected an error then a pong, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_panic_while_serving_a_job_costs_one_error_and_the_connection_stays_open() {
+        use dva_testutil::failpoint::{FailAction, Failpoint};
+        // Only this test arms `serve.socket.write` in this crate, and its
+        // filter matches only this job's point line (latency 7937).
+        let sweep = Request::Sweep {
+            spec: Box::new(
+                Sweep::new()
+                    .machine(Machine::reference(1))
+                    .benchmark(Benchmark::Trfd)
+                    .latencies([7937])
+                    .scale(Scale::Quick)
+                    .threads(1),
+            ),
+            deadline_ms: None,
+        }
+        .render()
+        .unwrap();
+        failpoint::arm(
+            "serve.socket.write",
+            Failpoint::new(FailAction::Panic)
+                .filter(r#""latency":7937,"memory""#)
+                .times(1),
+        );
+        let responses = converse(format!("{sweep}\n{{\"type\":\"ping\"}}\n{sweep}\n"));
+        let fired = failpoint::fired("serve.socket.write");
+        failpoint::disarm("serve.socket.write");
+        assert_eq!(fired, 1);
+        match &responses[..] {
+            [Response::Error { message }, Response::Pong { .. }, Response::Point { .. }, Response::Summary(summary)] =>
+            {
+                assert!(message.contains("internal error"), "{message}");
+                // The first job's point was measured and cached before
+                // its line panicked; the resubmission is a hit.
+                assert_eq!(summary.cache_hits, 1);
+            }
+            other => panic!("expected an error, a pong, then the job, got {other:?}"),
         }
     }
 

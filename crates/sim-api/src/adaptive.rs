@@ -229,8 +229,8 @@ impl AdaptiveSweep {
     ///
     /// # Errors
     ///
-    /// Fails exactly when the template fails [`Sweep::write_json`]
-    /// (custom machines or custom programs).
+    /// Fails exactly when the template fails [`Sweep::write_json`] (a
+    /// custom program).
     pub fn write_json(&self, w: &mut Writer<'_>) -> Result<(), JsonError> {
         w.object(|w| {
             w.key("sweep");
@@ -262,7 +262,7 @@ impl FromJson for AdaptiveSweep {
     fn read_json(r: &mut Reader<'_>) -> Result<AdaptiveSweep, JsonError> {
         r.object(|o| {
             let template = o.field("sweep")?;
-            let axis: Vec<u64> = o.field("axis")?;
+            let axis = crate::wire::delays(o, "axis")?;
             let mut adaptive = AdaptiveSweep::over(template, axis)
                 .seeds(o.field("seeds")?)
                 .tolerance(o.field("tolerance")?)
@@ -659,6 +659,7 @@ pub fn knee_latency(curve: &[(u64, u64)]) -> Option<u64> {
 mod tests {
     use super::*;
     use crate::Machine;
+    use dva_isa::MAX_DELAY;
     use dva_workloads::{Benchmark, Scale};
 
     fn template() -> Sweep {
@@ -817,6 +818,22 @@ mod tests {
                 .render(),
             json.render()
         );
+    }
+
+    #[test]
+    fn adaptive_axis_is_bounded_at_decode() {
+        let spec = AdaptiveSweep::over(template(), [1, 30])
+            .to_json()
+            .unwrap()
+            .render();
+        assert!(spec.contains(r#""axis":[1,30]"#), "{spec}");
+        for hostile in [MAX_DELAY + 1, 1 << 62, i64::MAX as u64] {
+            let line = spec.replace(r#""axis":[1,30]"#, &format!(r#""axis":[1,{hostile}]"#));
+            assert_eq!(
+                AdaptiveSweep::parse_json(&line).unwrap_err().0,
+                format!("field `axis` holds {hostile} outside 0..={MAX_DELAY}")
+            );
+        }
     }
 
     #[test]

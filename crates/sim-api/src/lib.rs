@@ -13,8 +13,10 @@
 //!
 //! Every timed machine is a [`dva_engine::Processor`] run by the shared
 //! [`dva_engine::Driver`], and every result wraps the same
-//! [`ResultCore`] — which is also how [`Machine::custom`] can accept any
-//! boxed processor and hand back a full [`SimResult`].
+//! [`ResultCore`]. The machine set is closed —
+//! REF, DVA, BYP and IDEAL — so every grid point is plain data that can
+//! be keyed, cached, served and serialized; a library user can still
+//! drive a processor of their own through `dva-engine` directly.
 //!
 //! # Examples
 //!
@@ -64,19 +66,13 @@ pub use adaptive::{
 };
 pub use cancel::CancelToken;
 pub use fault::{PointError, PointErrorKind};
-pub use machine::{CustomMachine, CustomSim, Machine};
+pub use machine::Machine;
 pub use prepare::{PreparedProgram, Runners};
 pub use result::{MachineDetail, SimResult};
 pub use stream::{IndexedSweepStream, PointSpec, SweepStream};
 pub use sweep::{available_workers, Sweep, SweepPoint, SweepResults};
 
-// Re-exported so custom machines can be written against this crate
-// alone: the processor contract, its statistics sink, the shared result
-// core every machine reports, and the handful of foundation types a
-// `Processor` impl needs (the clock type, the state tuple, the
-// occupancy histogram). `MemoryModelKind` is the memory axis of
-// [`Sweep`] sessions; the full backend surface lives in `dva_memory`.
-pub use dva_engine::{Observers, Processor, Progress, Report, ResultCore, SimError};
-pub use dva_isa::Cycle;
-pub use dva_memory::{MemoryModelKind, MemoryParams};
-pub use dva_metrics::{Histogram, UnitState};
+// The core every [`SimResult`] carries, and the memory axis of [`Sweep`]
+// sessions (the full memory surface lives in `dva_memory`).
+pub use dva_engine::ResultCore;
+pub use dva_memory::MemoryModelKind;

@@ -11,7 +11,7 @@ use std::ops::Deref;
 /// Measurements every machine reports, plus machine-specific detail.
 ///
 /// The common measurements are the shared [`ResultCore`] assembled by
-/// the `dva-engine` driver — every machine (REF, DVA, IDEAL, custom)
+/// the `dva-engine` driver — every machine (REF, DVA, BYP, IDEAL)
 /// produces the same core, so converting a machine result into a
 /// `SimResult` moves the core instead of copying fields. The core's
 /// fields and methods are reachable directly through `Deref` —
@@ -49,13 +49,6 @@ pub enum MachineDetail {
     },
     /// The IDEAL bound's per-resource operation totals.
     Ideal(IdealBound),
-    /// A [`Machine::custom`](crate::Machine::custom) processor's extras:
-    /// the occupancy histogram its observers tracked, if any.
-    Custom {
-        /// Per-cycle occupancy histogram, when the custom machine's
-        /// observers carried one.
-        occupancy: Option<Histogram>,
-    },
 }
 
 impl SimResult {
@@ -68,17 +61,6 @@ impl SimResult {
     pub fn avdq_occupancy(&self) -> Option<&Histogram> {
         match &self.detail {
             MachineDetail::Decoupled { avdq_occupancy, .. } => Some(avdq_occupancy),
-            _ => None,
-        }
-    }
-
-    /// The per-cycle occupancy histogram this machine tracked, whichever
-    /// kind of machine it is: the DVA's AVDQ histogram, or whatever a
-    /// custom machine's observers recorded.
-    pub fn occupancy_histogram(&self) -> Option<&Histogram> {
-        match &self.detail {
-            MachineDetail::Decoupled { avdq_occupancy, .. } => Some(avdq_occupancy),
-            MachineDetail::Custom { occupancy } => occupancy.as_ref(),
             _ => None,
         }
     }
@@ -127,14 +109,6 @@ impl SimResult {
         SimResult {
             core: ResultCore::untimed(bound.cycles(), program.len() as u64),
             detail: MachineDetail::Ideal(bound),
-        }
-    }
-
-    /// Wraps the core a custom processor's driver run assembled.
-    pub(crate) fn from_custom(core: ResultCore, occupancy: Option<Histogram>) -> SimResult {
-        SimResult {
-            core,
-            detail: MachineDetail::Custom { occupancy },
         }
     }
 
@@ -238,7 +212,6 @@ mod tests {
 
         let d = Machine::byp(1, 256, 16).simulate(&program);
         assert!(d.avdq_occupancy().is_some());
-        assert!(d.occupancy_histogram().is_some());
         assert!(d.max_avdq().is_some());
 
         let i = Machine::ideal().simulate(&program);

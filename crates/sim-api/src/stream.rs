@@ -16,6 +16,7 @@ use crate::fault::{PointError, PointErrorKind};
 use crate::prepare::{PreparedProgram, Runners};
 use crate::sweep::SweepPoint;
 use crate::{Machine, SimResult};
+use dva_engine::SimError;
 use dva_isa::Program;
 use dva_memory::MemoryModelKind;
 use dva_testutil::failpoint;
@@ -111,8 +112,10 @@ impl Entry {
 
     /// Measures the point on its own, with full fault isolation: a
     /// tripped deadlock watchdog or a panic anywhere in the machine
-    /// model (or an armed `sim.point` failpoint) comes back as a typed
-    /// [`PointError`] instead of unwinding the worker. After a caught
+    /// model comes back as a typed [`PointError`] instead of unwinding
+    /// the worker. An armed `sim.point` failpoint stands in for either:
+    /// `panic` panics here, and `io_error` becomes the point's
+    /// [`SimError`](dva_engine::SimError), reported as a deadlock. After a caught
     /// panic the runners are rebuilt — a panic may have left an engine
     /// in a state its reset contract no longer covers. Every execution
     /// path (sequential, streamed, stolen) measures through here, so
@@ -123,7 +126,11 @@ impl Entry {
         runners: &mut Runners,
     ) -> Result<SweepPoint, PointError> {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            failpoint::hit("sim.point", || self.fail_detail()).unwrap_or_else(|e| panic!("{e}"));
+            failpoint::hit("sim.point", || self.fail_detail()).map_err(|e| SimError {
+                cycle: 0,
+                ticks_stalled: 0,
+                context: e.to_string(),
+            })?;
             self.spec
                 .machine
                 .try_simulate_prepared(&self.prepared, fast_forward, runners)
@@ -537,15 +544,52 @@ mod tests {
         assert!(stream.next().is_none());
     }
 
+    /// Serializes the tests that arm `sim.point` (the failpoint registry
+    /// is process-global) and hands each a disarmed site. Each filters on
+    /// a latency no other test in this crate measures, so the armed site
+    /// cannot fire in a concurrently running test.
+    fn failpoint_guard() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        let guard = LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        failpoint::disarm("sim.point");
+        guard
+    }
+
+    /// `session` measured with `sim.point` armed as `point`.
+    fn outcomes_with(
+        point: failpoint::Failpoint,
+        session: &Sweep,
+    ) -> Vec<(usize, Result<SweepPoint, PointError>)> {
+        let _guard = failpoint_guard();
+        failpoint::arm("sim.point", point);
+        let mut stream = session.run_subset_streaming(session.grid());
+        let outcomes = std::iter::from_fn(|| stream.next_outcome()).collect();
+        failpoint::disarm("sim.point");
+        assert!(!stream.cancelled());
+        outcomes
+    }
+
     #[test]
-    #[should_panic(expected = "boom")]
+    #[should_panic(expected = "failpoint sim.point fired: REF|TRFD|L7919")]
     fn worker_panics_propagate_to_the_consumer() {
-        fn explode(_: &Program) -> crate::CustomSim<'_> {
-            panic!("boom")
+        let _guard = failpoint_guard();
+        failpoint::arm(
+            "sim.point",
+            failpoint::Failpoint::new(failpoint::FailAction::Panic).filter("REF|TRFD|L7919"),
+        );
+        // Disarms the site however the stream ends, the expected panic
+        // included.
+        struct Disarm;
+        impl Drop for Disarm {
+            fn drop(&mut self) {
+                failpoint::disarm("sim.point");
+            }
         }
+        let _disarm = Disarm;
         let results: Vec<_> = Sweep::new()
-            .machine(Machine::custom("BOOM", explode))
+            .machine(Machine::reference(1))
             .benchmark(Benchmark::Trfd)
+            .latencies([7919])
             .scale(Scale::Quick)
             .threads(2)
             .run_streaming()
@@ -559,105 +603,65 @@ mod tests {
     /// identical to a clean run.
     #[test]
     fn a_poisoned_point_is_isolated_as_a_typed_error() {
-        fn selective(program: &Program) -> crate::CustomSim<'_> {
-            if program.name() == "DYFESM" {
-                panic!("poisoned point");
-            }
-            // Panic-free points use a trivial one-tick processor.
-            struct Idle {
-                done: bool,
-            }
-            impl crate::Processor for Idle {
-                fn step(&mut self, _now: dva_isa::Cycle) -> crate::Progress {
-                    self.done = true;
-                    crate::Progress::Advanced
-                }
-                fn is_done(&self) -> bool {
-                    self.done
-                }
-                fn next_event_after(&self, _now: dva_isa::Cycle) -> Option<dva_isa::Cycle> {
-                    None
-                }
-                fn quiesce_at(&self) -> dva_isa::Cycle {
-                    1
-                }
-                fn sample(&self, _now: dva_isa::Cycle, obs: &mut crate::Observers) {
-                    obs.record_state(crate::UnitState::empty());
-                }
-            }
-            crate::CustomSim {
-                processor: Box::new(Idle { done: false }),
-                observers: crate::Observers::new(),
-            }
-        }
         let session = Sweep::new()
-            .machine(Machine::custom("SEL", selective))
+            .machine(Machine::reference(1))
             .benchmarks([Benchmark::Trfd, Benchmark::Dyfesm, Benchmark::Flo52])
+            .latencies([7927])
             .scale(Scale::Quick)
             .threads(2);
-        let mut stream = session.run_subset_streaming(session.grid());
+        let clean = session.run();
+        let outcomes = outcomes_with(
+            failpoint::Failpoint::new(failpoint::FailAction::Panic).filter("REF|DYFESM|L7927"),
+            &session,
+        );
         let mut errors = Vec::new();
         let mut points = Vec::new();
-        while let Some((index, outcome)) = stream.next_outcome() {
+        for (index, outcome) in outcomes {
             match outcome {
                 Ok(point) => points.push((index, point)),
                 Err(error) => errors.push(error),
             }
         }
         assert_eq!(points.len(), 2);
+        for (index, point) in &points {
+            assert_eq!(point, &clean.points[*index]);
+        }
         assert_eq!(errors.len(), 1);
         let error = &errors[0];
         assert_eq!(error.kind, PointErrorKind::Panic);
         assert_eq!(error.program, "DYFESM");
-        assert!(error.message.contains("poisoned point"), "{error}");
-        assert!(!stream.cancelled());
+        assert!(
+            error.message.contains("failpoint sim.point fired"),
+            "{error}"
+        );
     }
 
-    /// An engine deadlock surfaces as `PointErrorKind::Deadlock`
-    /// carrying the watchdog's structured diagnosis.
+    /// A point whose simulation fails surfaces as
+    /// `PointErrorKind::Deadlock` carrying the diagnosis; the `io_error`
+    /// action at `sim.point` stands in for a tripped watchdog.
     #[test]
     fn a_deadlocked_point_reports_the_watchdog_diagnosis() {
-        fn stuck(_: &Program) -> crate::CustomSim<'_> {
-            struct Stuck;
-            impl crate::Processor for Stuck {
-                fn step(&mut self, _now: dva_isa::Cycle) -> crate::Progress {
-                    crate::Progress::Stalled
-                }
-                fn is_done(&self) -> bool {
-                    false
-                }
-                fn next_event_after(&self, _now: dva_isa::Cycle) -> Option<dva_isa::Cycle> {
-                    None
-                }
-                fn quiesce_at(&self) -> dva_isa::Cycle {
-                    0
-                }
-                fn sample(&self, _now: dva_isa::Cycle, obs: &mut crate::Observers) {
-                    obs.record_state(crate::UnitState::empty());
-                }
-                fn deadlock_context(&self, _now: dva_isa::Cycle) -> String {
-                    "stuck custom unit".into()
-                }
-            }
-            crate::CustomSim {
-                processor: Box::new(Stuck),
-                observers: crate::Observers::new(),
-            }
-        }
-        // The watchdog needs WATCHDOG_TICKS no-progress ticks to trip;
-        // with next_event_after defaulting to None that happens fast.
         let session = Sweep::new()
-            .machine(Machine::custom("STUCK", stuck))
+            .machine(Machine::dva(1))
             .benchmark(Benchmark::Trfd)
+            .latencies([7933])
             .scale(Scale::Quick)
             .threads(1);
-        let mut stream = session.run_subset_streaming(session.grid());
-        let (_, outcome) = stream.next_outcome().unwrap();
-        let error = outcome.unwrap_err();
+        let outcomes = outcomes_with(
+            failpoint::Failpoint::new(failpoint::FailAction::IoError).filter("DVA|TRFD|L7933"),
+            &session,
+        );
+        let [(0, Err(error))] = &outcomes[..] else {
+            panic!("expected one failed point, got {outcomes:?}");
+        };
         assert_eq!(error.kind, PointErrorKind::Deadlock);
         assert!(error.message.contains("engine deadlock"), "{error}");
-        assert!(error.message.contains("stuck custom unit"), "{error}");
-        assert!(stream.next_outcome().is_none());
+        assert!(
+            error
+                .message
+                .contains("failpoint sim.point fired: DVA|TRFD|L7933"),
+            "{error}"
+        );
     }
 
     /// A cancelled token stops workers from claiming grid points: the

@@ -88,8 +88,8 @@ pub struct SweepPoint {
     /// The memory-model coordinate of this grid point: the backend the
     /// sweep stamped (or, with an empty memory grid, the machine's own
     /// configured model — `Flat` for machines without a memory system).
-    /// Like [`latency`](SweepPoint::latency), machines without a memory
-    /// knob (IDEAL, custom) carry the grid coordinate but ignore it.
+    /// Like [`latency`](SweepPoint::latency), a machine without a memory
+    /// knob (IDEAL) carries the grid coordinate but ignores it.
     pub memory: MemoryModelKind,
     /// The unified measurement.
     pub result: SimResult,

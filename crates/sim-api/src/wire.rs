@@ -2,10 +2,16 @@
 //! the wire format of the `dva-serve` sweep service and the disk format
 //! of its result cache.
 //!
-//! Everything here is *fallible* in exactly one place: machines built
-//! with [`Machine::custom`] carry a function pointer and cannot cross a
-//! process boundary, so serializing them (or a sweep/point containing
-//! one) reports an error instead of silently dropping the machine.
+//! Machines, results and points are plain data and write infallibly
+//! ([`ToJson`]). Only a sweep *specification* can fail to write: a
+//! custom [`Sweep::program`] is an arbitrary trace that does not cross a
+//! process boundary, so [`Sweep::write_json`] (and an adaptive session
+//! over such a sweep) reports an error instead of dropping the program.
+//!
+//! Decoding bounds every timing input a client sends — a machine's
+//! memory latency and FU startups, a sweep's latencies, an adaptive
+//! axis — at [`MAX_DELAY`], so no decoded value reaches a simulation
+//! whose cycle counts could not render.
 //!
 //! The rendered bytes are a compatibility surface: object fields are
 //! emitted in a fixed order and numbers render canonically (see
@@ -15,8 +21,10 @@
 
 use crate::sweep::{Sweep, SweepPoint, SweepResults};
 use crate::{Machine, MachineDetail, SimResult};
-use dva_json::{FromJson, Json, JsonError, Reader, ToJson, Writer};
+use dva_isa::MAX_DELAY;
+use dva_json::{Fields, FromJson, Json, JsonError, Reader, ToJson, Writer};
 use dva_workloads::{Benchmark, Scale};
+use std::convert::Infallible;
 
 /// The [`Json`] tree of what a fallible `write` writes.
 pub(crate) fn tree(
@@ -27,45 +35,23 @@ pub(crate) fn tree(
     Ok(Json::parse(&text).expect("the writer emits valid JSON"))
 }
 
-impl Machine {
-    /// Writes the stable JSON form of this machine's full configuration
-    /// — including the stamped latency and memory model, except for
-    /// IDEAL, which has neither (so all IDEAL points of a latency grid
-    /// share one form; the `dva-serve` cache exploits exactly that).
-    ///
-    /// # Errors
-    ///
-    /// Fails, writing nothing, for [`Machine::custom`] machines, which
-    /// carry a function pointer and cannot cross a process boundary.
-    pub fn write_json(&self, w: &mut Writer<'_>) -> Result<(), JsonError> {
-        match self {
-            Machine::Ref(params) => w.object(|w| {
+impl ToJson for Machine {
+    /// The stable JSON form of this machine's full configuration —
+    /// including the stamped latency and memory model, except for IDEAL,
+    /// which has neither (so all IDEAL points of a latency grid share one
+    /// form; the `dva-serve` cache exploits exactly that).
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.object(|w| match self {
+            Machine::Ref(params) => {
                 w.field("kind", "ref");
                 w.field("params", params);
-            }),
-            Machine::Dva(config) => w.object(|w| {
+            }
+            Machine::Dva(config) => {
                 w.field("kind", "dva");
                 w.field("config", config);
-            }),
-            Machine::Ideal => w.object(|w| w.field("kind", "ideal")),
-            Machine::Custom(custom) => {
-                return Err(JsonError(format!(
-                    "custom machine `{:?}` cannot be serialized (it carries a function pointer); \
-                     only REF/DVA/BYP/IDEAL machines cross the wire",
-                    custom
-                )))
             }
-        }
-        Ok(())
-    }
-
-    /// The [`write_json`](Machine::write_json) form as a [`Json`] tree.
-    ///
-    /// # Errors
-    ///
-    /// As [`write_json`](Machine::write_json).
-    pub fn to_json(&self) -> Result<Json, JsonError> {
-        tree(|w| self.write_json(w))
+            Machine::Ideal => w.field("kind", "ideal"),
+        })
     }
 }
 
@@ -104,10 +90,6 @@ impl ToJson for MachineDetail {
                 w.field("kind", "ideal");
                 w.field("bound", bound);
             }
-            MachineDetail::Custom { occupancy } => {
-                w.field("kind", "custom");
-                w.field("occupancy", occupancy);
-            }
         })
     }
 }
@@ -126,9 +108,6 @@ impl FromJson for MachineDetail {
                     max_avdq: o.field("max_avdq")?,
                 },
                 "ideal" => MachineDetail::Ideal(o.field("bound")?),
-                "custom" => MachineDetail::Custom {
-                    occupancy: o.field("occupancy")?,
-                },
                 other => return Err(JsonError(format!("unknown detail kind `{other}`"))),
             })
         })
@@ -137,8 +116,7 @@ impl FromJson for MachineDetail {
 
 impl ToJson for SimResult {
     /// The stable JSON form of this result: the shared core plus the
-    /// machine-specific detail. Infallible, unlike
-    /// [`SweepPoint::write_json`]: results carry no function pointers.
+    /// machine-specific detail.
     fn write_json(&self, w: &mut Writer<'_>) {
         w.object(|w| {
             w.field("core", &self.core);
@@ -181,37 +159,28 @@ fn read_benchmark(r: &mut Reader<'_>) -> Result<Benchmark, JsonError> {
     Benchmark::from_name(&name).ok_or_else(|| JsonError(format!("unknown benchmark `{name}`")))
 }
 
-impl SweepPoint {
-    /// Writes the stable JSON form of one grid point: the full
-    /// coordinate (machine, program, latency, memory model) plus the
-    /// measurement.
-    ///
-    /// # Errors
-    ///
-    /// Fails for points measured on a [`Machine::custom`] machine, which
-    /// cannot be serialized.
-    pub fn write_json(&self, w: &mut Writer<'_>) -> Result<(), JsonError> {
+impl ToJson for SweepPoint {
+    /// The stable JSON form of one grid point: the full coordinate
+    /// (machine, program, latency, memory model) plus the measurement.
+    fn write_json(&self, w: &mut Writer<'_>) {
         w.object(|w| {
-            w.key("machine");
-            self.machine.write_json(w)?;
+            w.field("machine", &self.machine);
             w.field("label", self.label.as_str());
             w.field("benchmark", &self.benchmark.map(Benchmark::name));
             w.field("program", self.program.as_str());
             w.field("latency", &self.latency);
             w.field("memory", &self.memory);
             w.field("result", &self.result);
-            Ok(())
         })
     }
+}
 
-    /// The [`write_json`](SweepPoint::write_json) form as a [`Json`]
-    /// tree.
-    ///
-    /// # Errors
-    ///
-    /// As [`write_json`](SweepPoint::write_json).
-    pub fn to_json(&self) -> Result<Json, JsonError> {
-        tree(|w| self.write_json(w))
+impl SweepPoint {
+    /// [`ToJson::to_json`], callable without importing the trait. Writing
+    /// a point cannot fail; the `Result` only keeps existing callers
+    /// compiling.
+    pub fn to_json(&self) -> Result<Json, Infallible> {
+        Ok(ToJson::to_json(self))
     }
 }
 
@@ -242,28 +211,11 @@ impl FromJson for SweepPoint {
     }
 }
 
-impl SweepResults {
-    /// Writes the stable JSON form of a whole result set, point order
+impl ToJson for SweepResults {
+    /// The stable JSON form of a whole result set, point order
     /// preserved.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any point was measured on a [`Machine::custom`] machine.
-    pub fn write_json(&self, w: &mut Writer<'_>) -> Result<(), JsonError> {
-        w.object(|w| {
-            w.key("points");
-            w.array(|w| self.points.iter().try_for_each(|p| p.write_json(w)))
-        })
-    }
-
-    /// The [`write_json`](SweepResults::write_json) form as a [`Json`]
-    /// tree.
-    ///
-    /// # Errors
-    ///
-    /// As [`write_json`](SweepResults::write_json).
-    pub fn to_json(&self) -> Result<Json, JsonError> {
-        tree(|w| self.write_json(w))
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.object(|w| w.field("points", &self.points))
     }
 }
 
@@ -284,9 +236,8 @@ impl Sweep {
     ///
     /// # Errors
     ///
-    /// Fails if the session contains a [`Machine::custom`] machine or a
-    /// custom [`Sweep::program`]: both are process-local (a function
-    /// pointer, an arbitrary trace) and cannot cross the wire. Sweeps
+    /// Fails if the session contains a custom [`Sweep::program`]: an
+    /// arbitrary trace is process-local and cannot cross the wire. Sweeps
     /// built from [`Benchmark`]s always serialize.
     pub fn write_json(&self, w: &mut Writer<'_>) -> Result<(), JsonError> {
         if !self.programs.is_empty() {
@@ -296,8 +247,7 @@ impl Sweep {
             ));
         }
         w.object(|w| {
-            w.key("machines");
-            w.array(|w| self.machines.iter().try_for_each(|m| m.write_json(w)))?;
+            w.field("machines", &self.machines);
             w.key("benchmarks");
             w.array(|w| {
                 for benchmark in &self.benchmarks {
@@ -309,8 +259,8 @@ impl Sweep {
             w.field("scale", scale_to_str(self.scale));
             w.field("threads", &self.threads);
             w.field("fast_forward", &self.fast_forward);
-            Ok(())
-        })
+        });
+        Ok(())
     }
 
     /// The [`write_json`](Sweep::write_json) form as a [`Json`] tree.
@@ -343,20 +293,31 @@ impl FromJson for Sweep {
             })?;
             Ok(sweep
                 .benchmarks(benchmarks)
-                .latencies(o.field::<Vec<u64>>("latencies")?)
+                .latencies(delays(o, "latencies")?)
                 .memory_models(o.field::<Vec<_>>("memory_models")?))
         })
+    }
+}
+
+/// Reads the list field `key`, every element a delay within
+/// `0..=`[`MAX_DELAY`] — the element-wise
+/// [`field_in`](Fields::field_in) for a latency list.
+pub(crate) fn delays(o: &mut Fields<'_, '_>, key: &str) -> Result<Vec<u64>, JsonError> {
+    let delays: Vec<u64> = o.field(key)?;
+    match delays.iter().find(|&&delay| delay > MAX_DELAY) {
+        Some(delay) => Err(JsonError(format!(
+            "field `{key}` holds {delay} outside 0..={MAX_DELAY}"
+        ))),
+        None => Ok(delays),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CustomSim;
     use dva_core::IdealBound;
     use dva_engine::ResultCore;
     use dva_memory::MemoryModelKind;
-    use dva_metrics::Histogram;
 
     fn sample_sweep() -> Sweep {
         Sweep::new()
@@ -387,22 +348,37 @@ mod tests {
             Machine::ideal(),
             Machine::dva(30).with_memory_model(MemoryModelKind::MultiPort { ports: 2 }),
         ] {
-            let json = machine.to_json().unwrap();
+            let json = machine.to_json();
             assert_eq!(Machine::from_json(&json).unwrap(), machine);
         }
     }
 
     #[test]
-    fn custom_machines_refuse_to_serialize() {
-        fn build(program: &dva_isa::Program) -> CustomSim<'_> {
-            let _ = program;
-            unreachable!("never simulated in this test")
+    fn custom_programs_refuse_to_serialize() {
+        let program = Benchmark::Trfd.program(Scale::Quick).with_name("LOCAL");
+        let err = sample_sweep().program(program).to_json().unwrap_err();
+        assert!(err.to_string().contains("custom programs"), "{err}");
+    }
+
+    #[test]
+    fn sweep_latencies_are_bounded_at_decode() {
+        let spec = sample_sweep().to_json().unwrap().render();
+        assert!(spec.contains(r#""latencies":[1,30]"#), "{spec}");
+        for hostile in [MAX_DELAY + 1, 1 << 62, i64::MAX as u64] {
+            let line = spec.replace(
+                r#""latencies":[1,30]"#,
+                &format!(r#""latencies":[1,{hostile}]"#),
+            );
+            assert_eq!(
+                error_of::<Sweep>(&line),
+                format!("field `latencies` holds {hostile} outside 0..={MAX_DELAY}")
+            );
         }
-        let custom = Machine::custom("LOCAL", build);
-        let err = custom.to_json().unwrap_err();
-        assert!(err.to_string().contains("custom machine"));
-        let sweep = sample_sweep().machine(custom);
-        assert!(sweep.to_json().is_err());
+        let widest = spec.replace(
+            r#""latencies":[1,30]"#,
+            &format!(r#""latencies":[1,{MAX_DELAY}]"#),
+        );
+        assert!(Sweep::parse_json(&widest).is_ok());
     }
 
     #[test]
@@ -431,10 +407,10 @@ mod tests {
         let theirs = back.run();
         assert_eq!(ours, theirs);
 
-        let json = ours.to_json().unwrap();
+        let json = ours.to_json();
         let restored = SweepResults::from_json(&json).unwrap();
         assert_eq!(restored, ours);
-        assert_eq!(restored.to_json().unwrap().render(), json.render());
+        assert_eq!(restored.to_json().render(), json.render());
     }
 
     /// Pins the rendered wire format. If this test fails you changed the
@@ -443,7 +419,7 @@ mod tests {
     #[test]
     fn golden_wire_format() {
         let machine = Machine::dva(30);
-        let json = machine.to_json().unwrap();
+        let json = machine.to_json();
         assert_eq!(
             json.render(),
             "{\"kind\":\"dva\",\"config\":{\
@@ -477,20 +453,6 @@ mod tests {
         ] {
             assert!(text.contains(field), "missing {field} in {text}");
         }
-    }
-
-    #[test]
-    fn custom_machine_results_still_serialize() {
-        // The *machine* is process-local but its measurements are plain
-        // data: SimResult::to_json works for custom runs, so a future
-        // cache layer could store them (keyed locally).
-        let result = SimResult {
-            core: ResultCore::untimed(10, 5),
-            detail: MachineDetail::Custom {
-                occupancy: Some(Histogram::new(2)),
-            },
-        };
-        assert_eq!(SimResult::from_json(&result.to_json()).unwrap(), result);
     }
 
     #[test]

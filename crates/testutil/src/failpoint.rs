@@ -25,6 +25,21 @@
 //! unlimited), and `:filter` restricts matching to hits whose detail
 //! contains the given substring. Example:
 //! `DVA_FAILPOINTS="serve.cache.write=io_error x1;sim.point=panic:trfd|L30"`.
+//!
+//! Failpoints are the workspace's one fault-injection mechanism. The
+//! sites and what each action does there:
+//!
+//! * `sim.point` — before a sweep point is measured; the detail is
+//!   `LABEL|PROGRAM|L<latency>`. `panic` panics inside the point's
+//!   measurement (a point fault of kind panic); `io_error` becomes the
+//!   point's simulation error, reported as a deadlock, so the typed
+//!   watchdog path is testable without a deadlocking machine.
+//! * `serve.cache.write` — before a disk-tier append; `io_error` fails
+//!   the append (the tier demotes itself to memory-only).
+//! * `serve.socket.write` — before a response line is written; the
+//!   detail is the line. `io_error` is a failed write (the client went
+//!   away); `panic` inside a job exercises the serving thread's
+//!   backstop.
 
 use std::collections::HashMap;
 use std::io;

@@ -1,6 +1,7 @@
 //! Microarchitecture parameters shared by both simulators.
 
 use crate::regfile::Producer;
+use dva_isa::MAX_DELAY;
 use dva_json::{FromJson, JsonError, Reader, ToJson, Writer};
 
 /// Timing and feature knobs of the vector engine.
@@ -41,8 +42,8 @@ impl FromJson for UarchParams {
     fn read_json(r: &mut Reader<'_>) -> Result<UarchParams, JsonError> {
         r.object(|o| {
             Ok(UarchParams {
-                fu_startup: o.field("fu_startup")?,
-                qmov_startup: o.field("qmov_startup")?,
+                fu_startup: o.field_in("fu_startup", 0..=MAX_DELAY)?,
+                qmov_startup: o.field_in("qmov_startup", 0..=MAX_DELAY)?,
                 check_bank_ports: o.field("check_bank_ports")?,
             })
         })
@@ -125,6 +126,41 @@ mod tests {
             check_bank_ports: false,
         };
         assert_eq!(UarchParams::from_json(&params.to_json()).unwrap(), params);
+    }
+
+    fn startup_error(field: &str, value: u64) -> String {
+        let line = if field == "fu_startup" {
+            format!(r#"{{"fu_startup":{value},"qmov_startup":2,"check_bank_ports":true}}"#)
+        } else {
+            format!(r#"{{"fu_startup":4,"qmov_startup":{value},"check_bank_ports":true}}"#)
+        };
+        UarchParams::parse_json(&line).unwrap_err().0
+    }
+
+    #[test]
+    fn decoding_rejects_an_fu_startup_outside_the_bound() {
+        for hostile in [MAX_DELAY + 1, 1 << 62, i64::MAX as u64] {
+            assert_eq!(
+                startup_error("fu_startup", hostile),
+                format!("field `fu_startup` = {hostile} outside 0..={MAX_DELAY}")
+            );
+        }
+    }
+
+    #[test]
+    fn decoding_rejects_a_qmov_startup_outside_the_bound() {
+        for hostile in [MAX_DELAY + 1, 1 << 62, i64::MAX as u64] {
+            assert_eq!(
+                startup_error("qmov_startup", hostile),
+                format!("field `qmov_startup` = {hostile} outside 0..={MAX_DELAY}")
+            );
+        }
+        let widest = UarchParams {
+            fu_startup: MAX_DELAY,
+            qmov_startup: MAX_DELAY,
+            check_bank_ports: true,
+        };
+        assert_eq!(UarchParams::from_json(&widest.to_json()).unwrap(), widest);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! daemon — cached, streamed, work-stolen, or straight off the wire —
 //! are byte-identical to a fresh single-threaded `Sweep::run`.
 
+use dva_json::ToJson;
 use dva_serve::{Client, PointKey, ResultCache, SweepService};
 use dva_sim_api::{Machine, MemoryModelKind, PointSpec, Sweep};
 use dva_workloads::{Benchmark, Scale};
@@ -165,10 +166,9 @@ proptest! {
     ) {
         let (a, ff_a) = left;
         let (b, ff_b) = right;
-        let key_a = PointKey::of(&a, ff_a).unwrap();
-        let key_b = PointKey::of(&b, ff_b).unwrap();
-        let same_inputs = a.machine.to_json().unwrap().render()
-            == b.machine.to_json().unwrap().render()
+        let Ok(key_a) = PointKey::of(&a, ff_a);
+        let Ok(key_b) = PointKey::of(&b, ff_b);
+        let same_inputs = a.machine.render_json() == b.machine.render_json()
             && a.program.content_hash() == b.program.content_hash()
             && ff_a == ff_b;
         prop_assert_eq!(key_a == key_b, same_inputs);

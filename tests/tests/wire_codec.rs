@@ -12,6 +12,7 @@
 //!   allocations, counted on this thread, independent of the host.
 
 use dva_core::{IdealBound, MAX_QUEUE_CAPACITY};
+use dva_isa::MAX_DELAY;
 use dva_json::Json;
 use dva_memory::{MAX_BANKS, MAX_BANK_BUSY, MAX_PORTS};
 use dva_metrics::{CacheStats, Diag, Histogram, StateTracker, Traffic};
@@ -392,7 +393,7 @@ impl Words {
             stall_cycles: self.count(),
             ticks_executed: Diag(self.count()),
         };
-        let detail = match self.below(4) {
+        let detail = match self.below(3) {
             0 => MachineDetail::Reference,
             1 => MachineDetail::Decoupled {
                 avdq_occupancy: self.histogram(),
@@ -402,16 +403,13 @@ impl Words {
                 max_apiq: self.count() as usize,
                 max_avdq: self.count() as usize,
             },
-            2 => MachineDetail::Ideal(IdealBound {
+            _ => MachineDetail::Ideal(IdealBound {
                 fu2_only: self.count(),
                 either_fu: self.count(),
                 memory_port: self.count(),
                 scalar_processor: self.count(),
                 scalar_cache: self.count(),
             }),
-            _ => MachineDetail::Custom {
-                occupancy: (self.below(2) == 0).then(|| self.histogram()),
-            },
         };
         SimResult { core, detail }
     }
@@ -437,7 +435,9 @@ impl Words {
         let benchmarks: Vec<_> = (0..self.below(4))
             .map(|_| Benchmark::ALL[self.below(Benchmark::ALL.len() as u64) as usize])
             .collect();
-        let latencies: Vec<_> = (0..self.below(6)).map(|_| self.count()).collect();
+        let latencies: Vec<_> = (0..self.below(6))
+            .map(|_| self.below(MAX_DELAY + 1))
+            .collect();
         let models: Vec<_> = (0..self.below(3)).map(|_| self.memory()).collect();
         let scale = [Scale::Quick, Scale::Default, Scale::Full][self.below(3) as usize];
         Sweep::new()
