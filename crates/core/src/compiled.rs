@@ -32,15 +32,17 @@ use dva_isa::Program;
 /// # Examples
 ///
 /// ```
-/// use dva_core::{CompiledProgram, DvaConfig, DvaRunner, DvaSim};
+/// use dva_core::{CompiledProgram, DvaConfig, DvaRunner};
 /// use dva_workloads::{Benchmark, Scale};
 /// use std::sync::Arc;
 ///
 /// let program = Benchmark::Trfd.program(Scale::Quick);
 /// let compiled = Arc::new(CompiledProgram::compile(&program));
-/// let sim = DvaSim::new(DvaConfig::dva(30));
-/// let result = DvaRunner::new().try_run(&sim, &compiled).unwrap();
-/// assert_eq!(result, sim.run(&program));
+/// let mut runner = DvaRunner::new();
+/// for config in [DvaConfig::dva(30), DvaConfig::byp(30, 4, 8)] {
+///     let (core, _) = runner.try_run(&config, &compiled, true).unwrap();
+///     assert_eq!(core.insts, program.len() as u64);
+/// }
 /// ```
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {

@@ -147,103 +147,6 @@ impl FromJson for DvaConfig {
     }
 }
 
-impl DvaConfig {
-    /// Starts an ergonomic builder from the paper's base DVA at unit
-    /// latency.
-    ///
-    /// ```
-    /// use dva_core::DvaConfig;
-    ///
-    /// let config = DvaConfig::builder()
-    ///     .latency(30)
-    ///     .avdq(4)
-    ///     .store_queue(8)
-    ///     .bypass(true)
-    ///     .build();
-    /// assert_eq!(config.memory.latency, 30);
-    /// assert_eq!(config.queues.avdq, 4);
-    /// assert!(config.bypass);
-    /// ```
-    pub fn builder() -> DvaConfigBuilder {
-        DvaConfigBuilder {
-            config: DvaConfig::dva(1),
-        }
-    }
-}
-
-/// Builder for [`DvaConfig`], created by [`DvaConfig::builder`].
-#[derive(Debug, Clone, Copy)]
-pub struct DvaConfigBuilder {
-    config: DvaConfig,
-}
-
-impl DvaConfigBuilder {
-    /// Sets the main memory latency `L` in cycles.
-    pub fn latency(mut self, latency: u64) -> Self {
-        self.config.memory.latency = latency;
-        self
-    }
-
-    /// Replaces the whole memory configuration.
-    pub fn memory(mut self, memory: MemoryParams) -> Self {
-        self.config.memory = memory;
-        self
-    }
-
-    /// Replaces the vector engine timing.
-    pub fn uarch(mut self, uarch: UarchParams) -> Self {
-        self.config.uarch = uarch;
-        self
-    }
-
-    /// Replaces the whole queue configuration.
-    pub fn queues(mut self, queues: QueueConfig) -> Self {
-        self.config.queues = queues;
-        self
-    }
-
-    /// Sets the instruction queue (APIQ/SPIQ/VPIQ) depth.
-    pub fn instruction_queue(mut self, slots: usize) -> Self {
-        self.config.queues.instruction_queue = slots;
-        self
-    }
-
-    /// Sets the vector load data queue (AVDQ) depth.
-    pub fn avdq(mut self, slots: usize) -> Self {
-        self.config.queues.avdq = slots;
-        self
-    }
-
-    /// Sets the vector store queue (VSAQ/VADQ) depth.
-    pub fn store_queue(mut self, slots: usize) -> Self {
-        self.config.queues.store_queue = slots;
-        self
-    }
-
-    /// Sets the scalar store address queue (SSAQ) depth.
-    pub fn scalar_store_queue(mut self, slots: usize) -> Self {
-        self.config.queues.scalar_store_queue = slots;
-        self
-    }
-
-    /// Sets the scalar data queue depths (ASDQ, SADQ, SVDQ, VSDQ, SSDQ).
-    pub fn scalar_data_queue(mut self, slots: usize) -> Self {
-        self.config.queues.scalar_data_queue = slots;
-        self
-    }
-
-    /// Enables or disables the VADQ→AVDQ store→load bypass unit.
-    pub fn bypass(mut self, bypass: bool) -> Self {
-        self.config.bypass = bypass;
-        self
-    }
-
-    /// Finishes the builder.
-    pub fn build(self) -> DvaConfig {
-        self.config
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,47 +161,18 @@ mod tests {
     }
 
     #[test]
-    fn builder_mirrors_the_named_constructors() {
-        let byp = DvaConfig::builder()
-            .latency(30)
-            .avdq(4)
-            .store_queue(8)
-            .bypass(true)
-            .build();
-        let named = DvaConfig::byp(30, 4, 8);
-        assert_eq!(byp.memory, named.memory);
-        assert_eq!(byp.queues, named.queues);
-        assert_eq!(byp.bypass, named.bypass);
-
-        let dva = DvaConfig::builder().latency(50).build();
-        let named = DvaConfig::dva(50);
-        assert_eq!(dva.memory, named.memory);
-        assert_eq!(dva.queues, named.queues);
-        assert!(!dva.bypass);
-    }
-
-    #[test]
-    fn builder_reaches_every_queue() {
-        let c = DvaConfig::builder()
-            .instruction_queue(4)
-            .scalar_store_queue(2)
-            .scalar_data_queue(8)
-            .build();
-        assert_eq!(c.queues.instruction_queue, 4);
-        assert_eq!(c.queues.scalar_store_queue, 2);
-        assert_eq!(c.queues.scalar_data_queue, 8);
-    }
-
-    #[test]
     fn configurations_round_trip_through_json() {
         for config in [
             DvaConfig::dva(30),
             DvaConfig::byp(100, 4, 8),
-            DvaConfig::builder()
-                .latency(50)
-                .instruction_queue(4)
-                .scalar_data_queue(64)
-                .build(),
+            DvaConfig {
+                queues: QueueConfig {
+                    instruction_queue: 4,
+                    scalar_data_queue: 64,
+                    ..QueueConfig::default()
+                },
+                ..DvaConfig::dva(50)
+            },
         ] {
             assert_eq!(DvaConfig::from_json(&config.to_json()).unwrap(), config);
         }

@@ -75,9 +75,9 @@
 use crate::compiled::CompiledProgram;
 use crate::config::DvaConfig;
 use crate::queues::{Fifo, Timed};
-use crate::result::DvaResult;
+use crate::result::DvaDetail;
 use crate::uops::{ApOp, DataSlot, SpOp, StoreDataSource, StoreSeq, VecAccess, VpOp};
-use dva_engine::{Driver, Observers, Processor, Progress, Report, SimError};
+use dva_engine::{Driver, Observers, Processor, Progress, Report, ResultCore, SimError};
 use dva_isa::{Cycle, MemRange, ScalarReg, VectorLength};
 use dva_memory::{CacheAccess, Memory};
 use dva_metrics::{Histogram, UnitState};
@@ -1777,7 +1777,10 @@ impl Processor for Engine {
 /// result. The engine keeps its buffers afterwards, ready for the next
 /// reset; on a tripped deadlock watchdog it is left mid-flight, and
 /// [`reset`](Engine::reset) restores it.
-pub(crate) fn drive(engine: &mut Engine, fast_forward: bool) -> Result<DvaResult, SimError> {
+pub(crate) fn drive(
+    engine: &mut Engine,
+    fast_forward: bool,
+) -> Result<(ResultCore, DvaDetail), SimError> {
     let mut observers = Observers::with_occupancy(Histogram::new(engine.cfg.queues.avdq));
     let completion = Driver::new()
         .fast_forward(fast_forward)
@@ -1785,24 +1788,25 @@ pub(crate) fn drive(engine: &mut Engine, fast_forward: bool) -> Result<DvaResult
     let (core, occupancy) = completion.into_core(engine, observers);
     let avdq_occupancy = occupancy.expect("the DVA observers carry the AVDQ histogram");
     let max_avdq = avdq_occupancy.max_observed().unwrap_or(0);
-    Ok(DvaResult {
-        core,
+    let detail = DvaDetail {
         avdq_occupancy,
         bypassed_loads: engine.bypassed_loads,
         drain_stall_cycles: engine.drain_stall_cycles,
         max_vpiq: engine.vpiq.max_occupancy,
         max_apiq: engine.apiq.max_occupancy,
         max_avdq,
-    })
+    };
+    Ok((core, detail))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::QueueConfig;
     use dva_isa::{Inst, Program, VectorAccess, VectorReg};
     use dva_testutil::vl;
 
-    fn run(cfg: DvaConfig, program: &Program, fast_forward: bool) -> DvaResult {
+    fn run(cfg: DvaConfig, program: &Program, fast_forward: bool) -> (ResultCore, DvaDetail) {
         let compiled = Arc::new(CompiledProgram::compile(program));
         drive(&mut Engine::new(cfg, compiled), fast_forward).unwrap()
     }
@@ -1825,31 +1829,40 @@ mod tests {
         // Regression: the histogram used to be clamped to 64 buckets, so
         // configurations with AVDQ > 64 silently under-reported
         // `max_avdq` and the fig6/queue-sizing sweeps.
-        let cfg = DvaConfig::builder().avdq(128).build();
+        let cfg = DvaConfig {
+            queues: QueueConfig {
+                avdq: 128,
+                ..QueueConfig::default()
+            },
+            ..DvaConfig::dva(1)
+        };
         let program = load_storm(4, 64);
-        let r = run(cfg, &program, true);
-        assert_eq!(r.avdq_occupancy.buckets().len(), 128 + 1);
-        assert_eq!(r.avdq_occupancy.overflow(), 0);
+        let (_, d) = run(cfg, &program, true);
+        assert_eq!(d.avdq_occupancy.buckets().len(), 128 + 1);
+        assert_eq!(d.avdq_occupancy.overflow(), 0);
     }
 
     #[test]
     fn deep_queues_report_occupancy_beyond_64() {
         // With the clamp in place this scenario reported max_avdq == 64
         // no matter how deep the queue actually got.
-        let cfg = DvaConfig::builder()
-            .latency(800)
-            .instruction_queue(512)
-            .avdq(256)
-            .build();
+        let cfg = DvaConfig {
+            queues: QueueConfig {
+                instruction_queue: 512,
+                avdq: 256,
+                ..QueueConfig::default()
+            },
+            ..DvaConfig::dva(800)
+        };
         let program = load_storm(120, 8);
-        let r = run(cfg, &program, true);
+        let (core, d) = run(cfg, &program, true);
         assert!(
-            r.max_avdq > 64,
+            d.max_avdq > 64,
             "AVDQ only reached {} slots; the scenario no longer exercises \
              the >64 range",
-            r.max_avdq
+            d.max_avdq
         );
-        assert_eq!(r.avdq_occupancy.total(), r.cycles);
+        assert_eq!(d.avdq_occupancy.total(), core.cycles);
     }
 
     #[cfg(debug_assertions)]
@@ -1895,7 +1908,7 @@ mod tests {
                 let naive = run(cfg, &program, false);
                 assert_eq!(fast, naive, "L={latency} cfg={cfg:?}");
                 assert!(
-                    fast.ticks_executed.get() <= naive.ticks_executed.get(),
+                    fast.0.ticks_executed.get() <= naive.0.ticks_executed.get(),
                     "fast-forward must never execute more ticks"
                 );
             }
@@ -1929,7 +1942,16 @@ mod tests {
         for (cfg, compiled) in [
             (DvaConfig::dva(70), &storm),
             (DvaConfig::byp(30, 4, 8), &mixed),
-            (DvaConfig::builder().latency(5).avdq(4).build(), &storm),
+            (
+                DvaConfig {
+                    queues: QueueConfig {
+                        avdq: 4,
+                        ..QueueConfig::default()
+                    },
+                    ..DvaConfig::dva(5)
+                },
+                &storm,
+            ),
         ] {
             engine.reset(cfg, Arc::clone(compiled));
             let reused = drive(&mut engine, true).unwrap();
@@ -1967,7 +1989,7 @@ mod tests {
             let cfg = DvaConfig::dva(latency);
             let fast = run(cfg, &program, true);
             assert_eq!(fast, run(cfg, &program, false), "L={latency}");
-            assert!(fast.cycles > latency, "L={latency}");
+            assert!(fast.0.cycles > latency, "L={latency}");
         }
     }
 
@@ -2007,11 +2029,11 @@ mod tests {
         ];
         for (cfg, attempts, failures, ticks) in pins {
             let mut engine = Engine::new(cfg, Arc::clone(&compiled));
-            let r = drive(&mut engine, true).unwrap();
+            let (core, _) = drive(&mut engine, true).unwrap();
             let label = format!("L={} bypass={}", cfg.memory.latency, cfg.bypass);
             assert_eq!(engine.counts.attempts, attempts, "attempts, {label}");
             assert_eq!(engine.counts.failures, failures, "failures, {label}");
-            assert_eq!(r.ticks_executed.get(), ticks, "ticks, {label}");
+            assert_eq!(core.ticks_executed.get(), ticks, "ticks, {label}");
         }
     }
 

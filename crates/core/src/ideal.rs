@@ -227,14 +227,17 @@ mod tests {
 
     #[test]
     fn bound_never_exceeds_simulated_time() {
-        use crate::{DvaConfig, DvaSim};
+        use crate::{CompiledProgram, DvaConfig, DvaRunner};
         for bench in [
             dva_workloads::Benchmark::Arc2d,
             dva_workloads::Benchmark::Dyfesm,
         ] {
             let program = bench.program(dva_workloads::Scale::Quick);
             let bound = ideal_bound(&program).cycles();
-            let sim = DvaSim::new(DvaConfig::dva(1)).run(&program);
+            let compiled = std::sync::Arc::new(CompiledProgram::compile(&program));
+            let (sim, _) = DvaRunner::new()
+                .try_run(&DvaConfig::dva(1), &compiled, true)
+                .unwrap();
             assert!(
                 bound <= sim.cycles,
                 "{}: bound {bound} exceeds simulated {}",

@@ -28,30 +28,29 @@
 //! # Examples
 //!
 //! ```
-//! use dva_core::{DvaConfig, DvaSim};
+//! use dva_core::{CompiledProgram, DvaConfig, DvaRunner};
 //! use dva_workloads::{Benchmark, Scale};
+//! use std::sync::Arc;
 //!
 //! let program = Benchmark::Dyfesm.program(Scale::Quick);
-//! let config = DvaConfig::builder().latency(30).build();
-//! let result = DvaSim::new(config).run(&program);
-//! assert!(result.cycles > 0);
-//! assert_eq!(result.states.total_cycles(), result.cycles);
+//! let compiled = Arc::new(CompiledProgram::compile(&program));
+//! let mut runner = DvaRunner::new();
+//! let (core, _) = runner.try_run(&DvaConfig::dva(30), &compiled, true).unwrap();
+//! assert!(core.cycles > 0);
+//! assert_eq!(core.states.total_cycles(), core.cycles);
 //!
-//! // A Section 7 bypass configuration via the same builder:
-//! let byp = DvaConfig::builder()
-//!     .latency(30)
-//!     .avdq(4)
-//!     .store_queue(8)
-//!     .bypass(true)
-//!     .build();
-//! let bypassed = DvaSim::new(byp).run(&program);
+//! // A Section 7 bypass configuration (4-slot AVDQ, 8-slot store
+//! // queue) on the same runner:
+//! let byp = DvaConfig::byp(30, 4, 8);
+//! let (bypassed, detail) = runner.try_run(&byp, &compiled, true).unwrap();
 //! assert!(bypassed.cycles > 0);
+//! assert!(detail.max_avdq <= 4);
 //! ```
 //!
 //! For experiments over several machines, prefer the unified `Machine`
-//! and `Sweep` API of the `dva-sim-api` crate, which wraps this
-//! simulator, the reference machine and the IDEAL bound behind one front
-//! door.
+//! and `Sweep` API of the `dva-sim-api` crate, which runs this engine,
+//! the reference machine and the IDEAL bound behind one front door and
+//! returns one result type.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -65,77 +64,20 @@ mod result;
 mod uops;
 
 pub use compiled::CompiledProgram;
-pub use config::{DvaConfig, DvaConfigBuilder, QueueConfig, MAX_QUEUE_CAPACITY};
+pub use config::{DvaConfig, QueueConfig, MAX_QUEUE_CAPACITY};
 pub use ideal::{ideal_bound, IdealBound};
 pub use queues::{Fifo, Timed};
-pub use result::DvaResult;
+pub use result::DvaDetail;
 pub use uops::{
     translate, ApOp, Bundle, DataSlot, SpOp, StoreAlloc, StoreDataSource, StoreSeq, VecAccess, VpOp,
 };
 
-use dva_isa::Program;
+use dva_engine::{ResultCore, SimError};
 use std::sync::Arc;
 
-/// The decoupled vector architecture simulator.
-///
-/// See the [crate docs](crate) for the machine description.
-///
-/// By default the engine *fast-forwards*: whenever a tick makes no
-/// progress it computes the earliest cycle at which anything can change
-/// and jumps straight there, bulk-accounting the skipped cycles. The
-/// results are byte-identical to naive per-cycle stepping (the
-/// `ticks_executed` diagnostic records how many ticks actually ran);
-/// [`DvaSim::with_fast_forward`] opts back into naive stepping for
-/// verification.
-#[derive(Debug, Clone)]
-pub struct DvaSim {
-    config: DvaConfig,
-    fast_forward: bool,
-}
-
-impl DvaSim {
-    /// Creates a simulator with the given configuration (fast-forward
-    /// enabled).
-    pub fn new(config: DvaConfig) -> DvaSim {
-        DvaSim {
-            config,
-            fast_forward: true,
-        }
-    }
-
-    /// Enables or disables the next-event fast-forward (on by default;
-    /// turning it off forces naive per-cycle stepping).
-    #[must_use]
-    pub fn with_fast_forward(mut self, fast_forward: bool) -> DvaSim {
-        self.fast_forward = fast_forward;
-        self
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> DvaConfig {
-        self.config
-    }
-
-    /// Runs `program` to completion and reports the measurements.
-    ///
-    /// Translates the program on the fly; when the same program runs more
-    /// than once (latency sweeps, model sweeps), compile it once with
-    /// [`CompiledProgram::compile`] and reuse a [`DvaRunner`] instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine detects a deadlock (an internal invariant
-    /// violation — valid traces always complete).
-    pub fn run(&self, program: &Program) -> DvaResult {
-        DvaRunner::new()
-            .try_run(self, &Arc::new(CompiledProgram::compile(program)))
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-}
-
-/// A reusable decoupled-machine engine: one allocation of the
-/// architectural queues, the data-ready ring and the bypass machinery,
-/// amortized over any number of runs.
+/// The decoupled machine's one entry point: a reusable engine, with one
+/// allocation of the architectural queues, the data-ready ring and the
+/// bypass machinery amortized over any number of runs.
 ///
 /// Each [`try_run`](DvaRunner::try_run) resets the engine to its initial state
 /// (the *reset contract*: a run on a reused engine is byte-identical to a
@@ -146,19 +88,25 @@ impl DvaSim {
 /// thread, so a thousand-point grid performs a thousand engine *resets*
 /// but only one engine *construction* per worker.
 ///
+/// With `fast_forward` on, whenever a tick makes no progress the engine
+/// computes the earliest cycle at which anything can change and jumps
+/// straight there, bulk-accounting the skipped cycles. The results are
+/// byte-identical to naive per-cycle stepping (`fast_forward` off); the
+/// `ticks_executed` diagnostic records how many ticks actually ran.
+///
 /// # Examples
 ///
 /// ```
-/// use dva_core::{CompiledProgram, DvaConfig, DvaRunner, DvaSim};
+/// use dva_core::{CompiledProgram, DvaConfig, DvaRunner};
 /// use dva_workloads::{Benchmark, Scale};
 /// use std::sync::Arc;
 ///
-/// let program = Benchmark::Trfd.program(Scale::Quick);
-/// let compiled = Arc::new(CompiledProgram::compile(&program));
-/// let mut runner = DvaRunner::new();
+/// let compiled = Arc::new(CompiledProgram::compile(&Benchmark::Trfd.program(Scale::Quick)));
+/// let mut reused = DvaRunner::new();
 /// for latency in [1, 30, 100] {
-///     let sim = DvaSim::new(DvaConfig::dva(latency));
-///     assert_eq!(runner.try_run(&sim, &compiled).unwrap(), sim.run(&program));
+///     let config = DvaConfig::dva(latency);
+///     let fresh = DvaRunner::new().try_run(&config, &compiled, true).unwrap();
+///     assert_eq!(reused.try_run(&config, &compiled, true).unwrap(), fresh);
 /// }
 /// ```
 #[derive(Debug, Default)]
@@ -173,28 +121,35 @@ impl DvaRunner {
         DvaRunner::default()
     }
 
-    /// Runs `compiled` under `sim`'s configuration and stepping strategy,
-    /// reusing this runner's engine allocations. A detected deadlock
-    /// comes back as a [`SimError`](dva_engine::SimError); the engine is
-    /// left mid-flight on error, and the next run's reset restores it, so
-    /// the runner stays reusable.
+    /// Runs `compiled` under `config`, reusing this runner's engine
+    /// allocations, and returns the shared measurements with the
+    /// decoupled-only ones. A detected deadlock comes back as a
+    /// [`SimError`]; the engine is left mid-flight on error, and the next
+    /// run's reset restores it, so the runner stays reusable.
+    ///
+    /// # Panics
+    ///
+    /// Panics before the first tick if `config` carries a delay above
+    /// [`dva_isa::MAX_DELAY`] or a memory shape [`dva_memory::Memory`]
+    /// refuses.
     pub fn try_run(
         &mut self,
-        sim: &DvaSim,
+        config: &DvaConfig,
         compiled: &Arc<CompiledProgram>,
-    ) -> Result<DvaResult, dva_engine::SimError> {
-        engine::drive(self.arm(sim, compiled), sim.fast_forward)
+        fast_forward: bool,
+    ) -> Result<(ResultCore, DvaDetail), SimError> {
+        engine::drive(self.arm(*config, compiled), fast_forward)
     }
 
-    /// Readies the engine for `sim` — reset when it exists, built when it
-    /// does not.
-    fn arm(&mut self, sim: &DvaSim, compiled: &Arc<CompiledProgram>) -> &mut engine::Engine {
+    /// Readies the engine for `config` — reset when it exists, built when
+    /// it does not.
+    fn arm(&mut self, config: DvaConfig, compiled: &Arc<CompiledProgram>) -> &mut engine::Engine {
         match &mut self.engine {
             Some(engine) => {
-                engine.reset(sim.config, Arc::clone(compiled));
+                engine.reset(config, Arc::clone(compiled));
                 engine
             }
-            slot => slot.insert(engine::Engine::new(sim.config, Arc::clone(compiled))),
+            slot => slot.insert(engine::Engine::new(config, Arc::clone(compiled))),
         }
     }
 }

@@ -1,27 +1,16 @@
-//! Results of a decoupled-machine simulation.
+//! The measurements only the decoupled machine produces.
 
-use dva_engine::ResultCore;
 use dva_metrics::Histogram;
-use std::ops::Deref;
 
-/// Everything measured during one run of the decoupled simulator: the
-/// shared [`ResultCore`] (cycles, state breakdown, traffic, stalls) plus
-/// the quantities only this machine produces.
-///
-/// The core's fields and methods are reachable directly through
-/// `Deref` — `result.cycles`, `result.ipc()` — so the decoupled result
-/// reads exactly like every other machine's. The core's front-end
-/// [`stall_cycles`](ResultCore::stall_cycles) are this machine's fetch
-/// processor stalls (see [`fp_stalls`](DvaResult::fp_stalls)).
-///
-/// Equality compares every *model* quantity; execution diagnostics such
-/// as [`ticks_executed`](ResultCore::ticks_executed) are carried in
-/// [`dva_metrics::Diag`] and never affect comparisons or `Debug` output,
-/// so a fast-forward run is byte-identical to a naive one.
+/// What a decoupled run measures beyond the shared
+/// [`ResultCore`](dva_engine::ResultCore): the AVDQ occupancy, the
+/// bypass and drain counters and the queue high-water marks.
+/// [`DvaRunner::try_run`](crate::DvaRunner::try_run) returns it beside
+/// the core; the core's front-end
+/// [`stall_cycles`](dva_engine::ResultCore::stall_cycles) are this
+/// machine's fetch processor stalls.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DvaResult {
-    /// The measurements every machine shares.
-    pub core: ResultCore,
+pub struct DvaDetail {
     /// Busy-slot histogram of the vector load data queue, sampled every
     /// cycle (Figure 6).
     pub avdq_occupancy: Histogram,
@@ -36,21 +25,4 @@ pub struct DvaResult {
     pub max_apiq: usize,
     /// Highest AVDQ busy-slot count observed.
     pub max_avdq: usize,
-}
-
-impl DvaResult {
-    /// Cycles the fetch processor was blocked on a full instruction
-    /// queue — this machine's name for the core's
-    /// [`stall_cycles`](ResultCore::stall_cycles).
-    pub fn fp_stalls(&self) -> u64 {
-        self.core.stall_cycles
-    }
-}
-
-impl Deref for DvaResult {
-    type Target = ResultCore;
-
-    fn deref(&self) -> &ResultCore {
-        &self.core
-    }
 }

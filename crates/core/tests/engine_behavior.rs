@@ -1,14 +1,22 @@
 //! Behavioral tests of the decoupled engine on hand-built traces with
 //! known timing.
 
-use dva_core::{DvaConfig, DvaSim, QueueConfig};
+use dva_core::{CompiledProgram, DvaConfig, DvaDetail, DvaRunner, QueueConfig};
+use dva_engine::ResultCore;
 use dva_isa::{Inst, Program, ReduceOp, ScalarReg, VectorAccess, VectorReg};
 use dva_testutil::{vadd, vl, vload};
+use std::sync::Arc;
+
+/// Runs `p` under `config` on a fresh runner, fast-forward on.
+fn run(config: DvaConfig, p: &Program) -> (ResultCore, DvaDetail) {
+    let compiled = Arc::new(CompiledProgram::compile(p));
+    DvaRunner::new().try_run(&config, &compiled, true).unwrap()
+}
 
 #[test]
 fn single_load_pays_fetch_queue_and_memory_latency() {
     let p = Program::from_insts("one-load", vec![vload(VectorReg::V0, 0x1000, 64)]);
-    let d = DvaSim::new(DvaConfig::dva(30)).run(&p);
+    let (d, _) = run(DvaConfig::dva(30), &p);
     // Lower bound: bus VL + latency + QMOV move; upper bound adds only a
     // handful of queue-hop cycles.
     assert!(d.cycles >= 30 + 64 + 64);
@@ -33,7 +41,7 @@ fn independent_loads_pipeline_on_the_bus() {
         })
         .collect();
     let p = Program::from_insts("loads", insts);
-    let d = DvaSim::new(DvaConfig::dva(100)).run(&p);
+    let (d, _) = run(DvaConfig::dva(100), &p);
     // 6*64 bus cycles + one latency + drain; decoupling hides the rest.
     assert!(d.cycles < 6 * 64 + 100 + 100);
 }
@@ -55,8 +63,8 @@ fn fetch_stalls_on_full_instruction_queue_but_completes() {
         })
         .collect();
     let p = Program::from_insts("fp-stall", insts);
-    let d = DvaSim::new(config).run(&p);
-    assert!(d.fp_stalls() > 0, "expected fetch back-pressure");
+    let (d, _) = run(config, &p);
+    assert!(d.stall_cycles > 0, "expected fetch back-pressure");
     assert_eq!(d.traffic.vector_load_elems, 12 * 32);
 }
 
@@ -64,7 +72,7 @@ fn fetch_stalls_on_full_instruction_queue_but_completes() {
 fn queue_occupancy_never_exceeds_capacity() {
     let p = dva_workloads::Benchmark::Spec77.program(dva_workloads::Scale::Quick);
     let config = DvaConfig::dva(100);
-    let d = DvaSim::new(config).run(&p);
+    let (_, d) = run(config, &p);
     assert!(d.max_vpiq <= config.queues.instruction_queue);
     assert!(d.max_apiq <= config.queues.instruction_queue);
 }
@@ -89,7 +97,7 @@ fn reduction_round_trip_reaches_the_scalar_processor() {
             },
         ],
     );
-    let d = DvaSim::new(DvaConfig::dva(10)).run(&p);
+    let (d, _) = run(DvaConfig::dva(10), &p);
     // load complete (10+16), then the QMOV move; the reduce *chains* off
     // the QMOV, completes ~(4+16) later, and the result hops VSDQ → SP.
     assert!(d.cycles >= 26 + 18, "too fast: {}", d.cycles);
@@ -107,7 +115,7 @@ fn dependent_compute_chains_off_the_qmov() {
             vadd(VectorReg::V2, VectorReg::V0, VectorReg::V0, 128),
         ],
     );
-    let d = DvaSim::new(DvaConfig::dva(1)).run(&chained);
+    let (d, _) = run(DvaConfig::dva(1), &chained);
     // Without QMOV chaining this would be >= 128 (load) + 128 (QMOV) +
     // 128 (add); chaining overlaps the last two.
     assert!(
@@ -136,7 +144,7 @@ fn store_data_queue_backpressure_blocks_vp_not_ap() {
         });
     }
     let p = Program::from_insts("sq-pressure", insts);
-    let d = DvaSim::new(DvaSmallStoreQueue::config()).run(&p);
+    let (d, _) = run(DvaSmallStoreQueue::config(), &p);
     assert_eq!(d.traffic.vector_store_elems, 4 * 32);
 }
 
@@ -164,7 +172,7 @@ fn branches_resolve_on_their_owning_processor() {
             },
         ],
     );
-    let d = DvaSim::new(DvaConfig::dva(1)).run(&p);
+    let (d, _) = run(DvaConfig::dva(1), &p);
     assert!(d.cycles >= 2);
     assert!(d.cycles < 10);
 }
@@ -172,7 +180,7 @@ fn branches_resolve_on_their_owning_processor() {
 #[test]
 fn empty_program_finishes_immediately() {
     let p = Program::from_insts("empty", vec![]);
-    let d = DvaSim::new(DvaConfig::dva(100)).run(&p);
+    let (d, _) = run(DvaConfig::dva(100), &p);
     assert!(d.cycles <= 1);
     assert_eq!(d.insts, 0);
 }

@@ -21,9 +21,8 @@ pub const WATCHDOG_TICKS: u64 = 200_000;
 /// A deadlock is an internal invariant violation — a valid machine model
 /// on a valid trace always completes. Returning it as a value lets one
 /// poisoned simulation become a typed error instead of tearing down a
-/// worker thread; the convenience edges (`DvaSim::run`,
-/// `Machine::simulate`, `Sweep::run`) panic with its
-/// [`Display`](fmt::Display) form instead.
+/// worker thread; the convenience edges (`Machine::simulate`,
+/// `Sweep::run`) panic with its [`Display`](fmt::Display) form instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimError {
     /// The cycle the clock stood at when the watchdog tripped.

@@ -5,9 +5,10 @@
 use crate::common::RunOpts;
 use dva_artifact::{ExperimentSpec, Section, SweepPlan};
 use dva_core::DvaConfig;
+use dva_isa::Program;
 use dva_metrics::Table;
-use dva_ref::{RefParams, RefSim};
-use dva_sim_api::{Machine, Sweep, SweepResults};
+use dva_ref::{RefParams, RefRunner};
+use dva_sim_api::{Machine, PreparedProgram, Sweep, SweepResults};
 use dva_uarch::{ChainPolicy, UarchParams};
 use dva_workloads::Benchmark;
 
@@ -21,7 +22,7 @@ pub const HEADINGS: [&str; 2] = [
 ];
 
 /// The ablation studies as a declarative spec. The chaining study drives
-/// [`RefSim`] directly (the chain policy is an engine internal, not a
+/// [`RefRunner`] directly (the chain policy is an engine internal, not a
 /// [`Machine`] knob), so only the bank-port comparison is a declared
 /// sweep; `all_header` is `None` because `all` reproduces the paper's
 /// evaluation, not the ablations.
@@ -50,28 +51,38 @@ fn spec_render(opts: &RunOpts, results: &[SweepResults]) -> Vec<Section> {
 /// machine's chaining model).
 ///
 /// The chain policy is an engine internal rather than part of
-/// [`RefParams`], so this study drives [`RefSim`] directly instead of
+/// [`RefParams`], so this study drives [`RefRunner`] directly instead of
 /// going through [`Machine`].
 pub fn chaining(opts: RunOpts) -> Table {
     let mut table = Table::new(["Program", "chained", "unchained", "chaining gain %"]);
     for benchmark in Benchmark::ALL {
-        let program = benchmark.program(opts.scale);
-        let params = RefParams::builder().latency(LATENCY).build();
-        let with = RefSim::new(params).run(&program);
-        let without = RefSim::new(params)
-            .with_chain_policy(ChainPolicy::none())
-            .run(&program);
+        let (with, without) = chained_and_unchained(&benchmark.program(opts.scale));
         table.row([
             benchmark.name().to_string(),
-            with.cycles.to_string(),
-            without.cycles.to_string(),
-            format!(
-                "{:+.1}",
-                100.0 * (without.cycles as f64 / with.cycles as f64 - 1.0)
-            ),
+            with.to_string(),
+            without.to_string(),
+            format!("{:+.1}", 100.0 * (without as f64 / with as f64 - 1.0)),
         ]);
     }
     table
+}
+
+/// Cycles of `program` on the reference machine at [`LATENCY`], with its
+/// chaining and with none.
+fn chained_and_unchained(program: &Program) -> (u64, u64) {
+    let prepared = PreparedProgram::new(program);
+    let params = RefParams::with_latency(LATENCY);
+    let mut runner = RefRunner::new();
+    let mut cycles = |chain| {
+        runner
+            .try_run(&params, chain, prepared.reference(), true)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .cycles
+    };
+    (
+        cycles(ChainPolicy::reference()),
+        cycles(ChainPolicy::none()),
+    )
 }
 
 /// The bank-port comparison sweep: restricted ports versus a full
@@ -84,12 +95,10 @@ pub fn bank_ports_sweep(opts: &RunOpts) -> Sweep {
     };
     let machines = vec![
         Machine::dva(LATENCY),
-        Machine::Dva(
-            DvaConfig::builder()
-                .latency(LATENCY)
-                .uarch(crossbar_uarch)
-                .build(),
-        ),
+        Machine::Dva(DvaConfig {
+            uarch: crossbar_uarch,
+            ..DvaConfig::dva(LATENCY)
+        }),
     ];
     opts.sweep()
         .machines(machines)
@@ -97,13 +106,8 @@ pub fn bank_ports_sweep(opts: &RunOpts) -> Sweep {
         .latencies([LATENCY])
 }
 
-/// Bank-port ablation: the 2-read/1-write ports per two-register bank
-/// versus a full crossbar.
-pub fn bank_ports(opts: RunOpts) -> Table {
-    render_bank_ports(&bank_ports_sweep(&opts).run())
-}
-
-/// Renders a precomputed bank-port sweep.
+/// Renders a bank-port sweep: the 2-read/1-write ports per
+/// two-register bank versus a full crossbar.
 pub fn render_bank_ports(sweep: &SweepResults) -> Table {
     let mut table = Table::new(["Program", "banked ports", "full crossbar", "port cost %"]);
     for benchmark in Benchmark::ALL {
@@ -129,28 +133,21 @@ mod tests {
 
     #[test]
     fn chaining_always_helps_or_is_neutral() {
-        let program = Benchmark::Arc2d.program(Scale::Quick);
-        let params = RefParams::builder().latency(LATENCY).build();
-        let with = RefSim::new(params).run(&program);
-        let without = RefSim::new(params)
-            .with_chain_policy(ChainPolicy::none())
-            .run(&program);
-        assert!(without.cycles >= with.cycles);
+        let (with, without) = chained_and_unchained(&Benchmark::Arc2d.program(Scale::Quick));
+        assert!(without >= with);
     }
 
     #[test]
     fn full_crossbar_never_slows_execution() {
         let program = Benchmark::Flo52.program(Scale::Quick);
         let banked = Machine::dva(LATENCY).simulate(&program);
-        let crossbar = Machine::Dva(
-            DvaConfig::builder()
-                .latency(LATENCY)
-                .uarch(UarchParams {
-                    check_bank_ports: false,
-                    ..UarchParams::default()
-                })
-                .build(),
-        )
+        let crossbar = Machine::Dva(DvaConfig {
+            uarch: UarchParams {
+                check_bank_ports: false,
+                ..UarchParams::default()
+            },
+            ..DvaConfig::dva(LATENCY)
+        })
         .simulate(&program);
         assert!(crossbar.cycles <= banked.cycles);
     }

@@ -51,17 +51,12 @@ pub fn render(sweep: &SweepResults) -> Table {
     let mut table = Table::new(headers);
     for point in &sweep.points {
         let mut row = vec![point.program.clone(), point.latency.to_string()];
-        let occupancy = point.result.avdq_occupancy().expect("DVA measures AVDQ");
+        let detail = point.result.decoupled().expect("DVA measures AVDQ");
         for v in 0..BUCKETS {
-            row.push(format!("{:.1}", occupancy.count(v) as f64 / 1000.0));
+            let cycles = detail.avdq_occupancy.count(v);
+            row.push(format!("{:.1}", cycles as f64 / 1000.0));
         }
-        row.push(
-            point
-                .result
-                .max_avdq()
-                .expect("DVA tracks AVDQ")
-                .to_string(),
-        );
+        row.push(detail.max_avdq.to_string());
         table.row(row);
     }
     table
@@ -80,8 +75,9 @@ mod tests {
         let mean_at = |l: u64| {
             Machine::dva(l)
                 .simulate(&program)
-                .avdq_occupancy()
+                .decoupled()
                 .expect("DVA histogram")
+                .avdq_occupancy
                 .mean()
         };
         assert!(mean_at(100) > mean_at(1));
@@ -95,7 +91,7 @@ mod tests {
         for benchmark in [Benchmark::Spec77, Benchmark::Arc2d] {
             let program = benchmark.program(Scale::Quick);
             let result = Machine::dva(100).simulate(&program);
-            let max = result.max_avdq().expect("DVA tracks AVDQ");
+            let max = result.decoupled().expect("DVA tracks AVDQ").max_avdq;
             assert!(max <= 9, "{}: AVDQ reached {max}", benchmark.name());
         }
     }

@@ -8,7 +8,7 @@
 
 use crate::common::RunOpts;
 use dva_artifact::{ExperimentSpec, Section, SweepPlan};
-use dva_core::DvaConfig;
+use dva_core::{DvaConfig, QueueConfig};
 use dva_metrics::Table;
 use dva_sim_api::{Machine, Sweep, SweepResults};
 use dva_workloads::Benchmark;
@@ -62,16 +62,22 @@ const SQ_SIZES: [usize; 5] = [4, 8, 16, 32, 256];
 /// The load-queue (AVDQ) sizes under test.
 const LQ_SIZES: [usize; 5] = [2, 4, 8, 16, 256];
 
+/// The base DVA at [`LATENCY`] with its queues replaced by `queues`.
+fn sized(queues: QueueConfig) -> Machine {
+    Machine::Dva(DvaConfig {
+        queues,
+        ..DvaConfig::dva(LATENCY)
+    })
+}
+
 fn iq_machines() -> Vec<Machine> {
     IQ_SIZES
         .iter()
-        .map(|&size| {
-            Machine::Dva(
-                DvaConfig::builder()
-                    .latency(LATENCY)
-                    .instruction_queue(size)
-                    .build(),
-            )
+        .map(|&instruction_queue| {
+            sized(QueueConfig {
+                instruction_queue,
+                ..QueueConfig::default()
+            })
         })
         .collect()
 }
@@ -79,13 +85,11 @@ fn iq_machines() -> Vec<Machine> {
 fn sq_machines() -> Vec<Machine> {
     SQ_SIZES
         .iter()
-        .map(|&size| {
-            Machine::Dva(
-                DvaConfig::builder()
-                    .latency(LATENCY)
-                    .store_queue(size)
-                    .build(),
-            )
+        .map(|&store_queue| {
+            sized(QueueConfig {
+                store_queue,
+                ..QueueConfig::default()
+            })
         })
         .collect()
 }
@@ -118,12 +122,8 @@ fn cycles_by_machine(sweep: &SweepResults, count: usize) -> Vec<(Benchmark, Vec<
         .collect()
 }
 
-/// Instruction-queue sizing: the paper found 16 entries within 2% of 512.
-pub fn instruction_queues(opts: RunOpts) -> Table {
-    render_instruction_queues(&sized_sweep(&opts, iq_machines()).run())
-}
-
-/// Renders a precomputed instruction-queue sweep.
+/// Renders an instruction-queue sizing sweep: the paper found 16
+/// entries within 2% of 512.
 pub fn render_instruction_queues(sweep: &SweepResults) -> Table {
     let mut headers = vec!["Program".to_string()];
     headers.extend(IQ_SIZES.iter().map(|s| format!("IQ={s}")));
@@ -140,13 +140,8 @@ pub fn render_instruction_queues(sweep: &SweepResults) -> Table {
     table
 }
 
-/// Store-queue sizing: the paper found almost no difference between 16,
-/// 32 and 256 slots for the base DVA.
-pub fn store_queue(opts: RunOpts) -> Table {
-    render_store_queue(&sized_sweep(&opts, sq_machines()).run())
-}
-
-/// Renders a precomputed store-queue sweep.
+/// Renders a store-queue sizing sweep: the paper found almost no
+/// difference between 16, 32 and 256 slots for the base DVA.
 pub fn render_store_queue(sweep: &SweepResults) -> Table {
     let mut headers = vec!["Program".to_string()];
     headers.extend(SQ_SIZES.iter().map(|s| format!("SQ={s}")));
@@ -159,13 +154,8 @@ pub fn render_store_queue(sweep: &SweepResults) -> Table {
     table
 }
 
-/// Load-queue sizing with bypass enabled (Section 7's conclusion: four
-/// slots capture most of an infinite queue).
-pub fn load_queue(opts: RunOpts) -> Table {
-    render_load_queue(&sized_sweep(&opts, lq_machines()).run())
-}
-
-/// Renders a precomputed load-queue sweep.
+/// Renders a load-queue sizing sweep with bypass enabled (Section 7's
+/// conclusion: four slots capture most of an infinite queue).
 pub fn render_load_queue(sweep: &SweepResults) -> Table {
     let mut headers = vec!["Program".to_string()];
     headers.extend(LQ_SIZES.iter().map(|s| format!("AVDQ={s}")));
@@ -194,13 +184,11 @@ mod tests {
         // queues (documented in EXPERIMENTS.md), so we assert a looser
         // bound plus monotonicity.
         let program = Benchmark::Arc2d.program(Scale::Quick);
-        let run = |iq: usize| {
-            Machine::Dva(
-                DvaConfig::builder()
-                    .latency(LATENCY)
-                    .instruction_queue(iq)
-                    .build(),
-            )
+        let run = |instruction_queue| {
+            sized(QueueConfig {
+                instruction_queue,
+                ..QueueConfig::default()
+            })
             .simulate(&program)
             .cycles
         };
@@ -214,13 +202,11 @@ mod tests {
     #[test]
     fn store_queue_sixteen_matches_larger_queues() {
         let program = Benchmark::Flo52.program(Scale::Quick);
-        let run = |sq: usize| {
-            Machine::Dva(
-                DvaConfig::builder()
-                    .latency(LATENCY)
-                    .store_queue(sq)
-                    .build(),
-            )
+        let run = |store_queue| {
+            sized(QueueConfig {
+                store_queue,
+                ..QueueConfig::default()
+            })
             .simulate(&program)
             .cycles
         };
@@ -231,6 +217,7 @@ mod tests {
 
     #[test]
     fn tables_have_a_row_per_program() {
-        assert_eq!(load_queue(RunOpts::quick()).len(), Benchmark::ALL.len());
+        let sweep = sized_sweep(&RunOpts::quick(), lq_machines()).run();
+        assert_eq!(render_load_queue(&sweep).len(), Benchmark::ALL.len());
     }
 }

@@ -45,14 +45,17 @@ pub use vector::{Stride, VectorLength, ELEM_BYTES, MAX_VECTOR_LENGTH};
 pub type Cycle = u64;
 
 /// The longest delay — a memory latency or a functional-unit startup —
-/// a decoded configuration may carry: 2^20 cycles.
+/// a configuration may carry: 2^20 cycles.
 ///
 /// The paper sweeps latencies of 1 to a few hundred cycles, and the
 /// widest adaptive axis in use reaches 20,000, so the bound is far above
 /// any real machine. It also keeps every cycle count a run can reach far
 /// inside a JSON integer's `i64` range: a delay near `u64::MAX` would be
 /// simulated and then fail to render. Every wire decoder of a delay
-/// checks it; the Rust builders keep their own checks.
+/// rejects a larger one, and every engine asserts the bound when it arms
+/// a run (the memory system checks the latency, the register file the
+/// startups), so a configuration built in Rust fails before its first
+/// tick.
 pub const MAX_DELAY: Cycle = 1 << 20;
 
 /// Accumulates the earliest cycle strictly after a reference point — the

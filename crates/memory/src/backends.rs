@@ -4,7 +4,7 @@
 use crate::bus::AddressBus;
 use crate::cache::{CacheAccess, ScalarCache};
 use crate::model::{LoadIssue, MemoryModelKind, MemoryParams};
-use dva_isa::{Cycle, Stride, VectorLength};
+use dva_isa::{Cycle, Stride, VectorLength, MAX_DELAY};
 use dva_metrics::Traffic;
 
 /// The memory system both engines issue every access through, so their
@@ -61,9 +61,11 @@ impl Memory {
     ///
     /// # Panics
     ///
-    /// Panics if the kind has no port, a banked kind has no bank or a
-    /// zero bank-busy time, or the cache geometry is not a power of two
-    /// (see [`ScalarCache::new`]). Decoding rejects each of these shapes.
+    /// Panics if the latency exceeds [`MAX_DELAY`], the kind has no
+    /// port, a banked kind has no bank or a zero bank-busy time, or the
+    /// cache geometry is not a power of two (see [`ScalarCache::new`]).
+    /// Decoding rejects each of these. Every engine arms its memory
+    /// through here before its first tick.
     pub fn new(params: MemoryParams) -> Memory {
         let mut memory = Memory {
             params,
@@ -95,6 +97,11 @@ impl Memory {
     ///
     /// Panics under the same conditions as [`Memory::new`].
     pub fn reset(&mut self, params: MemoryParams) {
+        assert!(
+            params.latency <= MAX_DELAY,
+            "latency {} exceeds MAX_DELAY ({MAX_DELAY})",
+            params.latency
+        );
         if let MemoryModelKind::Banked { banks, bank_busy } = params.model {
             assert!(
                 banks > 0 && bank_busy > 0,

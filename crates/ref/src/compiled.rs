@@ -145,15 +145,18 @@ fn decode(inst: &Inst) -> RefOp {
 /// # Examples
 ///
 /// ```
-/// use dva_ref::{CompiledProgram, RefParams, RefRunner, RefSim};
+/// use dva_ref::{ChainPolicy, CompiledProgram, RefParams, RefRunner};
 /// use dva_workloads::{Benchmark, Scale};
 /// use std::sync::Arc;
 ///
 /// let program = Benchmark::Trfd.program(Scale::Quick);
 /// let compiled = Arc::new(CompiledProgram::compile(&program));
-/// let sim = RefSim::new(RefParams::with_latency(30));
-/// let result = RefRunner::new().try_run(&sim, &compiled).unwrap();
-/// assert_eq!(result, sim.run(&program));
+/// let mut runner = RefRunner::new();
+/// for latency in [1, 30] {
+///     let params = RefParams::with_latency(latency);
+///     let result = runner.try_run(&params, ChainPolicy::reference(), &compiled, true);
+///     assert_eq!(result.unwrap().insts, program.len() as u64);
+/// }
 /// ```
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {

@@ -19,27 +19,31 @@
 //! # Examples
 //!
 //! ```
-//! use dva_ref::{RefParams, RefSim};
+//! use dva_ref::{ChainPolicy, CompiledProgram, RefParams, RefRunner};
 //! use dva_workloads::{Benchmark, Scale};
+//! use std::sync::Arc;
 //!
 //! let program = Benchmark::Dyfesm.program(Scale::Quick);
-//! let params = RefParams::builder().latency(30).build();
-//! let result = RefSim::new(params).run(&program);
+//! let compiled = Arc::new(CompiledProgram::compile(&program));
+//! let params = RefParams::with_latency(30);
+//! let result = RefRunner::new()
+//!     .try_run(&params, ChainPolicy::reference(), &compiled, true)
+//!     .unwrap();
 //! assert!(result.cycles > 0);
 //! ```
 //!
 //! For experiments over several machines, prefer the unified `Machine`
-//! and `Sweep` API of the `dva-sim-api` crate, which wraps this
-//! simulator, the decoupled machine and the IDEAL bound behind one front
-//! door.
+//! and `Sweep` API of the `dva-sim-api` crate, which runs this engine,
+//! the decoupled machine and the IDEAL bound behind one front door and
+//! returns one result type.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod compiled;
-mod result;
 mod sim;
 
 pub use compiled::CompiledProgram;
-pub use result::RefResult;
-pub use sim::{RefParams, RefParamsBuilder, RefRunner, RefSim};
+pub use sim::{RefParams, RefRunner};
+// The chaining policy every run names (see [`RefRunner::try_run`]).
+pub use dva_uarch::ChainPolicy;

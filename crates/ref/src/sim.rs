@@ -6,9 +6,8 @@
 //! [`dva_engine::Driver`].
 
 use crate::compiled::{CompiledProgram, RefOp};
-use crate::result::RefResult;
-use dva_engine::{Driver, Observers, Processor, Progress, Report, SimError};
-use dva_isa::{Cycle, Program};
+use dva_engine::{Driver, Observers, Processor, Progress, Report, ResultCore, SimError};
+use dva_isa::Cycle;
 use dva_json::{FromJson, JsonError, Reader, ToJson, Writer};
 use dva_memory::{CacheAccess, Memory, MemoryParams};
 use dva_metrics::UnitState;
@@ -52,132 +51,33 @@ impl RefParams {
             memory: MemoryParams::with_latency(latency),
         }
     }
-
-    /// Starts an ergonomic builder from the default configuration,
-    /// mirroring [`DvaConfig::builder`](https://docs.rs/dva-core) on the
-    /// decoupled machine's side.
-    ///
-    /// ```
-    /// use dva_ref::RefParams;
-    ///
-    /// let params = RefParams::builder().latency(30).build();
-    /// assert_eq!(params.memory.latency, 30);
-    /// ```
-    pub fn builder() -> RefParamsBuilder {
-        RefParamsBuilder {
-            params: RefParams::with_latency(1),
-        }
-    }
 }
 
-/// Builder for [`RefParams`], created by [`RefParams::builder`].
-#[derive(Debug, Clone, Copy)]
-pub struct RefParamsBuilder {
-    params: RefParams,
-}
-
-impl RefParamsBuilder {
-    /// Sets the main memory latency `L` in cycles.
-    pub fn latency(mut self, latency: u64) -> Self {
-        self.params.memory.latency = latency;
-        self
-    }
-
-    /// Replaces the whole memory configuration.
-    pub fn memory(mut self, memory: MemoryParams) -> Self {
-        self.params.memory = memory;
-        self
-    }
-
-    /// Replaces the vector engine timing.
-    pub fn uarch(mut self, uarch: UarchParams) -> Self {
-        self.params.uarch = uarch;
-        self
-    }
-
-    /// Finishes the builder.
-    pub fn build(self) -> RefParams {
-        self.params
-    }
-}
-
-/// The reference (coupled) vector architecture simulator.
-///
-/// Create one per run; [`RefSim::run`] consumes the simulator's state.
-///
-/// By default the engine *fast-forwards*: whenever the dispatcher stalls
-/// it jumps straight to the next cycle at which anything can change,
-/// bulk-accounting the skipped stall cycles. The results are
-/// byte-identical to naive per-cycle stepping;
-/// [`RefSim::with_fast_forward`] opts back into naive stepping for
-/// verification.
-#[derive(Debug)]
-pub struct RefSim {
-    params: RefParams,
-    chain: ChainPolicy,
-    fast_forward: bool,
-}
-
-impl RefSim {
-    /// Creates a simulator (fast-forward enabled).
-    pub fn new(params: RefParams) -> RefSim {
-        RefSim {
-            params,
-            chain: ChainPolicy::reference(),
-            fast_forward: true,
-        }
-    }
-
-    /// Overrides the chaining policy (for ablation studies).
-    pub fn with_chain_policy(mut self, chain: ChainPolicy) -> RefSim {
-        self.chain = chain;
-        self
-    }
-
-    /// Enables or disables the next-event fast-forward (on by default;
-    /// turning it off forces naive per-cycle stepping).
-    #[must_use]
-    pub fn with_fast_forward(mut self, fast_forward: bool) -> RefSim {
-        self.fast_forward = fast_forward;
-        self
-    }
-
-    /// Runs `program` to completion and reports the measurements.
-    ///
-    /// Decodes the program on the fly; when the same program runs more
-    /// than once (latency sweeps, model sweeps), compile it once with
-    /// [`CompiledProgram::compile`] and reuse a [`RefRunner`] instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine detects a deadlock (an internal invariant
-    /// violation — valid traces always complete).
-    pub fn run(&self, program: &Program) -> RefResult {
-        RefRunner::new()
-            .try_run(self, &Arc::new(CompiledProgram::compile(program)))
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-}
-
-/// A reusable reference-machine engine, mirroring
+/// The reference machine's one entry point, mirroring
 /// [`DvaRunner`](https://docs.rs/dva-core) on the decoupled side: each
-/// [`try_run`](RefRunner::try_run) resets the engine and drives it to completion,
-/// byte-identical to a fresh [`RefSim::run`] (the reset contract), while
-/// reusing the engine's allocations across runs.
+/// [`try_run`](RefRunner::try_run) resets a reusable engine and drives it
+/// to completion, byte-identical to a run on a fresh runner (the reset
+/// contract), while reusing the engine's allocations across runs.
+///
+/// With `fast_forward` on, whenever the dispatcher stalls the engine
+/// jumps straight to the next cycle at which anything can change,
+/// bulk-accounting the skipped stall cycles. The results are
+/// byte-identical to naive per-cycle stepping (`fast_forward` off).
 ///
 /// # Examples
 ///
 /// ```
-/// use dva_ref::{CompiledProgram, RefParams, RefRunner, RefSim};
+/// use dva_ref::{ChainPolicy, CompiledProgram, RefParams, RefRunner};
 /// use dva_workloads::{Benchmark, Scale};
 /// use std::sync::Arc;
 ///
-/// let program = Benchmark::Trfd.program(Scale::Quick);
-/// let compiled = Arc::new(CompiledProgram::compile(&program));
-/// let mut runner = RefRunner::new();
+/// let compiled = Arc::new(CompiledProgram::compile(&Benchmark::Trfd.program(Scale::Quick)));
+/// let chain = ChainPolicy::reference();
+/// let mut reused = RefRunner::new();
 /// for latency in [1, 30, 100] {
-///     let sim = RefSim::new(RefParams::with_latency(latency));
-///     assert_eq!(runner.try_run(&sim, &compiled).unwrap(), sim.run(&program));
+///     let params = RefParams::with_latency(latency);
+///     let fresh = RefRunner::new().try_run(&params, chain, &compiled, true).unwrap();
+///     assert_eq!(reused.try_run(&params, chain, &compiled, true).unwrap(), fresh);
 /// }
 /// ```
 #[derive(Debug, Default)]
@@ -192,41 +92,56 @@ impl RefRunner {
         RefRunner::default()
     }
 
-    /// Runs `compiled` under `sim`'s parameters, chaining policy and
-    /// stepping strategy, reusing this runner's engine allocations. A
-    /// detected deadlock comes back as a [`SimError`]; the engine is left
-    /// mid-flight on error, and the next run's reset restores it, so the
-    /// runner stays reusable.
+    /// Runs `compiled` under `params` and the `chain` policy
+    /// ([`ChainPolicy::reference`] is the paper's machine; the chaining
+    /// ablation passes [`ChainPolicy::none`]), reusing this runner's
+    /// engine allocations. The core's front-end
+    /// [`stall_cycles`](ResultCore::stall_cycles) are the dispatcher's
+    /// stalls. A detected deadlock comes back as a [`SimError`]; the
+    /// engine is left mid-flight on error, and the next run's reset
+    /// restores it, so the runner stays reusable.
+    ///
+    /// # Panics
+    ///
+    /// Panics before the first tick if `params` carries a delay above
+    /// [`dva_isa::MAX_DELAY`] or a memory shape [`Memory`] refuses.
     pub fn try_run(
         &mut self,
-        sim: &RefSim,
+        params: &RefParams,
+        chain: ChainPolicy,
         compiled: &Arc<CompiledProgram>,
-    ) -> Result<RefResult, SimError> {
-        drive(self.arm(sim, compiled), sim.fast_forward)
+        fast_forward: bool,
+    ) -> Result<ResultCore, SimError> {
+        drive(self.arm(*params, chain, compiled), fast_forward)
     }
 
-    /// Readies the engine for `sim` — reset when it exists, built when it
-    /// does not.
-    fn arm(&mut self, sim: &RefSim, compiled: &Arc<CompiledProgram>) -> &mut Engine {
+    /// Readies the engine for `params` — reset when it exists, built when
+    /// it does not.
+    fn arm(
+        &mut self,
+        params: RefParams,
+        chain: ChainPolicy,
+        compiled: &Arc<CompiledProgram>,
+    ) -> &mut Engine {
         match &mut self.engine {
             Some(engine) => {
-                engine.reset(sim.params, sim.chain, Arc::clone(compiled));
+                engine.reset(params, chain, Arc::clone(compiled));
                 engine
             }
-            slot => slot.insert(Engine::new(sim.params, sim.chain, Arc::clone(compiled))),
+            slot => slot.insert(Engine::new(params, chain, Arc::clone(compiled))),
         }
     }
 }
 
 /// Drives `engine` (fresh or reset) to completion through the shared
 /// [`Driver`] and assembles the reference machine's result.
-fn drive(engine: &mut Engine, fast_forward: bool) -> Result<RefResult, SimError> {
+fn drive(engine: &mut Engine, fast_forward: bool) -> Result<ResultCore, SimError> {
     let mut observers = Observers::new();
     let completion = Driver::new()
         .fast_forward(fast_forward)
         .try_run(engine, &mut observers)?;
     let (core, _) = completion.into_core(engine, observers);
-    Ok(RefResult { core })
+    Ok(core)
 }
 
 #[derive(Debug)]
@@ -566,12 +481,21 @@ impl Processor for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dva_isa::{Inst, ReduceOp, ScalarReg, VOperand, VectorAccess, VectorOp, VectorReg};
+    use dva_isa::{
+        Inst, Program, ReduceOp, ScalarReg, VOperand, VectorAccess, VectorOp, VectorReg,
+    };
     use dva_testutil::{vadd, vl, vload};
 
-    fn run(insts: Vec<Inst>, latency: u64) -> RefResult {
-        let program = Program::from_insts("t", insts);
-        RefSim::new(RefParams::with_latency(latency)).run(&program)
+    fn run_program(program: &Program, latency: u64) -> ResultCore {
+        let compiled = Arc::new(CompiledProgram::compile(program));
+        let params = RefParams::with_latency(latency);
+        RefRunner::new()
+            .try_run(&params, ChainPolicy::reference(), &compiled, true)
+            .unwrap()
+    }
+
+    fn run(insts: Vec<Inst>, latency: u64) -> ResultCore {
+        run_program(&Program::from_insts("t", insts), latency)
     }
 
     #[test]
@@ -683,7 +607,7 @@ mod tests {
         );
         // Miss: data at cycle 40; ALU issues at 40, result at 41.
         assert_eq!(r.cycles, 41);
-        assert!(r.dispatch_stalls() > 30);
+        assert!(r.stall_cycles > 30);
     }
 
     #[test]
@@ -750,7 +674,7 @@ mod tests {
     #[test]
     fn state_breakdown_accounts_every_cycle() {
         let program = dva_workloads::Benchmark::Arc2d.program(dva_workloads::Scale::Quick);
-        let r = RefSim::new(RefParams::with_latency(30)).run(&program);
+        let r = run_program(&program, 30);
         assert_eq!(r.states.total_cycles(), r.cycles);
         assert!(r.states.idle_cycles() < r.cycles);
         assert!(r.bus_utilization > 0.0 && r.bus_utilization <= 1.0);
@@ -761,7 +685,7 @@ mod tests {
         let program = dva_workloads::Benchmark::Trfd.program(dva_workloads::Scale::Quick);
         let mut prev = 0;
         for latency in [1, 10, 30, 70, 100] {
-            let r = RefSim::new(RefParams::with_latency(latency)).run(&program);
+            let r = run_program(&program, latency);
             assert!(
                 r.cycles >= prev,
                 "latency {latency} ran faster: {} < {prev}",

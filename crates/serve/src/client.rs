@@ -119,47 +119,33 @@ impl Client<UnixStream, UnixStream> {
         })
     }
 
-    /// [`Client::connect`] under a [`RetryPolicy`]: retries
-    /// connection-level failures (daemon still starting, socket not yet
-    /// bound) with capped exponential backoff.
-    pub fn connect_with_retry(
-        path: &Path,
-        policy: &RetryPolicy,
-    ) -> io::Result<Client<UnixStream, UnixStream>> {
-        retry(policy, || Client::connect(path))
-    }
-
     /// Submits a sweep, reconnecting and re-submitting the whole job if
-    /// the connection drops mid-stream. Safe to retry: every point the
-    /// interrupted attempt measured is already in the server's cache, so
-    /// the re-submission replays them as cache hits and simulates only
-    /// what is left. The returned summary is the final attempt's — its
+    /// the connection drops mid-stream (or the daemon is still starting),
+    /// sleeping the policy's backoff between tries; non-retryable errors
+    /// fail immediately. Safe to retry: every point the interrupted
+    /// attempt measured is already in the server's cache, so the
+    /// re-submission replays them as cache hits and simulates only what
+    /// is left. The returned summary is the final attempt's — its
     /// `cache_hits` count shows the resume at work.
     pub fn submit_with_retry(
         path: &Path,
         policy: &RetryPolicy,
         sweep: &Sweep,
     ) -> io::Result<(SweepResults, JobSummary)> {
-        retry(policy, || Client::connect(path)?.submit(sweep))
-    }
-}
-
-/// Runs `attempt` under `policy`, sleeping the policy's backoff between
-/// tries; non-retryable errors fail immediately.
-fn retry<T>(policy: &RetryPolicy, mut attempt: impl FnMut() -> io::Result<T>) -> io::Result<T> {
-    let attempts = policy.attempts.max(1);
-    let mut last = None;
-    for n in 0..attempts {
-        if n > 0 {
-            std::thread::sleep(policy.delay(n - 1));
+        let attempts = policy.attempts.max(1);
+        let mut last = None;
+        for n in 0..attempts {
+            if n > 0 {
+                std::thread::sleep(policy.delay(n - 1));
+            }
+            match Client::connect(path).and_then(|mut client| client.submit(sweep)) {
+                Ok(value) => return Ok(value),
+                Err(e) if is_retryable(&e) && n + 1 < attempts => last = Some(e),
+                Err(e) => return Err(e),
+            }
         }
-        match attempt() {
-            Ok(value) => return Ok(value),
-            Err(e) if is_retryable(&e) && n + 1 < attempts => last = Some(e),
-            Err(e) => return Err(e),
-        }
+        Err(last.expect("loop ran at least once"))
     }
-    Err(last.expect("loop ran at least once"))
 }
 
 impl<R: io::Read, W: Write> Client<R, W> {

@@ -4,9 +4,9 @@
 //! BYP n/m, IDEAL) × *programs* × *memory latencies* — extended here by
 //! a fourth axis, the *memory model* (the flat / banked / multi-port
 //! kinds of [`dva_memory::MemoryModelKind`]). The underlying crates
-//! expose one front door per machine ([`dva_ref::RefSim`],
-//! [`dva_core::DvaSim`], [`dva_core::ideal_bound`]); this crate folds them
-//! into a single [`Machine`] abstraction with a uniform
+//! expose one fallible entry per machine family ([`dva_ref::RefRunner`],
+//! [`dva_core::DvaRunner`], [`dva_core::ideal_bound`]); this crate folds
+//! them into a single [`Machine`] abstraction with a uniform
 //! [`Machine::simulate`] returning one [`SimResult`] type, and a parallel
 //! [`Sweep`] session that fans the whole cross-product out over OS
 //! threads.

@@ -1,16 +1,19 @@
 //! The unified machine abstraction.
 
 use crate::prepare::{PreparedProgram, Runners};
+use crate::result::MachineDetail;
 use crate::result::SimResult;
-use dva_core::{DvaConfig, DvaSim};
+use dva_core::DvaConfig;
 use dva_isa::Program;
 use dva_memory::MemoryModelKind;
-use dva_ref::{RefParams, RefSim};
+use dva_ref::{ChainPolicy, RefParams};
 
 /// One of the paper's machines, ready to simulate any [`Program`].
 ///
-/// `Machine` unifies the front doors of the workspace — [`RefSim`],
-/// [`DvaSim`] and [`ideal_bound`](dva_core::ideal_bound) — behind one
+/// `Machine` unifies the engines of the workspace — the
+/// [`RefRunner`](dva_ref::RefRunner), the
+/// [`DvaRunner`](dva_core::DvaRunner) and
+/// [`ideal_bound`](dva_core::ideal_bound) — behind one
 /// [`simulate`](Machine::simulate) method returning one [`SimResult`]
 /// type, so experiment code can treat "which machine" as data. The set
 /// is closed: every machine is plain data, so every point can be keyed,
@@ -130,7 +133,10 @@ impl Machine {
     /// # Panics
     ///
     /// Panics if the engine detects a deadlock (an internal invariant
-    /// violation — valid traces always complete).
+    /// violation — valid traces always complete), or before the first
+    /// tick if the machine carries a delay above
+    /// [`MAX_DELAY`](dva_isa::MAX_DELAY) or a memory shape the engines
+    /// refuse (decoding rejects both).
     pub fn simulate(&self, program: &Program) -> SimResult {
         self.simulate_with(program, true)
     }
@@ -139,6 +145,10 @@ impl Machine {
     /// `false` forces naive per-cycle stepping (IDEAL has no timeline and
     /// ignores the flag). Exists so equivalence tests and benchmarks can
     /// compare the two; results are byte-identical either way.
+    ///
+    /// # Panics
+    ///
+    /// As [`simulate`](Machine::simulate).
     pub fn simulate_with(&self, program: &Program, fast_forward: bool) -> SimResult {
         self.try_simulate_prepared(
             &PreparedProgram::new(program),
@@ -159,8 +169,9 @@ impl Machine {
     /// A detected deadlock comes back as a
     /// [`SimError`](dva_engine::SimError), so callers (the streaming
     /// executor, the serving stack) survive one poisoned point. Panics
-    /// *inside* a machine model are not caught here; the executor
-    /// isolates those separately.
+    /// *inside* a machine model, and the engines' refusal of a delay
+    /// above [`MAX_DELAY`](dva_isa::MAX_DELAY), are not caught here; the
+    /// executor isolates those separately.
     pub fn try_simulate_prepared(
         &self,
         prepared: &PreparedProgram,
@@ -168,20 +179,22 @@ impl Machine {
         runners: &mut Runners,
     ) -> Result<SimResult, dva_engine::SimError> {
         Ok(match self {
-            Machine::Ref(params) => runners
-                .reference
-                .try_run(
-                    &RefSim::new(*params).with_fast_forward(fast_forward),
+            Machine::Ref(params) => SimResult {
+                core: runners.reference.try_run(
+                    params,
+                    ChainPolicy::reference(),
                     prepared.reference(),
-                )?
-                .into(),
-            Machine::Dva(config) => runners
-                .dva
-                .try_run(
-                    &DvaSim::new(*config).with_fast_forward(fast_forward),
-                    prepared.dva(),
-                )?
-                .into(),
+                    fast_forward,
+                )?,
+                detail: MachineDetail::Reference,
+            },
+            Machine::Dva(config) => {
+                let (core, detail) = runners.dva.try_run(config, prepared.dva(), fast_forward)?;
+                SimResult {
+                    core,
+                    detail: MachineDetail::Decoupled(detail),
+                }
+            }
             Machine::Ideal => SimResult::from_ideal(prepared.ideal(), prepared.program()),
         })
     }
@@ -225,17 +238,52 @@ mod tests {
     #[test]
     fn simulate_agrees_with_the_native_front_doors() {
         let program = Benchmark::Trfd.program(Scale::Quick);
+        let prepared = PreparedProgram::new(&program);
         let unified = Machine::reference(30).simulate(&program);
-        let native = RefSim::new(RefParams::with_latency(30)).run(&program);
-        assert_eq!(unified.cycles, native.cycles);
-        assert_eq!(unified.insts, native.insts);
+        let native = dva_ref::RefRunner::new()
+            .try_run(
+                &RefParams::with_latency(30),
+                ChainPolicy::reference(),
+                prepared.reference(),
+                true,
+            )
+            .unwrap();
+        assert_eq!(unified.core, native);
+        assert_eq!(unified.detail, MachineDetail::Reference);
 
-        let unified = Machine::dva(30).simulate(&program);
-        let native = DvaSim::new(DvaConfig::dva(30)).run(&program);
-        assert_eq!(unified.cycles, native.cycles);
-        assert_eq!(unified.traffic, native.traffic);
+        let unified = Machine::byp(30, 4, 8).simulate(&program);
+        let (core, detail) = dva_core::DvaRunner::new()
+            .try_run(&DvaConfig::byp(30, 4, 8), prepared.dva(), true)
+            .unwrap();
+        assert_eq!(unified.core, core);
+        assert_eq!(unified.decoupled(), Some(&detail));
 
         let unified = Machine::ideal().simulate(&program);
         assert_eq!(unified.cycles, dva_core::ideal_bound(&program).cycles());
+    }
+
+    #[test]
+    #[should_panic(expected = "latency 1048577 exceeds MAX_DELAY (1048576)")]
+    fn a_latency_above_the_bound_panics_before_the_first_tick() {
+        let program = Benchmark::Trfd.program(Scale::Quick);
+        Machine::reference(dva_isa::MAX_DELAY + 1).simulate(&program);
+    }
+
+    #[test]
+    #[should_panic(expected = "fu_startup 1048577 exceeds MAX_DELAY (1048576)")]
+    fn an_fu_startup_above_the_bound_panics_before_the_first_tick() {
+        let program = Benchmark::Trfd.program(Scale::Quick);
+        let mut config = DvaConfig::dva(30);
+        config.uarch.fu_startup = dva_isa::MAX_DELAY + 1;
+        Machine::Dva(config).simulate(&program);
+    }
+
+    #[test]
+    #[should_panic(expected = "qmov_startup 1048577 exceeds MAX_DELAY (1048576)")]
+    fn a_qmov_startup_above_the_bound_panics_before_the_first_tick() {
+        let program = Benchmark::Trfd.program(Scale::Quick);
+        let mut params = RefParams::with_latency(30);
+        params.uarch.qmov_startup = dva_isa::MAX_DELAY + 1;
+        Machine::Ref(params).simulate(&program);
     }
 }

@@ -1,23 +1,22 @@
 //! The unified simulation result.
 
-use dva_core::{DvaResult, IdealBound};
+use dva_core::{DvaDetail, IdealBound};
 use dva_engine::ResultCore;
-use dva_isa::{Cycle, Program};
-use dva_metrics::Histogram;
-use dva_ref::RefResult;
+use dva_isa::Program;
 use std::fmt;
 use std::ops::Deref;
 
-/// Measurements every machine reports, plus machine-specific detail.
+/// Measurements every machine reports, plus machine-specific detail:
+/// the one result shape of every run.
 ///
 /// The common measurements are the shared [`ResultCore`] assembled by
 /// the `dva-engine` driver — every machine (REF, DVA, BYP, IDEAL)
-/// produces the same core, so converting a machine result into a
-/// `SimResult` moves the core instead of copying fields. The core's
-/// fields and methods are reachable directly through `Deref` —
-/// `result.cycles`, `result.ipc()`. Quantities that only one machine
-/// produces (the AVDQ histogram, bypass counters, the IDEAL resource
-/// split) live behind [`MachineDetail`] and the typed accessors.
+/// produces the same core. The core's fields and methods are reachable
+/// directly through `Deref` — `result.cycles`, `result.ipc()`,
+/// `result.idle_cycles()`. Quantities that only one machine produces
+/// (the AVDQ histogram, bypass counters, the IDEAL resource split) live
+/// behind [`MachineDetail`], read with [`decoupled`](SimResult::decoupled)
+/// and [`ideal_bound`](SimResult::ideal_bound).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     /// The measurements every machine shares.
@@ -32,21 +31,7 @@ pub enum MachineDetail {
     /// The reference machine reports nothing beyond the common core.
     Reference,
     /// Decoupled-machine extras (queues, bypass, drain stalls).
-    Decoupled {
-        /// Busy-slot histogram of the vector load data queue (Figure 6).
-        avdq_occupancy: Histogram,
-        /// Vector loads fully satisfied by the VADQ→AVDQ bypass.
-        bypassed_loads: u64,
-        /// Cycles the address processor spent draining stores to resolve
-        /// memory hazards.
-        drain_stall_cycles: u64,
-        /// Highest VPIQ occupancy observed.
-        max_vpiq: usize,
-        /// Highest APIQ occupancy observed.
-        max_apiq: usize,
-        /// Highest AVDQ busy-slot count observed.
-        max_avdq: usize,
-    },
+    Decoupled(DvaDetail),
     /// The IDEAL bound's per-resource operation totals.
     Ideal(IdealBound),
 }
@@ -57,39 +42,11 @@ impl SimResult {
         dva_metrics::speedup(baseline.cycles, self.cycles)
     }
 
-    /// The AVDQ busy-slot histogram, if this machine has the queue.
-    pub fn avdq_occupancy(&self) -> Option<&Histogram> {
+    /// The decoupled machine's extra measurements, if this is a DVA or
+    /// BYP result.
+    pub fn decoupled(&self) -> Option<&DvaDetail> {
         match &self.detail {
-            MachineDetail::Decoupled { avdq_occupancy, .. } => Some(avdq_occupancy),
-            _ => None,
-        }
-    }
-
-    /// Vector loads served by the bypass unit (zero on machines without
-    /// one).
-    pub fn bypassed_loads(&self) -> u64 {
-        match &self.detail {
-            MachineDetail::Decoupled { bypassed_loads, .. } => *bypassed_loads,
-            _ => 0,
-        }
-    }
-
-    /// Cycles the address processor spent draining stores (zero on other
-    /// machines).
-    pub fn drain_stall_cycles(&self) -> u64 {
-        match &self.detail {
-            MachineDetail::Decoupled {
-                drain_stall_cycles, ..
-            } => *drain_stall_cycles,
-            _ => 0,
-        }
-    }
-
-    /// Highest AVDQ busy-slot count observed, if the machine has the
-    /// queue.
-    pub fn max_avdq(&self) -> Option<usize> {
-        match &self.detail {
-            MachineDetail::Decoupled { max_avdq, .. } => Some(*max_avdq),
+            MachineDetail::Decoupled(detail) => Some(detail),
             _ => None,
         }
     }
@@ -110,14 +67,6 @@ impl SimResult {
             core: ResultCore::untimed(bound.cycles(), program.len() as u64),
             detail: MachineDetail::Ideal(bound),
         }
-    }
-
-    /// Cycles spent in the all-idle `( , , )` state.
-    ///
-    /// (Also available through `Deref` to [`ResultCore`]; kept inherent
-    /// so existing callers and docs keep working unchanged.)
-    pub fn idle_cycles(&self) -> Cycle {
-        self.core.idle_cycles()
     }
 }
 
@@ -172,31 +121,6 @@ impl fmt::Display for SimResult {
     }
 }
 
-impl From<RefResult> for SimResult {
-    fn from(r: RefResult) -> SimResult {
-        SimResult {
-            core: r.core,
-            detail: MachineDetail::Reference,
-        }
-    }
-}
-
-impl From<DvaResult> for SimResult {
-    fn from(d: DvaResult) -> SimResult {
-        SimResult {
-            core: d.core,
-            detail: MachineDetail::Decoupled {
-                avdq_occupancy: d.avdq_occupancy,
-                bypassed_loads: d.bypassed_loads,
-                drain_stall_cycles: d.drain_stall_cycles,
-                max_vpiq: d.max_vpiq,
-                max_apiq: d.max_apiq,
-                max_avdq: d.max_avdq,
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::Machine;
@@ -206,13 +130,13 @@ mod tests {
     fn detail_accessors_match_machine_kind() {
         let program = Benchmark::Dyfesm.program(Scale::Quick);
         let r = Machine::reference(1).simulate(&program);
-        assert!(r.avdq_occupancy().is_none());
-        assert_eq!(r.bypassed_loads(), 0);
+        assert!(r.decoupled().is_none());
         assert!(r.ideal_bound().is_none());
 
         let d = Machine::byp(1, 256, 16).simulate(&program);
-        assert!(d.avdq_occupancy().is_some());
-        assert!(d.max_avdq().is_some());
+        let detail = d.decoupled().expect("BYP is decoupled");
+        assert_eq!(detail.avdq_occupancy.total(), d.cycles);
+        assert!(d.ideal_bound().is_none());
 
         let i = Machine::ideal().simulate(&program);
         assert!(i.ideal_bound().is_some());

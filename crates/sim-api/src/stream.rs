@@ -228,7 +228,7 @@ impl Ord for Sequenced {
 
 /// The engine behind both public stream types: workers, the result
 /// channel, and the reorder buffer that restores sequence order.
-struct RawStream {
+pub(crate) struct RawStream {
     /// `None` once the stream has finished or been dropped.
     rx: Option<Receiver<Sequenced>>,
     /// Completed points that arrived ahead of their turn (min-heap).
@@ -241,7 +241,9 @@ struct RawStream {
     cancelled: bool,
 }
 
-fn spawn(
+/// Starts up to `workers` threads measuring `entries`; the returned
+/// stream yields their outcomes in `entries` order.
+pub(crate) fn spawn(
     entries: Vec<Entry>,
     workers: usize,
     fast_forward: bool,
@@ -387,7 +389,7 @@ impl Drop for RawStream {
 /// the iterator ends early at the last in-order point, which is the one
 /// deliberate exception to the [`ExactSizeIterator`] length promise.
 pub struct SweepStream {
-    inner: RawStream,
+    pub(crate) inner: RawStream,
 }
 
 impl Iterator for SweepStream {
@@ -414,7 +416,7 @@ impl ExactSizeIterator for SweepStream {}
 /// each failure arrives as a typed [`PointError`] alongside the healthy
 /// points.
 pub struct IndexedSweepStream {
-    inner: RawStream,
+    pub(crate) inner: RawStream,
 }
 
 impl IndexedSweepStream {
@@ -431,31 +433,6 @@ impl IndexedSweepStream {
     /// deadline); a cancelled stream ends early.
     pub fn cancelled(&self) -> bool {
         self.inner.cancelled()
-    }
-}
-
-pub(crate) fn stream_all(
-    entries: Vec<Entry>,
-    workers: usize,
-    fast_forward: bool,
-    cancel: CancelToken,
-) -> SweepStream {
-    SweepStream {
-        inner: spawn(entries, workers, fast_forward, cancel),
-    }
-}
-
-pub(crate) fn stream_indexed(
-    entries: Vec<Entry>,
-    workers: usize,
-    fast_forward: bool,
-    cancel: CancelToken,
-) -> IndexedSweepStream {
-    // Reindex to submission order: the reorder buffer sequences by
-    // position in `entries`, while each yielded pair keeps the spec's own
-    // grid index for the caller's bookkeeping.
-    IndexedSweepStream {
-        inner: spawn(entries, workers, fast_forward, cancel),
     }
 }
 
@@ -662,6 +639,40 @@ mod tests {
                 .contains("failpoint sim.point fired: DVA|TRFD|L7933"),
             "{error}"
         );
+    }
+
+    /// A delay above [`MAX_DELAY`](dva_isa::MAX_DELAY) built in Rust —
+    /// one decoding would refuse — fails only its own points, before
+    /// their first tick: each engine asserts the bound when it arms a
+    /// run.
+    #[test]
+    fn a_latency_above_the_bound_is_an_isolated_point_error() {
+        let hostile = dva_isa::MAX_DELAY + 1;
+        let session = Sweep::new()
+            .machines([Machine::reference(1), Machine::dva(1)])
+            .benchmark(Benchmark::Trfd)
+            .latencies([30, hostile])
+            .scale(Scale::Quick)
+            .threads(2);
+        let mut stream = session.run_subset_streaming(session.grid());
+        let outcomes: Vec<_> = std::iter::from_fn(|| stream.next_outcome()).collect();
+        assert_eq!(outcomes.len(), 4);
+        for (index, outcome) in outcomes {
+            match outcome {
+                Ok(point) => assert_eq!(point.latency, 30, "point {index}"),
+                Err(error) => {
+                    assert_eq!(error.latency, hostile);
+                    assert_eq!(error.kind, PointErrorKind::Panic);
+                    assert!(
+                        error.message.contains(&format!(
+                            "latency {hostile} exceeds MAX_DELAY ({})",
+                            dva_isa::MAX_DELAY
+                        )),
+                        "{error}"
+                    );
+                }
+            }
+        }
     }
 
     /// A cancelled token stops workers from claiming grid points: the

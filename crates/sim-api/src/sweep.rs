@@ -392,12 +392,14 @@ impl Sweep {
     pub fn run_streaming(&self) -> SweepStream {
         let specs = self.grid();
         let workers = self.effective_threads().clamp(1, specs.len().max(1));
-        stream::stream_all(
-            stream::prepare(specs),
-            workers,
-            self.fast_forward,
-            self.cancel.clone(),
-        )
+        SweepStream {
+            inner: stream::spawn(
+                stream::prepare(specs),
+                workers,
+                self.fast_forward,
+                self.cancel.clone(),
+            ),
+        }
     }
 
     /// Runs an arbitrary subset of this session's [`grid`](Sweep::grid),
@@ -411,12 +413,14 @@ impl Sweep {
     /// fast-forward come from `self`, everything else from each spec.
     pub fn run_subset_streaming(&self, specs: Vec<PointSpec>) -> IndexedSweepStream {
         let workers = self.effective_threads().clamp(1, specs.len().max(1));
-        stream::stream_indexed(
-            stream::prepare(specs),
-            workers,
-            self.fast_forward,
-            self.cancel.clone(),
-        )
+        IndexedSweepStream {
+            inner: stream::spawn(
+                stream::prepare(specs),
+                workers,
+                self.fast_forward,
+                self.cancel.clone(),
+            ),
+        }
     }
 }
 

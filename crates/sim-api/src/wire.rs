@@ -21,6 +21,7 @@
 
 use crate::sweep::{Sweep, SweepPoint, SweepResults};
 use crate::{Machine, MachineDetail, SimResult};
+use dva_core::DvaDetail;
 use dva_isa::MAX_DELAY;
 use dva_json::{Fields, FromJson, Json, JsonError, Reader, ToJson, Writer};
 use dva_workloads::{Benchmark, Scale};
@@ -70,14 +71,14 @@ impl ToJson for MachineDetail {
     fn write_json(&self, w: &mut Writer<'_>) {
         w.object(|w| match self {
             MachineDetail::Reference => w.field("kind", "reference"),
-            MachineDetail::Decoupled {
+            MachineDetail::Decoupled(DvaDetail {
                 avdq_occupancy,
                 bypassed_loads,
                 drain_stall_cycles,
                 max_vpiq,
                 max_apiq,
                 max_avdq,
-            } => {
+            }) => {
                 w.field("kind", "decoupled");
                 w.field("avdq_occupancy", avdq_occupancy);
                 w.field("bypassed_loads", bypassed_loads);
@@ -99,14 +100,14 @@ impl FromJson for MachineDetail {
         r.object(|o| {
             Ok(match &*o.field_with("kind", Reader::str)? {
                 "reference" => MachineDetail::Reference,
-                "decoupled" => MachineDetail::Decoupled {
+                "decoupled" => MachineDetail::Decoupled(DvaDetail {
                     avdq_occupancy: o.field("avdq_occupancy")?,
                     bypassed_loads: o.field("bypassed_loads")?,
                     drain_stall_cycles: o.field("drain_stall_cycles")?,
                     max_vpiq: o.field("max_vpiq")?,
                     max_apiq: o.field("max_apiq")?,
                     max_avdq: o.field("max_avdq")?,
-                },
+                }),
                 "ideal" => MachineDetail::Ideal(o.field("bound")?),
                 other => return Err(JsonError(format!("unknown detail kind `{other}`"))),
             })

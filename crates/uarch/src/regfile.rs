@@ -1,7 +1,7 @@
 //! The banked vector register file with chaining-aware hazard tracking.
 
 use crate::params::{ChainPolicy, UarchParams};
-use dva_isa::{Cycle, VectorReg, NUM_VECTOR_REGS, VECTOR_BANK_SIZE};
+use dva_isa::{Cycle, VectorReg, MAX_DELAY, NUM_VECTOR_REGS, VECTOR_BANK_SIZE};
 
 /// The kind of unit currently (or last) writing a register; determines
 /// whether consumers may chain off it.
@@ -89,7 +89,25 @@ pub struct VectorRegFile {
 
 impl VectorRegFile {
     /// Creates a register file with all registers idle and ready.
+    ///
+    /// Both engines build their register file from `params` at every
+    /// construction and reset, so this is where a run's startup delays
+    /// are checked, before its first tick.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fu_startup` or `qmov_startup` exceeds
+    /// [`MAX_DELAY`]; decoding rejects both.
     pub fn new(params: &UarchParams) -> VectorRegFile {
+        for (name, startup) in [
+            ("fu_startup", params.fu_startup),
+            ("qmov_startup", params.qmov_startup),
+        ] {
+            assert!(
+                startup <= MAX_DELAY,
+                "{name} {startup} exceeds MAX_DELAY ({MAX_DELAY})"
+            );
+        }
         VectorRegFile {
             regs: [VRegState::default(); NUM_VECTOR_REGS],
             banks: [BankPorts::default(); NUM_BANKS],

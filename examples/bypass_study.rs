@@ -69,7 +69,7 @@ fn main() {
             dva.cycles,
             byp.cycles,
             100.0 * (dva.cycles as f64 / byp.cycles as f64 - 1.0),
-            byp.bypassed_loads(),
+            byp.decoupled().expect("BYP is decoupled").bypassed_loads,
             100.0 * (1.0 - byp.traffic.ratio_to(&dva.traffic)),
         );
     }

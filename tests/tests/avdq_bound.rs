@@ -3,7 +3,8 @@
 //! fetch processor — a compute-bound loop can hold at most 9 computation
 //! instructions and 7 QMOVs, capping the AVDQ at 8-9 slots.
 
-use dva_core::{DvaConfig, DvaSim, QueueConfig};
+use dva_core::{DvaConfig, QueueConfig};
+use dva_sim_api::Machine;
 use dva_workloads::{Benchmark, Scale};
 
 #[test]
@@ -16,12 +17,12 @@ fn avdq_occupancy_is_bounded_despite_256_slots() {
     for b in Benchmark::ALL {
         let p = b.program(Scale::Quick);
         for latency in [1u64, 30, 100] {
-            let d = DvaSim::new(DvaConfig::dva(latency)).run(&p);
+            let d = Machine::dva(latency).simulate(&p);
+            let max = d.decoupled().unwrap().max_avdq;
             assert!(
-                d.max_avdq <= 12,
-                "{} at L={latency}: AVDQ hit {} slots",
-                b.name(),
-                d.max_avdq
+                max <= 12,
+                "{} at L={latency}: AVDQ hit {max} slots",
+                b.name()
             );
         }
     }
@@ -32,7 +33,14 @@ fn occupancy_rises_with_latency() {
     // The paper reads Figure 6 as: the longer the memory latency, the
     // more outstanding slots the queue holds.
     let p = Benchmark::Arc2d.program(Scale::Quick);
-    let mean = |l: u64| DvaSim::new(DvaConfig::dva(l)).run(&p).avdq_occupancy.mean();
+    let mean = |l: u64| {
+        Machine::dva(l)
+            .simulate(&p)
+            .decoupled()
+            .unwrap()
+            .avdq_occupancy
+            .mean()
+    };
     assert!(mean(100) > mean(1));
 }
 
@@ -48,8 +56,8 @@ fn four_slot_avdq_preserves_most_performance() {
             avdq: 4,
             ..small.queues
         };
-        let c_small = DvaSim::new(small).run(&p).cycles;
-        let c_big = DvaSim::new(DvaConfig::dva(50)).run(&p).cycles;
+        let c_small = Machine::Dva(small).simulate(&p).cycles;
+        let c_big = Machine::dva(50).simulate(&p).cycles;
         let ratio = c_small as f64 / c_big as f64;
         assert!(
             ratio < 1.10,
@@ -64,14 +72,16 @@ fn deeper_vpiq_allows_deeper_avdq() {
     // The bound is a *consequence of the VPIQ size*: widen the VPIQ and a
     // compute-bound program fills more AVDQ slots.
     let p = Benchmark::Spec77.program(Scale::Quick);
-    let base = DvaSim::new(DvaConfig::dva(100)).run(&p);
+    let max_avdq = |config| {
+        let result = Machine::Dva(config).simulate(&p);
+        result.decoupled().unwrap().max_avdq
+    };
+    let base = max_avdq(DvaConfig::dva(100));
     let mut wide = DvaConfig::dva(100);
     wide.queues.instruction_queue = 64;
-    let wide = DvaSim::new(wide).run(&p);
+    let wide = max_avdq(wide);
     assert!(
-        wide.max_avdq >= base.max_avdq,
-        "wider VPIQ reduced AVDQ occupancy: {} < {}",
-        wide.max_avdq,
-        base.max_avdq
+        wide >= base,
+        "wider VPIQ reduced AVDQ occupancy: {wide} < {base}"
     );
 }

@@ -1,6 +1,6 @@
 //! Section 7 of the paper: the store→load bypass, end to end.
 
-use dva_core::{DvaConfig, DvaSim};
+use dva_sim_api::Machine;
 use dva_workloads::{Benchmark, Scale};
 
 #[test]
@@ -8,11 +8,11 @@ fn bypass_speeds_up_reuse_heavy_programs_at_unit_latency() {
     // Paper: significant speedups even at L=1 (DYFESM/TRFD lead).
     for b in [Benchmark::Trfd, Benchmark::Dyfesm, Benchmark::Bdna] {
         let p = b.program(Scale::Quick);
-        let dva = DvaSim::new(DvaConfig::dva(1)).run(&p);
-        let byp = DvaSim::new(DvaConfig::byp(1, 256, 16)).run(&p);
+        let dva = Machine::dva(1).simulate(&p);
+        let byp = Machine::byp(1, 256, 16).simulate(&p);
         let gain = dva.cycles as f64 / byp.cycles as f64;
         assert!(gain > 1.03, "{}: bypass gain {gain:.3}", b.name());
-        assert!(byp.bypassed_loads > 0);
+        assert!(byp.decoupled().unwrap().bypassed_loads > 0);
     }
 }
 
@@ -20,8 +20,8 @@ fn bypass_speeds_up_reuse_heavy_programs_at_unit_latency() {
 fn spec77_neither_gains_nor_loses_with_full_queues() {
     // Paper: SPEC77's bypass gain is ~0.7% — essentially nothing.
     let p = Benchmark::Spec77.program(Scale::Quick);
-    let dva = DvaSim::new(DvaConfig::dva(1)).run(&p);
-    let byp = DvaSim::new(DvaConfig::byp(1, 256, 16)).run(&p);
+    let dva = Machine::dva(1).simulate(&p);
+    let byp = Machine::byp(1, 256, 16).simulate(&p);
     let ratio = dva.cycles as f64 / byp.cycles as f64;
     assert!((0.98..1.05).contains(&ratio), "SPEC77 ratio {ratio:.3}");
 }
@@ -31,8 +31,8 @@ fn shrinking_the_load_queue_hurts_spec77_most() {
     // Paper: "the three bypass configurations that have a load queue
     // length of four are worse than the DVA configuration" for SPEC77.
     let p = Benchmark::Spec77.program(Scale::Quick);
-    let byp4 = DvaSim::new(DvaConfig::byp(50, 4, 16)).run(&p);
-    let byp256 = DvaSim::new(DvaConfig::byp(50, 256, 16)).run(&p);
+    let byp4 = Machine::byp(50, 4, 16).simulate(&p);
+    let byp256 = Machine::byp(50, 256, 16).simulate(&p);
     assert!(byp4.cycles >= byp256.cycles);
 }
 
@@ -40,8 +40,8 @@ fn shrinking_the_load_queue_hurts_spec77_most() {
 fn bypass_reduces_memory_traffic_without_losing_requests() {
     for b in [Benchmark::Trfd, Benchmark::Bdna, Benchmark::Dyfesm] {
         let p = b.program(Scale::Quick);
-        let dva = DvaSim::new(DvaConfig::dva(1)).run(&p);
-        let byp = DvaSim::new(DvaConfig::byp(1, 256, 16)).run(&p);
+        let dva = Machine::dva(1).simulate(&p);
+        let byp = Machine::byp(1, 256, 16).simulate(&p);
         assert!(byp.traffic.memory_elems() < dva.traffic.memory_elems());
         assert_eq!(
             byp.traffic.total_request_elems(),
@@ -57,8 +57,8 @@ fn bypass_reduces_memory_traffic_without_losing_requests() {
 fn bypass_gains_hold_across_latencies() {
     let p = Benchmark::Trfd.program(Scale::Quick);
     for latency in [1u64, 30, 100] {
-        let dva = DvaSim::new(DvaConfig::dva(latency)).run(&p);
-        let byp = DvaSim::new(DvaConfig::byp(latency, 256, 16)).run(&p);
+        let dva = Machine::dva(latency).simulate(&p);
+        let byp = Machine::byp(latency, 256, 16).simulate(&p);
         assert!(
             byp.cycles <= dva.cycles,
             "L={latency}: bypass slower ({} vs {})",
@@ -74,7 +74,13 @@ fn store_queue_sizes_order_sensibly_for_bypass() {
     let p = Benchmark::Bdna.program(Scale::Quick);
     let counts: Vec<u64> = [4usize, 8, 16]
         .into_iter()
-        .map(|sq| DvaSim::new(DvaConfig::byp(1, 4, sq)).run(&p).bypassed_loads)
+        .map(|sq| {
+            Machine::byp(1, 4, sq)
+                .simulate(&p)
+                .decoupled()
+                .unwrap()
+                .bypassed_loads
+        })
         .collect();
     assert!(
         counts.windows(2).all(|w| w[0] <= w[1]),

@@ -1,8 +1,8 @@
 //! Calibration summary (run with `--ignored --nocapture` to inspect the
 //! headline numbers against the paper's).
 
-use dva_core::{ideal_bound, DvaConfig, DvaSim};
-use dva_ref::{RefParams, RefSim};
+use dva_core::ideal_bound;
+use dva_sim_api::Machine;
 use dva_workloads::{stats::spill_fraction, Benchmark, Scale};
 
 /// Prints Table-1 ratios, speedups and bypass gains side by side with the
@@ -17,10 +17,10 @@ fn calibration_sheet() {
         let s = p.summary();
         let t = b.paper_row();
         let ideal = ideal_bound(&p).cycles();
-        let r100 = RefSim::new(RefParams::with_latency(100)).run(&p);
-        let d100 = DvaSim::new(DvaConfig::dva(100)).run(&p);
-        let d1 = DvaSim::new(DvaConfig::dva(1)).run(&p);
-        let b1 = DvaSim::new(DvaConfig::byp(1, 256, 16)).run(&p);
+        let r100 = Machine::reference(100).simulate(&p);
+        let d100 = Machine::dva(100).simulate(&p);
+        let d1 = Machine::dva(1).simulate(&p);
+        let b1 = Machine::byp(1, 256, 16).simulate(&p);
         println!(
             "{:8} vect {:5.1}% (paper {:5.1}) VL {:5.1} (paper {:5.1}) spill {:.2} | \
              ideal {:>7} | speedup@100 {:.2} | byp@1 {:+.1}% traffic x{:.2}",

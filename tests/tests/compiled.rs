@@ -2,8 +2,8 @@
 //! translation + reused engines) must be byte-identical to
 //! fresh-translate runs, across machines × latencies × memory models.
 
-use dva_core::{DvaConfig, DvaRunner, DvaSim};
-use dva_ref::{RefParams, RefRunner, RefSim};
+use dva_core::{DvaConfig, DvaRunner};
+use dva_ref::{ChainPolicy, RefParams, RefRunner};
 use dva_sim_api::{Machine, MemoryModelKind, PreparedProgram, Runners, Sweep};
 use dva_tests::arb_program;
 use dva_workloads::{Benchmark, Scale};
@@ -36,8 +36,10 @@ proptest! {
         for model in MODELS {
             for mut config in [DvaConfig::dva(latency), DvaConfig::byp(latency, 4, 8)] {
                 config.memory.model = model;
-                let sim = DvaSim::new(config);
-                prop_assert_eq!(runner.try_run(&sim, &compiled).unwrap(), sim.run(&program));
+                let fresh = Machine::Dva(config).simulate(&program);
+                let (core, detail) = runner.try_run(&config, &compiled, true).unwrap();
+                prop_assert_eq!(&core, &fresh.core);
+                prop_assert_eq!(Some(&detail), fresh.decoupled());
             }
         }
 
@@ -46,8 +48,11 @@ proptest! {
         for model in MODELS {
             let mut params = RefParams::with_latency(latency);
             params.memory.model = model;
-            let sim = RefSim::new(params);
-            prop_assert_eq!(ref_runner.try_run(&sim, &ref_compiled).unwrap(), sim.run(&program));
+            let fresh = Machine::Ref(params).simulate(&program);
+            let core = ref_runner
+                .try_run(&params, ChainPolicy::reference(), &ref_compiled, true)
+                .unwrap();
+            prop_assert_eq!(core, fresh.core);
         }
     }
 }

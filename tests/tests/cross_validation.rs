@@ -1,8 +1,7 @@
 //! Cross-machine consistency: the two simulators must agree on everything
 //! that is a property of the *program*, not the microarchitecture.
 
-use dva_core::{DvaConfig, DvaSim};
-use dva_ref::{RefParams, RefSim};
+use dva_sim_api::Machine;
 use dva_workloads::{Benchmark, Scale};
 
 #[test]
@@ -12,8 +11,8 @@ fn machines_agree_on_memory_traffic() {
     // the same cache model over the same address stream.
     for b in Benchmark::ALL {
         let p = b.program(Scale::Quick);
-        let r = RefSim::new(RefParams::with_latency(30)).run(&p);
-        let d = DvaSim::new(DvaConfig::dva(30)).run(&p);
+        let r = Machine::reference(30).simulate(&p);
+        let d = Machine::dva(30).simulate(&p);
         assert_eq!(
             r.traffic.vector_load_elems,
             d.traffic.vector_load_elems,
@@ -38,8 +37,8 @@ fn machines_agree_on_memory_traffic() {
 #[test]
 fn traffic_is_latency_invariant() {
     let p = Benchmark::Flo52.program(Scale::Quick);
-    let t1 = DvaSim::new(DvaConfig::dva(1)).run(&p).traffic;
-    let t100 = DvaSim::new(DvaConfig::dva(100)).run(&p).traffic;
+    let t1 = Machine::dva(1).simulate(&p).traffic;
+    let t100 = Machine::dva(100).simulate(&p).traffic;
     assert_eq!(t1, t100);
 }
 
@@ -47,8 +46,8 @@ fn traffic_is_latency_invariant() {
 fn instruction_counts_match_the_trace() {
     for b in Benchmark::ALL {
         let p = b.program(Scale::Quick);
-        let r = RefSim::new(RefParams::with_latency(1)).run(&p);
-        let d = DvaSim::new(DvaConfig::dva(1)).run(&p);
+        let r = Machine::reference(1).simulate(&p);
+        let d = Machine::dva(1).simulate(&p);
         assert_eq!(r.insts, p.len() as u64);
         assert_eq!(d.insts, p.len() as u64);
     }
@@ -61,8 +60,8 @@ fn cache_hit_rates_are_plausible_and_close() {
     // between scalar stores and loads, so exact equality is not
     // required).
     let p = Benchmark::Trfd.program(Scale::Quick);
-    let r = RefSim::new(RefParams::with_latency(30)).run(&p);
-    let d = DvaSim::new(DvaConfig::dva(30)).run(&p);
+    let r = Machine::reference(30).simulate(&p);
+    let d = Machine::dva(30).simulate(&p);
     assert!(r.cache_hit_rate > 0.3 && r.cache_hit_rate <= 1.0);
     assert!((r.cache_hit_rate - d.cache_hit_rate).abs() < 0.05);
 }
@@ -73,8 +72,8 @@ fn bus_utilization_is_higher_on_the_dva() {
     // programs the DVA's bus utilization should beat the REF's.
     for b in [Benchmark::Arc2d, Benchmark::Flo52] {
         let p = b.program(Scale::Quick);
-        let r = RefSim::new(RefParams::with_latency(70)).run(&p);
-        let d = DvaSim::new(DvaConfig::dva(70)).run(&p);
+        let r = Machine::reference(70).simulate(&p);
+        let d = Machine::dva(70).simulate(&p);
         assert!(
             d.bus_utilization > r.bus_utilization,
             "{}: DVA bus {:.2} <= REF bus {:.2}",

@@ -2,8 +2,8 @@
 //! hand-built traces: hazards force drains, identical accesses bypass,
 //! gathers/scatters conflict with everything.
 
-use dva_core::{DvaConfig, DvaSim};
 use dva_isa::{Inst, Program, Stride, VOperand, VectorAccess, VectorOp, VectorReg};
+use dva_sim_api::Machine;
 use dva_tests::{unit, vl};
 
 /// load a; c = a+a; store c to X; load X (identical reload).
@@ -43,22 +43,25 @@ fn store_then_reload(identical: bool) -> Program {
 #[test]
 fn identical_reload_bypasses_when_enabled() {
     let p = store_then_reload(true);
-    let byp = DvaSim::new(DvaConfig::byp(100, 256, 16)).run(&p);
-    assert_eq!(byp.bypassed_loads, 1);
+    let byp = Machine::byp(100, 256, 16).simulate(&p);
+    assert_eq!(byp.decoupled().unwrap().bypassed_loads, 1);
     assert_eq!(byp.traffic.bypassed_elems, 32);
     // Without bypass, the same trace drains instead.
-    let dva = DvaSim::new(DvaConfig::dva(100)).run(&p);
-    assert_eq!(dva.bypassed_loads, 0);
-    assert!(dva.drain_stall_cycles > 0, "expected a hazard drain");
+    let dva = Machine::dva(100).simulate(&p);
+    assert_eq!(dva.decoupled().unwrap().bypassed_loads, 0);
+    assert!(
+        dva.decoupled().unwrap().drain_stall_cycles > 0,
+        "expected a hazard drain"
+    );
     assert!(byp.cycles < dva.cycles);
 }
 
 #[test]
 fn overlapping_but_different_access_drains_even_with_bypass() {
     let p = store_then_reload(false);
-    let byp = DvaSim::new(DvaConfig::byp(100, 256, 16)).run(&p);
-    assert_eq!(byp.bypassed_loads, 0);
-    assert!(byp.drain_stall_cycles > 0);
+    let byp = Machine::byp(100, 256, 16).simulate(&p);
+    assert_eq!(byp.decoupled().unwrap().bypassed_loads, 0);
+    assert!(byp.decoupled().unwrap().drain_stall_cycles > 0);
 }
 
 #[test]
@@ -80,8 +83,8 @@ fn disjoint_loads_never_drain() {
             },
         ],
     );
-    let d = DvaSim::new(DvaConfig::dva(30)).run(&p);
-    assert_eq!(d.drain_stall_cycles, 0);
+    let d = Machine::dva(30).simulate(&p);
+    assert_eq!(d.decoupled().unwrap().drain_stall_cycles, 0);
 }
 
 #[test]
@@ -110,8 +113,11 @@ fn scatter_blocks_subsequent_loads() {
             },
         ],
     );
-    let d = DvaSim::new(DvaConfig::dva(30)).run(&p);
-    assert!(d.drain_stall_cycles > 0, "scatter must force a drain");
+    let d = Machine::dva(30).simulate(&p);
+    assert!(
+        d.decoupled().unwrap().drain_stall_cycles > 0,
+        "scatter must force a drain"
+    );
 }
 
 #[test]
@@ -136,7 +142,7 @@ fn scalar_load_drains_matching_scalar_store() {
     );
     // Completes correctly (no deadlock) and the dependent load observes
     // the store ordering.
-    let d = DvaSim::new(DvaConfig::dva(10)).run(&p);
+    let d = Machine::dva(10).simulate(&p);
     assert!(d.cycles > 0);
 }
 
@@ -153,7 +159,7 @@ fn bypassed_data_flows_to_the_vector_processor() {
         vl: vl(32),
     });
     let p = Program::from_insts("consume", insts);
-    let byp = DvaSim::new(DvaConfig::byp(50, 4, 8)).run(&p);
-    assert_eq!(byp.bypassed_loads, 1);
+    let byp = Machine::byp(50, 4, 8).simulate(&p);
+    assert_eq!(byp.decoupled().unwrap().bypassed_loads, 1);
     assert!(byp.cycles > 0);
 }

@@ -3,8 +3,6 @@
 //! naive per-cycle stepping, on the full experiment grid and on random
 //! programs alike — while executing strictly fewer engine ticks.
 
-use dva_core::{DvaConfig, DvaSim};
-use dva_ref::{RefParams, RefSim};
 use dva_sim_api::{Machine, MemoryModelKind, Sweep, SweepResults};
 use dva_tests::arb_program;
 use dva_workloads::{Benchmark, Scale};
@@ -125,8 +123,8 @@ fn default_scale_ticks_are_pinned() {
 fn golden_cycle_counts_pin_the_model() {
     let program = Benchmark::Trfd.program(Scale::Quick);
     for (latency, ref_golden, dva_golden) in [(1u64, 6545u64, 6342u64), (100, 19449, 11097)] {
-        let r = RefSim::new(RefParams::with_latency(latency)).run(&program);
-        let d = DvaSim::new(DvaConfig::dva(latency)).run(&program);
+        let r = Machine::reference(latency).simulate(&program);
+        let d = Machine::dva(latency).simulate(&program);
         assert_eq!(
             (r.cycles, d.cycles),
             (ref_golden, dva_golden),
@@ -139,14 +137,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Randomized equivalence: fast-forward and naive stepping produce
-    /// identical `DvaResult`s (base DVA and a small bypass machine) on
+    /// identical results (base DVA and a small bypass machine) on
     /// arbitrary compiled programs and latencies, with no more ticks.
     #[test]
     fn dva_fast_forward_matches_naive(program in arb_program(), latency in 1u64..=100) {
-        for cfg in [DvaConfig::dva(latency), DvaConfig::byp(latency, 4, 8)] {
-            let sim = DvaSim::new(cfg);
-            let fast = sim.clone().run(&program);
-            let naive = sim.with_fast_forward(false).run(&program);
+        for machine in [Machine::dva(latency), Machine::byp(latency, 4, 8)] {
+            let fast = machine.simulate(&program);
+            let naive = machine.simulate_with(&program, false);
             prop_assert_eq!(&fast, &naive);
             prop_assert_eq!(naive.ticks_executed.get(), naive.cycles);
             prop_assert!(fast.ticks_executed.get() <= naive.ticks_executed.get());
@@ -156,11 +153,9 @@ proptest! {
     /// Same for the reference machine.
     #[test]
     fn ref_fast_forward_matches_naive(program in arb_program(), latency in 1u64..=100) {
-        let sim = RefSim::new(RefParams::with_latency(latency));
-        let fast = sim.run(&program);
-        let naive = RefSim::new(RefParams::with_latency(latency))
-            .with_fast_forward(false)
-            .run(&program);
+        let machine = Machine::reference(latency);
+        let fast = machine.simulate(&program);
+        let naive = machine.simulate_with(&program, false);
         prop_assert_eq!(&fast, &naive);
         prop_assert_eq!(naive.ticks_executed.get(), naive.cycles);
         prop_assert!(fast.ticks_executed.get() <= naive.ticks_executed.get());

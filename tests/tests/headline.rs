@@ -1,14 +1,14 @@
 //! The paper's headline results, asserted end to end across crates:
 //! workload generation → both simulators → metrics.
 
-use dva_core::{ideal_bound, DvaConfig, DvaSim};
-use dva_ref::{RefParams, RefSim};
+use dva_core::ideal_bound;
+use dva_sim_api::Machine;
 use dva_workloads::{Benchmark, Scale};
 
 fn speedup(b: Benchmark, latency: u64) -> f64 {
     let p = b.program(Scale::Quick);
-    let r = RefSim::new(RefParams::with_latency(latency)).run(&p);
-    let d = DvaSim::new(DvaConfig::dva(latency)).run(&p);
+    let r = Machine::reference(latency).simulate(&p);
+    let d = Machine::dva(latency).simulate(&p);
     r.cycles as f64 / d.cycles as f64
 }
 
@@ -49,10 +49,10 @@ fn dva_latency_slope_is_flatter() {
     for b in [Benchmark::Arc2d, Benchmark::Flo52, Benchmark::Spec77] {
         let p = b.program(Scale::Quick);
         let growth = |cycles_1: u64, cycles_100: u64| cycles_100 as f64 / cycles_1 as f64;
-        let r1 = RefSim::new(RefParams::with_latency(1)).run(&p);
-        let r100 = RefSim::new(RefParams::with_latency(100)).run(&p);
-        let d1 = DvaSim::new(DvaConfig::dva(1)).run(&p);
-        let d100 = DvaSim::new(DvaConfig::dva(100)).run(&p);
+        let r1 = Machine::reference(1).simulate(&p);
+        let r100 = Machine::reference(100).simulate(&p);
+        let d1 = Machine::dva(1).simulate(&p);
+        let d100 = Machine::dva(100).simulate(&p);
         let ref_growth = growth(r1.cycles, r100.cycles);
         let dva_growth = growth(d1.cycles, d100.cycles);
         assert!(
@@ -68,8 +68,8 @@ fn dva_latency_slope_is_flatter() {
 fn idle_state_shrinks_under_decoupling() {
     for b in [Benchmark::Arc2d, Benchmark::Flo52, Benchmark::Spec77] {
         let p = b.program(Scale::Quick);
-        let r = RefSim::new(RefParams::with_latency(70)).run(&p);
-        let d = DvaSim::new(DvaConfig::dva(70)).run(&p);
+        let r = Machine::reference(70).simulate(&p);
+        let d = Machine::dva(70).simulate(&p);
         assert!(
             r.idle_cycles() > d.idle_cycles(),
             "{}: REF idle {} <= DVA idle {}",
@@ -88,8 +88,8 @@ fn ideal_bound_is_a_true_lower_bound() {
         let p = b.program(Scale::Quick);
         let bound = ideal_bound(&p).cycles();
         for latency in [1, 50] {
-            let r = RefSim::new(RefParams::with_latency(latency)).run(&p);
-            let d = DvaSim::new(DvaConfig::dva(latency)).run(&p);
+            let r = Machine::reference(latency).simulate(&p);
+            let d = Machine::dva(latency).simulate(&p);
             assert!(bound <= r.cycles, "{}: bound above REF", b.name());
             assert!(bound <= d.cycles, "{}: bound above DVA", b.name());
         }
@@ -101,11 +101,11 @@ fn ideal_bound_is_a_true_lower_bound() {
 #[test]
 fn state_accounting_is_exhaustive() {
     let p = Benchmark::Dyfesm.program(Scale::Quick);
-    let r = RefSim::new(RefParams::with_latency(30)).run(&p);
+    let r = Machine::reference(30).simulate(&p);
     assert_eq!(r.states.total_cycles(), r.cycles);
-    let d = DvaSim::new(DvaConfig::dva(30)).run(&p);
+    let d = Machine::dva(30).simulate(&p);
     assert_eq!(d.states.total_cycles(), d.cycles);
-    assert_eq!(d.avdq_occupancy.total(), d.cycles);
+    assert_eq!(d.decoupled().unwrap().avdq_occupancy.total(), d.cycles);
 }
 
 /// Simulations are deterministic: identical inputs give identical
@@ -113,12 +113,12 @@ fn state_accounting_is_exhaustive() {
 #[test]
 fn simulations_are_deterministic() {
     let p = Benchmark::Trfd.program(Scale::Quick);
-    let r1 = RefSim::new(RefParams::with_latency(30)).run(&p);
-    let r2 = RefSim::new(RefParams::with_latency(30)).run(&p);
+    let r1 = Machine::reference(30).simulate(&p);
+    let r2 = Machine::reference(30).simulate(&p);
     assert_eq!(r1.cycles, r2.cycles);
     assert_eq!(r1.states, r2.states);
-    let d1 = DvaSim::new(DvaConfig::dva(30)).run(&p);
-    let d2 = DvaSim::new(DvaConfig::dva(30)).run(&p);
+    let d1 = Machine::dva(30).simulate(&p);
+    let d2 = Machine::dva(30).simulate(&p);
     assert_eq!(d1.cycles, d2.cycles);
     assert_eq!(d1.traffic, d2.traffic);
 }
@@ -130,7 +130,7 @@ fn ref_time_is_monotone_in_latency() {
         let p = b.program(Scale::Quick);
         let mut prev = 0;
         for latency in [1u64, 30, 70, 100] {
-            let r = RefSim::new(RefParams::with_latency(latency)).run(&p);
+            let r = Machine::reference(latency).simulate(&p);
             assert!(r.cycles >= prev, "{} regressed at L={latency}", b.name());
             prev = r.cycles;
         }

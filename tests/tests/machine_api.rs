@@ -2,7 +2,8 @@
 //! crates: golden cross-machine orderings and the determinism guarantee
 //! of parallel sweep sessions.
 
-use dva_core::DvaConfig;
+use dva_core::{DvaConfig, QueueConfig};
+use dva_memory::MemoryParams;
 use dva_ref::RefParams;
 use dva_sim_api::{Machine, Sweep, SweepResults};
 use dva_workloads::{Benchmark, Scale};
@@ -86,28 +87,34 @@ fn sweep_sessions_are_reproducible_across_runs() {
     assert_eq!(full_grid(4), full_grid(4));
 }
 
-/// The builder front door produces the same machines as the named
-/// constructors, all the way through simulation.
+/// A configuration built by struct update on a named constructor
+/// produces the same machine as the named constructor for it, all the
+/// way through simulation.
 #[test]
 fn builders_feed_machines() {
     let program = Benchmark::Trfd.program(Scale::Quick);
-    let via_builder = Machine::Dva(
-        DvaConfig::builder()
-            .latency(30)
-            .avdq(4)
-            .store_queue(8)
-            .bypass(true)
-            .build(),
-    );
-    assert_eq!(via_builder.label(), "BYP 4/8");
+    let updated = Machine::Dva(DvaConfig {
+        queues: QueueConfig {
+            avdq: 4,
+            store_queue: 8,
+            ..QueueConfig::default()
+        },
+        bypass: true,
+        ..DvaConfig::dva(30)
+    });
+    assert_eq!(updated, Machine::byp(30, 4, 8));
+    assert_eq!(updated.label(), "BYP 4/8");
     assert_eq!(
-        via_builder.simulate(&program).cycles,
-        Machine::byp(30, 4, 8).simulate(&program).cycles
+        updated.simulate(&program),
+        Machine::byp(30, 4, 8).simulate(&program)
     );
 
-    let via_builder = Machine::Ref(RefParams::builder().latency(30).build());
+    let updated = Machine::Ref(RefParams {
+        memory: MemoryParams::with_latency(30),
+        ..RefParams::default()
+    });
     assert_eq!(
-        via_builder.simulate(&program).cycles,
-        Machine::reference(30).simulate(&program).cycles
+        updated.simulate(&program),
+        Machine::reference(30).simulate(&program)
     );
 }

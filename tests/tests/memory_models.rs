@@ -3,8 +3,6 @@
 //! `Banked`/`MultiPort` kinds must obey the same fast-forward
 //! equivalence contract as everything else the shared driver runs.
 
-use dva_core::{DvaConfig, DvaSim};
-use dva_ref::{RefParams, RefSim};
 use dva_sim_api::{Machine, MemoryModelKind, Sweep, SweepResults};
 use dva_tests::arb_program;
 use dva_workloads::{Benchmark, Scale};
@@ -186,19 +184,16 @@ proptest! {
     /// machines and a bypass configuration.
     #[test]
     fn banked_fast_forward_matches_naive(program in arb_program(), latency in 1u64..=100) {
-        for cfg in [DvaConfig::dva(latency), DvaConfig::byp(latency, 4, 8)] {
-            let mut cfg = cfg;
-            cfg.memory.model = BANKED;
-            let sim = DvaSim::new(cfg);
-            let fast = sim.clone().run(&program);
-            let naive = sim.with_fast_forward(false).run(&program);
+        for machine in [Machine::dva(latency), Machine::byp(latency, 4, 8)] {
+            let machine = machine.with_memory_model(BANKED);
+            let fast = machine.simulate(&program);
+            let naive = machine.simulate_with(&program, false);
             prop_assert_eq!(&fast, &naive);
             prop_assert!(fast.ticks_executed.get() <= naive.ticks_executed.get());
         }
-        let mut params = RefParams::with_latency(latency);
-        params.memory.model = BANKED;
-        let fast = RefSim::new(params).run(&program);
-        let naive = RefSim::new(params).with_fast_forward(false).run(&program);
+        let machine = Machine::reference(latency).with_memory_model(BANKED);
+        let fast = machine.simulate(&program);
+        let naive = machine.simulate_with(&program, false);
         prop_assert_eq!(&fast, &naive);
     }
 
@@ -210,17 +205,11 @@ proptest! {
         ports in 2u32..=3,
     ) {
         let model = MemoryModelKind::MultiPort { ports };
-        let mut cfg = DvaConfig::dva(latency);
-        cfg.memory.model = model;
-        let sim = DvaSim::new(cfg);
-        let fast = sim.clone().run(&program);
-        let naive = sim.with_fast_forward(false).run(&program);
-        prop_assert_eq!(&fast, &naive);
-
-        let mut params = RefParams::with_latency(latency);
-        params.memory.model = model;
-        let fast = RefSim::new(params).run(&program);
-        let naive = RefSim::new(params).with_fast_forward(false).run(&program);
-        prop_assert_eq!(&fast, &naive);
+        for machine in [Machine::dva(latency), Machine::reference(latency)] {
+            let machine = machine.with_memory_model(model);
+            let fast = machine.simulate(&program);
+            let naive = machine.simulate_with(&program, false);
+            prop_assert_eq!(&fast, &naive);
+        }
     }
 }

@@ -3,8 +3,8 @@
 //! intact. This is the main deadlock-freedom workout for the decoupled
 //! engine's queues.
 
-use dva_core::{ideal_bound, DvaConfig, DvaSim};
-use dva_ref::{RefParams, RefSim};
+use dva_core::{ideal_bound, DvaConfig};
+use dva_sim_api::Machine;
 use dva_tests::arb_program;
 use proptest::prelude::*;
 
@@ -15,9 +15,9 @@ proptest! {
     /// cycle; the resource bound holds.
     #[test]
     fn machines_run_any_kernel(program in arb_program(), latency in 1u64..=100) {
-        let r = RefSim::new(RefParams::with_latency(latency)).run(&program);
+        let r = Machine::reference(latency).simulate(&program);
         prop_assert_eq!(r.states.total_cycles(), r.cycles);
-        let d = DvaSim::new(DvaConfig::dva(latency)).run(&program);
+        let d = Machine::dva(latency).simulate(&program);
         prop_assert_eq!(d.states.total_cycles(), d.cycles);
         let bound = ideal_bound(&program).cycles();
         prop_assert!(bound <= r.cycles);
@@ -28,8 +28,8 @@ proptest! {
     /// never slows down the full-queue configuration.
     #[test]
     fn bypass_is_safe_for_any_kernel(program in arb_program()) {
-        let dva = DvaSim::new(DvaConfig::dva(30)).run(&program);
-        let byp = DvaSim::new(DvaConfig::byp(30, 256, 16)).run(&program);
+        let dva = Machine::dva(30).simulate(&program);
+        let byp = Machine::byp(30, 256, 16).simulate(&program);
         prop_assert_eq!(
             dva.traffic.total_request_elems(),
             byp.traffic.total_request_elems()
@@ -49,15 +49,15 @@ proptest! {
         config.queues.instruction_queue = 2;
         config.queues.scalar_data_queue = 2;
         config.queues.scalar_store_queue = 2;
-        let d = DvaSim::new(config).run(&program);
+        let d = Machine::Dva(config).simulate(&program);
         prop_assert!(d.cycles > 0);
     }
 
     /// Vector traffic matches between the machines for any kernel.
     #[test]
     fn traffic_agrees_for_any_kernel(program in arb_program()) {
-        let r = RefSim::new(RefParams::with_latency(5)).run(&program);
-        let d = DvaSim::new(DvaConfig::dva(5)).run(&program);
+        let r = Machine::reference(5).simulate(&program);
+        let d = Machine::dva(5).simulate(&program);
         prop_assert_eq!(r.traffic.vector_load_elems, d.traffic.vector_load_elems);
         prop_assert_eq!(r.traffic.vector_store_elems, d.traffic.vector_store_elems);
     }

@@ -11,7 +11,7 @@
 //! * **Cost.** Rendering, parsing and keying a point costs a handful of
 //!   allocations, counted on this thread, independent of the host.
 
-use dva_core::{IdealBound, MAX_QUEUE_CAPACITY};
+use dva_core::{DvaDetail, IdealBound, MAX_QUEUE_CAPACITY};
 use dva_isa::MAX_DELAY;
 use dva_json::Json;
 use dva_memory::{MAX_BANKS, MAX_BANK_BUSY, MAX_PORTS};
@@ -395,14 +395,14 @@ impl Words {
         };
         let detail = match self.below(3) {
             0 => MachineDetail::Reference,
-            1 => MachineDetail::Decoupled {
+            1 => MachineDetail::Decoupled(DvaDetail {
                 avdq_occupancy: self.histogram(),
                 bypassed_loads: self.count(),
                 drain_stall_cycles: self.count(),
                 max_vpiq: self.count() as usize,
                 max_apiq: self.count() as usize,
                 max_avdq: self.count() as usize,
-            },
+            }),
             _ => MachineDetail::Ideal(IdealBound {
                 fu2_only: self.count(),
                 either_fu: self.count(),

@@ -14,9 +14,9 @@
 //! and the other test allocate on their own threads, and those
 //! allocations never land inside this thread's window.
 
-use dva_core::{CompiledProgram, DvaConfig, DvaRunner, DvaSim};
+use dva_core::{CompiledProgram, DvaConfig, DvaRunner};
 use dva_isa::{Program, VectorReg};
-use dva_ref::{RefParams, RefRunner, RefSim};
+use dva_ref::{ChainPolicy, RefParams, RefRunner};
 use dva_sim_api::MemoryModelKind;
 use dva_testutil::{thread_allocation_count, vadd, vload, vstore};
 use std::sync::Arc;
@@ -55,16 +55,18 @@ fn steady_state_ticks_do_not_allocate() {
     for config in [
         DvaConfig::dva(30),
         DvaConfig::byp(30, 4, 8),
-        DvaConfig::builder().latency(100).bypass(true).build(),
+        DvaConfig {
+            bypass: true,
+            ..DvaConfig::dva(100)
+        },
     ] {
-        let sim = DvaSim::new(config);
         let mut runner = DvaRunner::new();
         // Warm: the first run sizes every buffer the configuration needs.
-        let warm = runner.try_run(&sim, &long).unwrap();
+        let warm = runner.try_run(&config, &long, true).unwrap();
         let measure = |runner: &mut DvaRunner, compiled: &Arc<CompiledProgram>| {
             let before = thread_allocation_count();
-            let result = runner.try_run(&sim, compiled).unwrap();
-            (thread_allocation_count() - before, result)
+            let (core, _) = runner.try_run(&config, compiled, true).unwrap();
+            (thread_allocation_count() - before, core)
         };
         let (short_allocs, short_result) = measure(&mut runner, &short);
         let (long_allocs, long_result) = measure(&mut runner, &long);
@@ -91,7 +93,7 @@ fn steady_state_ticks_do_not_allocate() {
             "per-run allocations changed (cfg={config:?})"
         );
         // Reuse did not change the measurement.
-        assert_eq!(warm, runner.try_run(&sim, &long).unwrap());
+        assert_eq!(warm, runner.try_run(&config, &long, true).unwrap());
     }
 }
 
@@ -99,12 +101,13 @@ fn steady_state_ticks_do_not_allocate() {
 fn ref_steady_state_ticks_do_not_allocate() {
     let short = Arc::new(dva_ref::CompiledProgram::compile(&kernel(40)));
     let long = Arc::new(dva_ref::CompiledProgram::compile(&kernel(80)));
-    let sim = RefSim::new(RefParams::with_latency(30));
+    let params = RefParams::with_latency(30);
+    let chain = ChainPolicy::reference();
     let mut runner = RefRunner::new();
-    let _ = runner.try_run(&sim, &long).unwrap();
+    let _ = runner.try_run(&params, chain, &long, true).unwrap();
     let measure = |runner: &mut RefRunner, compiled: &Arc<dva_ref::CompiledProgram>| {
         let before = thread_allocation_count();
-        let result = runner.try_run(&sim, compiled).unwrap();
+        let result = runner.try_run(&params, chain, compiled, true).unwrap();
         (thread_allocation_count() - before, result)
     };
     let (short_allocs, _) = measure(&mut runner, &short);
@@ -136,23 +139,24 @@ fn a_memory_kind_change_keeps_the_storage() {
     let mut config = flat;
     config.memory.model = banked;
     let compiled = Arc::new(CompiledProgram::compile(&program));
-    let (flat_sim, banked_sim) = (DvaSim::new(flat), DvaSim::new(config));
     let mut runner = DvaRunner::new();
-    let _ = runner.try_run(&flat_sim, &compiled).unwrap();
+    let _ = runner.try_run(&flat, &compiled, true).unwrap();
     let before = thread_allocation_count();
-    let result = runner.try_run(&banked_sim, &compiled).unwrap();
+    let result = runner.try_run(&config, &compiled, true).unwrap();
     assert_eq!(thread_allocation_count() - before, 2, "DVA flat → banked");
-    assert_eq!(result, banked_sim.run(&program));
+    let fresh = DvaRunner::new().try_run(&config, &compiled, true);
+    assert_eq!(result, fresh.unwrap());
 
     let flat = RefParams::with_latency(30);
     let mut params = flat;
     params.memory.model = banked;
     let compiled = Arc::new(dva_ref::CompiledProgram::compile(&program));
-    let (flat_sim, banked_sim) = (RefSim::new(flat), RefSim::new(params));
+    let chain = ChainPolicy::reference();
     let mut runner = RefRunner::new();
-    let _ = runner.try_run(&flat_sim, &compiled).unwrap();
+    let _ = runner.try_run(&flat, chain, &compiled, true).unwrap();
     let before = thread_allocation_count();
-    let result = runner.try_run(&banked_sim, &compiled).unwrap();
+    let result = runner.try_run(&params, chain, &compiled, true).unwrap();
     assert_eq!(thread_allocation_count() - before, 1, "REF flat → banked");
-    assert_eq!(result, banked_sim.run(&program));
+    let fresh = RefRunner::new().try_run(&params, chain, &compiled, true);
+    assert_eq!(result, fresh.unwrap());
 }
