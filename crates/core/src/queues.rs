@@ -76,11 +76,6 @@ impl<T> Fifo<T> {
         self.items.len() >= self.cap
     }
 
-    /// Remaining free slots.
-    pub fn free_slots(&self) -> usize {
-        self.cap - self.items.len()
-    }
-
     /// Configured capacity.
     pub fn capacity(&self) -> usize {
         self.cap

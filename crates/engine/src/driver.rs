@@ -260,24 +260,19 @@ impl Completion {
 /// ```
 /// use dva_engine::Driver;
 ///
-/// let driver = Driver::new(); // fast-forward on, default watchdog
+/// let driver = Driver::new(); // fast-forward on
 /// let naive = Driver::new().fast_forward(false);
 /// # let _ = (driver, naive);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Driver {
     fast_forward: bool,
-    watchdog_ticks: u64,
 }
 
 impl Driver {
-    /// A driver with fast-forward enabled and the default
-    /// [`WATCHDOG_TICKS`] deadlock threshold.
+    /// A driver with fast-forward enabled.
     pub fn new() -> Driver {
-        Driver {
-            fast_forward: true,
-            watchdog_ticks: WATCHDOG_TICKS,
-        }
+        Driver { fast_forward: true }
     }
 
     /// Enables or disables the next-event fast-forward (on by default;
@@ -289,18 +284,10 @@ impl Driver {
         self
     }
 
-    /// Overrides the watchdog threshold (consecutive no-progress ticks
-    /// before the driver reports a deadlock).
-    #[must_use]
-    pub fn watchdog_ticks(mut self, ticks: u64) -> Driver {
-        self.watchdog_ticks = ticks;
-        self
-    }
-
     /// Runs `processor` to completion, sampling into `observers`, and
     /// reports where the clock stopped. A tripped deadlock watchdog — no
-    /// progress for more than the watchdog threshold of consecutive
-    /// ticks — comes back as a [`SimError`]; the processor and observers
+    /// progress for more than [`WATCHDOG_TICKS`] consecutive ticks —
+    /// comes back as a [`SimError`]; the processor and observers
     /// are left mid-flight on error and must be discarded.
     pub fn try_run<P: Processor + ?Sized>(
         &self,
@@ -334,7 +321,7 @@ impl Driver {
             } else {
                 ticks_since_progress += 1;
             }
-            if ticks_since_progress > self.watchdog_ticks {
+            if ticks_since_progress > WATCHDOG_TICKS {
                 return Err(SimError {
                     cycle: now,
                     ticks_stalled: ticks_since_progress,
@@ -560,7 +547,6 @@ mod tests {
             }
         }
         let _ = Driver::new()
-            .watchdog_ticks(64)
             .try_run(&mut Stuck, &mut Observers::new())
             .unwrap_or_else(|e| panic!("{e}"));
     }
@@ -591,16 +577,16 @@ mod tests {
             }
         }
         let err = Driver::new()
-            .watchdog_ticks(64)
             .try_run(&mut Stuck, &mut Observers::new())
             .unwrap_err();
-        assert_eq!(err.ticks_stalled, 65);
+        assert_eq!(err.ticks_stalled, WATCHDOG_TICKS + 1);
         assert_eq!(err.context, "stuck unit");
         assert_eq!(
             err.to_string(),
             format!(
-                "engine deadlock at cycle {}: no progress for 65 ticks; stuck unit",
-                err.cycle
+                "engine deadlock at cycle {}: no progress for {} ticks; stuck unit",
+                err.cycle,
+                WATCHDOG_TICKS + 1
             )
         );
     }

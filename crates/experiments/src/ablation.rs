@@ -2,11 +2,9 @@
 //! of chaining on the reference machine and of the second QMOV unit on
 //! the decoupled machine.
 
-use crate::common::RunOpts;
-use dva_artifact::{ExperimentSpec, Section, SweepPlan};
+use crate::{ExperimentSpec, RunOpts, Section, SweepPlan, Table};
 use dva_core::DvaConfig;
 use dva_isa::Program;
-use dva_metrics::Table;
 use dva_ref::{RefParams, RefRunner};
 use dva_sim_api::{Machine, PreparedProgram, Sweep, SweepResults};
 use dva_uarch::{ChainPolicy, UarchParams};
@@ -28,7 +26,6 @@ pub const HEADINGS: [&str; 2] = [
 /// evaluation, not the ablations.
 pub const SPEC: ExperimentSpec = ExperimentSpec {
     name: "ablation",
-    description: "ablations: chaining and register-bank ports",
     all_header: None,
     sweeps: spec_sweeps,
     render: spec_render,
@@ -41,8 +38,8 @@ fn spec_sweeps(opts: &RunOpts) -> Vec<SweepPlan> {
 
 fn spec_render(opts: &RunOpts, results: &[SweepResults]) -> Vec<Section> {
     vec![
-        Section::new("chaining", HEADINGS[0], &chaining(*opts)),
-        Section::new("bank_ports", HEADINGS[1], &render_bank_ports(&results[0])),
+        Section::new("chaining", HEADINGS[0], chaining(*opts)),
+        Section::new("bank_ports", HEADINGS[1], render_bank_ports(&results[0])),
     ]
 }
 

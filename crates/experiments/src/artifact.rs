@@ -17,8 +17,8 @@
 //!   what `artifacts/golden/` pins and CI byte-diffs.
 //! * [`Artifact::to_csv`] — a flat form for plotting tools.
 
-use dva_json::{FromJson, JsonError, Reader, ToJson, Writer};
-use dva_metrics::Table;
+use crate::table::Table;
+use dva_json::{ToJson, Writer};
 use dva_workloads::Scale;
 
 /// One experiment's complete, versioned output.
@@ -44,43 +44,17 @@ pub struct Section {
     /// The heading printed above the table (may span multiple lines).
     pub heading: String,
     /// The table data.
-    pub table: TableData,
-}
-
-/// A table as plain data: a header row plus string rows, exactly what
-/// [`dva_metrics::Table`] renders.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TableData {
-    /// Column headers.
-    pub headers: Vec<String>,
-    /// Data rows; every row has one cell per header.
-    pub rows: Vec<Vec<String>>,
+    pub table: Table,
 }
 
 impl Section {
-    /// Builds a section from a rendered [`Table`].
-    pub fn new(key: impl Into<String>, heading: impl Into<String>, table: &Table) -> Section {
+    /// Builds a section around a rendered [`Table`].
+    pub fn new(key: impl Into<String>, heading: impl Into<String>, table: Table) -> Section {
         Section {
             key: key.into(),
             heading: heading.into(),
-            table: TableData::from_table(table),
+            table,
         }
-    }
-}
-
-impl TableData {
-    /// Captures a [`Table`]'s headers and rows.
-    pub fn from_table(table: &Table) -> TableData {
-        TableData {
-            headers: table.headers().to_vec(),
-            rows: table.rows().to_vec(),
-        }
-    }
-
-    /// Rebuilds the renderable [`Table`] (default alignment — which is
-    /// what every experiment table uses).
-    pub fn to_table(&self) -> Table {
-        Table::from_parts(self.headers.iter().cloned(), self.rows.iter().cloned())
     }
 }
 
@@ -97,7 +71,7 @@ impl Artifact {
             }
             out.push_str(&section.heading);
             out.push_str("\n\n");
-            out.push_str(&section.table.to_table().to_ascii());
+            out.push_str(&section.table.to_ascii());
             out.push('\n');
         }
         out
@@ -108,11 +82,7 @@ impl Artifact {
     /// headers. Each table already ends in a newline, so the `"\n\n"`
     /// separator yields one blank line between tables.
     pub fn tables_text(&self) -> String {
-        let tables: Vec<String> = self
-            .sections
-            .iter()
-            .map(|s| s.table.to_table().to_ascii())
-            .collect();
+        let tables: Vec<String> = self.sections.iter().map(|s| s.table.to_ascii()).collect();
         tables.join("\n\n")
     }
 
@@ -132,37 +102,9 @@ impl Artifact {
                 out.push('\n');
             }
             out.push_str(&format!("# section {}\n", section.key));
-            out.push_str(&section.table.to_table().to_csv());
+            out.push_str(&section.table.to_csv());
         }
         out
-    }
-}
-
-impl ToJson for TableData {
-    fn write_json(&self, w: &mut Writer<'_>) {
-        w.object(|w| {
-            w.field("headers", &self.headers);
-            w.field("rows", &self.rows);
-        })
-    }
-}
-
-impl FromJson for TableData {
-    fn read_json(r: &mut Reader<'_>) -> Result<TableData, JsonError> {
-        r.object(|o| {
-            let headers: Vec<String> = o.field("headers")?;
-            let rows: Vec<Vec<String>> = o.field("rows")?;
-            for row in &rows {
-                if row.len() != headers.len() {
-                    return Err(JsonError(format!(
-                        "table row width {} != header width {}",
-                        row.len(),
-                        headers.len()
-                    )));
-                }
-            }
-            Ok(TableData { headers, rows })
-        })
     }
 }
 
@@ -176,18 +118,6 @@ impl ToJson for Section {
     }
 }
 
-impl FromJson for Section {
-    fn read_json(r: &mut Reader<'_>) -> Result<Section, JsonError> {
-        r.object(|o| {
-            Ok(Section {
-                key: o.field("key")?,
-                heading: o.field("heading")?,
-                table: o.field("table")?,
-            })
-        })
-    }
-}
-
 impl ToJson for Artifact {
     fn write_json(&self, w: &mut Writer<'_>) {
         w.object(|w| {
@@ -196,23 +126,6 @@ impl ToJson for Artifact {
             w.field("scale", self.scale.name());
             w.field("full", &self.full);
             w.field("sections", &self.sections);
-        })
-    }
-}
-
-impl FromJson for Artifact {
-    fn read_json(r: &mut Reader<'_>) -> Result<Artifact, JsonError> {
-        r.object(|o| {
-            let scale = o.field_with("scale", Reader::str)?;
-            Ok(Artifact {
-                experiment: o.field("experiment")?,
-                engine_version: u32::try_from(o.field::<u64>("engine_version")?)
-                    .map_err(|_| JsonError("engine_version out of range".to_string()))?,
-                scale: Scale::from_name(&scale)
-                    .ok_or_else(|| JsonError(format!("unknown scale `{scale}`")))?,
-                full: o.field("full")?,
-                sections: o.field("sections")?,
-            })
         })
     }
 }
@@ -230,17 +143,8 @@ mod tests {
             engine_version: 6,
             scale: Scale::Quick,
             full: false,
-            sections: vec![Section::new("demo", "Demo heading", &table)],
+            sections: vec![Section::new("demo", "Demo heading", table)],
         }
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let artifact = sample();
-        let json = artifact.to_json();
-        let back = Artifact::from_json(&json).unwrap();
-        assert_eq!(back, artifact);
-        assert_eq!(back.to_json().render(), json.render());
     }
 
     /// Pins the exact artifact bytes. If this fails you changed the
@@ -260,7 +164,7 @@ mod tests {
     #[test]
     fn text_rendering_matches_the_println_layout() {
         let artifact = sample();
-        let ascii = artifact.sections[0].table.to_table().to_ascii();
+        let ascii = artifact.sections[0].table.to_ascii();
         assert_eq!(artifact.to_text(), format!("Demo heading\n\n{ascii}\n"));
         // A second section gets a separating blank line.
         let mut two = artifact.clone();
@@ -278,11 +182,5 @@ mod tests {
         assert!(csv.starts_with("# artifact demo engine_version=6 scale=quick full=false\n"));
         assert!(csv.contains("# section demo\n"));
         assert!(csv.contains("TRFD,123\n"));
-    }
-
-    #[test]
-    fn ragged_rows_are_rejected_on_decode() {
-        let err = TableData::parse_json(r#"{"headers":["a","b"],"rows":[["1"]]}"#).unwrap_err();
-        assert_eq!(err.0, "table row width 1 != header width 2");
     }
 }

@@ -5,5 +5,5 @@
 //! two figures render from the content-addressed cache.
 
 fn main() {
-    dva_artifact::cli::run_all(&dva_experiments::REGISTRY)
+    dva_experiments::cli::run_all(&dva_experiments::REGISTRY)
 }

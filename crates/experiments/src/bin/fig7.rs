@@ -2,5 +2,5 @@
 
 fn main() {
     let spec = dva_experiments::find("fig7").expect("registered spec");
-    dva_artifact::cli::run_spec(spec)
+    dva_experiments::cli::run_spec(spec)
 }

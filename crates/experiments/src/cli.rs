@@ -63,29 +63,29 @@ impl RunOpts {
 
 /// Where the run's artifact goes, beyond stdout.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct OutputOpts {
+struct OutputOpts {
     /// Write the artifact as canonical JSON to this path.
-    pub json: Option<PathBuf>,
+    json: Option<PathBuf>,
     /// Write the artifact as CSV to this path.
-    pub csv: Option<PathBuf>,
+    csv: Option<PathBuf>,
     /// Compare the artifact byte-for-byte against its checked-in golden
     /// file (exit 1 on mismatch); with `GOLDEN_UPDATE=1`, rewrite the
     /// golden instead.
-    pub golden_check: bool,
+    golden_check: bool,
 }
 
 /// Everything the shared command line specifies.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct CliArgs {
+struct CliArgs {
     /// The grid options.
-    pub run: RunOpts,
+    run: RunOpts,
     /// The artifact outputs.
-    pub out: OutputOpts,
+    out: OutputOpts,
 }
 
 /// What [`try_parse`] understood from the command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Parsed {
+enum Parsed {
     /// Normal run with these arguments.
     Args(CliArgs),
     /// `--help` / `-h`: print the usage text and exit successfully.
@@ -93,7 +93,7 @@ pub enum Parsed {
 }
 
 /// The flags every experiment binary accepts.
-pub fn usage() -> String {
+fn usage() -> String {
     [
         "usage: [--quick | --full] [--threads N] [--json PATH] [--csv PATH]",
         "       [--golden-check] [--help]",
@@ -116,7 +116,7 @@ pub fn usage() -> String {
 /// `--help` (or `-h`) anywhere wins. Unknown arguments are an error: the
 /// caller prints the usage message and exits 2 rather than silently
 /// measuring something other than what was asked for.
-pub fn try_parse(args: impl Iterator<Item = String>) -> Result<Parsed, String> {
+fn try_parse(args: impl Iterator<Item = String>) -> Result<Parsed, String> {
     let args: Vec<String> = args.collect();
     if args.iter().any(|arg| arg == "--help" || arg == "-h") {
         return Ok(Parsed::Help);
@@ -129,25 +129,13 @@ pub fn try_parse(args: impl Iterator<Item = String>) -> Result<Parsed, String> {
             "--quick" => quick = true,
             "--full" => parsed.run.full = true,
             "--threads" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| "--threads needs a value".to_string())?;
+                let value = flag_value(&mut args, "--threads", "a value")?;
                 parsed.run.threads = value
                     .parse()
                     .map_err(|_| format!("invalid thread count {value:?}"))?;
             }
-            "--json" => {
-                let path = args
-                    .next()
-                    .ok_or_else(|| "--json needs a path".to_string())?;
-                parsed.out.json = Some(PathBuf::from(path));
-            }
-            "--csv" => {
-                let path = args
-                    .next()
-                    .ok_or_else(|| "--csv needs a path".to_string())?;
-                parsed.out.csv = Some(PathBuf::from(path));
-            }
+            "--json" => parsed.out.json = Some(flag_value(&mut args, "--json", "a path")?.into()),
+            "--csv" => parsed.out.csv = Some(flag_value(&mut args, "--csv", "a path")?.into()),
             "--golden-check" => parsed.out.golden_check = true,
             other => return Err(format!("unknown argument {other:?}")),
         }
@@ -161,9 +149,24 @@ pub fn try_parse(args: impl Iterator<Item = String>) -> Result<Parsed, String> {
     Ok(Parsed::Args(parsed))
 }
 
+/// The argument after a flag that takes one. A missing value is a usage
+/// error, and so is another flag in its place: `--json --golden-check`
+/// must not write a file named `--golden-check` and skip the check.
+fn flag_value(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> Result<String, String> {
+    match args.next() {
+        Some(value) if !value.starts_with("--") => Ok(value),
+        Some(next) => Err(format!("{flag} needs {what}, not the flag {next:?}")),
+        None => Err(format!("{flag} needs {what}")),
+    }
+}
+
 /// Parses the process arguments, printing help (exit 0) or a usage error
 /// (exit 2) as required.
-pub fn parse_cli() -> CliArgs {
+fn parse_cli() -> CliArgs {
     match try_parse(std::env::args().skip(1)) {
         Ok(Parsed::Args(args)) => args,
         Ok(Parsed::Help) => {
@@ -260,20 +263,20 @@ fn finish(artifacts: &[Artifact], out: &OutputOpts) -> ! {
 
 /// The golden-artifact directory: `$GOLDEN_DIR`, or `artifacts/golden`
 /// relative to the current directory.
-pub fn golden_dir() -> PathBuf {
+fn golden_dir() -> PathBuf {
     std::env::var_os("GOLDEN_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("artifacts/golden"))
 }
 
 /// The golden file an experiment's artifact is compared against.
-pub fn golden_path(dir: &Path, experiment: &str) -> PathBuf {
+fn golden_path(dir: &Path, experiment: &str) -> PathBuf {
     dir.join(format!("{experiment}.json"))
 }
 
 /// The outcome of a golden comparison.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GoldenStatus {
+enum GoldenStatus {
     /// The artifact matches the checked-in golden byte for byte.
     Match,
     /// The artifact differs from (or is missing) its golden.
@@ -287,7 +290,7 @@ pub enum GoldenStatus {
 
 /// The canonical serialized form of an artifact as stored on disk: the
 /// compact JSON rendering plus a trailing newline.
-pub fn golden_bytes(artifact: &Artifact) -> String {
+fn golden_bytes(artifact: &Artifact) -> String {
     let mut text = artifact.render_json();
     text.push('\n');
     text
@@ -295,7 +298,7 @@ pub fn golden_bytes(artifact: &Artifact) -> String {
 
 /// Compares `artifact` against its golden file under `dir` — or rewrites
 /// the golden when `GOLDEN_UPDATE` is set in the environment.
-pub fn golden_check(artifact: &Artifact, dir: &Path) -> GoldenStatus {
+fn golden_check(artifact: &Artifact, dir: &Path) -> GoldenStatus {
     let path = golden_path(dir, &artifact.experiment);
     let ours = golden_bytes(artifact);
     if std::env::var_os("GOLDEN_UPDATE").is_some() {
@@ -328,7 +331,7 @@ pub fn golden_check(artifact: &Artifact, dir: &Path) -> GoldenStatus {
 /// directories (the `all` binary's directory mode points into
 /// possibly-fresh trees). Returns an error message naming the path on
 /// failure.
-pub fn write_outputs(artifact: &Artifact, out: &OutputOpts) -> Result<(), String> {
+fn write_outputs(artifact: &Artifact, out: &OutputOpts) -> Result<(), String> {
     if let Some(path) = &out.json {
         write_file(path, &golden_bytes(artifact))?;
     }
@@ -350,7 +353,8 @@ fn write_file(path: &Path, contents: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifact::{Section, TableData};
+    use crate::artifact::Section;
+    use crate::table::Table;
 
     fn parse(args: &[&str]) -> Result<Parsed, String> {
         try_parse(args.iter().map(|s| s.to_string()))
@@ -410,6 +414,23 @@ mod tests {
         assert!(parse(&["--csv"]).is_err());
     }
 
+    /// A flag that takes a value never swallows the next flag as its
+    /// value.
+    #[test]
+    fn a_value_flag_does_not_take_the_next_flag() {
+        for (args, flag) in [
+            (&["--json", "--golden-check"][..], "--json"),
+            (&["--csv", "--quick"], "--csv"),
+            (&["--threads", "--full"], "--threads"),
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.starts_with(flag), "{args:?}: {err}");
+            assert!(err.contains(&format!("{:?}", args[1])), "{args:?}: {err}");
+        }
+        let args = parse_ok(&["--json", "-out.json"]);
+        assert_eq!(args.out.json.as_deref(), Some(Path::new("-out.json")));
+    }
+
     #[test]
     fn help_wins_anywhere_and_names_every_flag() {
         assert_eq!(parse(&["--help"]), Ok(Parsed::Help));
@@ -437,15 +458,14 @@ mod tests {
             engine_version: 1,
             scale: Scale::Quick,
             full: false,
-            sections: vec![Section {
-                key: "k".to_string(),
-                heading: "h".to_string(),
-                table: TableData {
-                    headers: vec!["a".to_string()],
-                    rows: vec![vec!["1".to_string()]],
-                },
-            }],
+            sections: vec![Section::new("k", "h", one_cell("1"))],
         }
+    }
+
+    fn one_cell(cell: &str) -> Table {
+        let mut table = Table::new(["a"]);
+        table.row([cell]);
+        table
     }
 
     #[test]
@@ -466,7 +486,7 @@ mod tests {
 
         // A changed artifact mismatches.
         let mut changed = artifact.clone();
-        changed.sections[0].table.rows[0][0] = "2".to_string();
+        changed.sections[0].table = one_cell("2");
         assert!(matches!(
             golden_check(&changed, &dir),
             GoldenStatus::Mismatch { .. }

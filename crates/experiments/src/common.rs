@@ -1,16 +1,12 @@
 //! Shared experiment plumbing: latency grids, the standard machine line-up
 //! and the REF/DVA/IDEAL sweep shared by Figures 3–5.
 //!
-//! Command-line parsing and the run options live in [`dva_artifact::cli`]
-//! (one parser for all twelve binaries); this module re-exports
-//! [`RunOpts`] so experiment code keeps one import path. All heavy
-//! lifting is delegated to [`dva_sim_api::Sweep`], which fans the
-//! (machine × program × latency) grid out over worker threads.
+//! All heavy lifting is delegated to [`dva_sim_api::Sweep`], which fans
+//! the (machine × program × latency) grid out over worker threads.
 
+use crate::RunOpts;
 use dva_sim_api::{Machine, Sweep, SweepResults};
 use dva_workloads::Benchmark;
-
-pub use dva_artifact::RunOpts;
 
 /// The memory latencies swept, mirroring the paper's x axis (1 to 100
 /// cycles). `full` adds the intermediate decades.
@@ -101,8 +97,8 @@ mod tests {
 
     #[test]
     fn scale_parsing_still_reaches_through_the_shared_parser() {
-        // The parser itself is tested in dva-artifact; here we only pin
-        // that the re-exported options keep their defaults.
+        // The parser itself is tested in `cli`; here we only pin that
+        // the options keep their defaults.
         let opts = RunOpts::default();
         assert_eq!(opts.scale, Scale::Default);
         assert!(!opts.full);

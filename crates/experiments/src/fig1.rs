@@ -2,9 +2,9 @@
 //! the eight (FU2, FU1, LD) machine states, per program and memory
 //! latency.
 
-use crate::common::{RunOpts, FIG1_LATENCIES};
-use dva_artifact::{ExperimentSpec, Section, SweepPlan};
-use dva_metrics::{Table, UnitState};
+use crate::common::FIG1_LATENCIES;
+use crate::{ExperimentSpec, RunOpts, Section, SweepPlan, Table};
+use dva_metrics::UnitState;
 use dva_sim_api::{Machine, Sweep, SweepResults};
 use dva_workloads::Benchmark;
 
@@ -16,7 +16,6 @@ pub const HEADING: &str =
 /// latencies.
 pub const SPEC: ExperimentSpec = ExperimentSpec {
     name: "fig1",
-    description: "Figure 1: REF functional-unit state breakdown",
     all_header: Some("== Figure 1: REF state breakdown (% of cycles) =="),
     sweeps: spec_sweeps,
     render: spec_render,
@@ -35,7 +34,7 @@ fn sweep_cfg(opts: &RunOpts) -> Sweep {
 }
 
 fn spec_render(_: &RunOpts, results: &[SweepResults]) -> Vec<Section> {
-    vec![Section::new("fig1", HEADING, &render(&results[0]))]
+    vec![Section::new("fig1", HEADING, render(&results[0]))]
 }
 
 /// Renders a REF sweep into the Figure 1 table: one row per (program,

@@ -1,9 +1,8 @@
 //! Figure 3: execution time versus memory latency for the IDEAL bound,
 //! the reference architecture and the decoupled architecture.
 
-use crate::common::{ideal_of, kcycles, latencies, latency_sweep_cfg, RunOpts};
-use dva_artifact::{ExperimentSpec, Invariant, Section, SweepPlan};
-use dva_metrics::Table;
+use crate::common::{ideal_of, kcycles, latencies, latency_sweep_cfg};
+use crate::{ExperimentSpec, Invariant, RunOpts, Section, SweepPlan, Table};
 use dva_sim_api::SweepResults;
 use dva_workloads::Benchmark;
 
@@ -14,7 +13,6 @@ pub const HEADING: &str = "Figure 3: execution time vs memory latency (kcycles)"
 /// REF/DVA/IDEAL sweep, so under one runner the grid simulates once.
 pub const SPEC: ExperimentSpec = ExperimentSpec {
     name: "fig3",
-    description: "Figure 3: IDEAL/REF/DVA execution time vs latency",
     all_header: Some("== Figure 3: execution time vs latency (kcycles) =="),
     sweeps: spec_sweeps,
     render: spec_render,
@@ -26,7 +24,7 @@ pub(crate) fn spec_sweeps(opts: &RunOpts) -> Vec<SweepPlan> {
 }
 
 fn spec_render(_: &RunOpts, results: &[SweepResults]) -> Vec<Section> {
-    vec![Section::new("fig3", HEADING, &render(&results[0]))]
+    vec![Section::new("fig3", HEADING, render(&results[0]))]
 }
 
 /// Renders the Figure 3 series from the REF/DVA/IDEAL sweep: per

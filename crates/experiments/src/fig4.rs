@@ -1,9 +1,7 @@
 //! Figure 4: ratio of cycles spent in the all-idle `( , , )` state between
 //! the reference and the decoupled architecture.
 
-use crate::common::RunOpts;
-use dva_artifact::{ExperimentSpec, Invariant, Section};
-use dva_metrics::Table;
+use crate::{ExperimentSpec, Invariant, RunOpts, Section, Table};
 use dva_sim_api::SweepResults;
 use dva_workloads::Benchmark;
 
@@ -13,7 +11,6 @@ pub const HEADING: &str = "Figure 4: ratio of cycles in state ( , , ), REF over 
 /// Figure 4 as a declarative spec (same sweep as Figures 3 and 5).
 pub const SPEC: ExperimentSpec = ExperimentSpec {
     name: "fig4",
-    description: "Figure 4: ratio of ( , , ) cycles REF/DVA",
     all_header: Some("== Figure 4: ( , , ) cycle ratio REF/DVA =="),
     sweeps: crate::fig3::spec_sweeps,
     render: spec_render,
@@ -21,7 +18,7 @@ pub const SPEC: ExperimentSpec = ExperimentSpec {
 };
 
 fn spec_render(_: &RunOpts, results: &[SweepResults]) -> Vec<Section> {
-    vec![Section::new("fig4", HEADING, &render(&results[0]))]
+    vec![Section::new("fig4", HEADING, render(&results[0]))]
 }
 
 /// REF-over-DVA idle-cycle ratio at one grid point.

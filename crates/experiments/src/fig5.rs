@@ -1,9 +1,7 @@
 //! Figure 5: speedup of the decoupled architecture over the reference
 //! architecture, per memory latency.
 
-use crate::common::RunOpts;
-use dva_artifact::{ExperimentSpec, Invariant, Section};
-use dva_metrics::Table;
+use crate::{ExperimentSpec, Invariant, RunOpts, Section, Table};
 use dva_sim_api::SweepResults;
 use dva_workloads::Benchmark;
 
@@ -14,7 +12,6 @@ pub const HEADING: &str = "Figure 5: speedup of the DVA over the reference archi
 /// Figure 5 as a declarative spec (same sweep as Figures 3 and 4).
 pub const SPEC: ExperimentSpec = ExperimentSpec {
     name: "fig5",
-    description: "Figure 5: DVA speedup over REF",
     all_header: Some("== Figure 5: DVA speedup over REF =="),
     sweeps: crate::fig3::spec_sweeps,
     render: spec_render,
@@ -22,7 +19,7 @@ pub const SPEC: ExperimentSpec = ExperimentSpec {
 };
 
 fn spec_render(_: &RunOpts, results: &[SweepResults]) -> Vec<Section> {
-    vec![Section::new("fig5", HEADING, &render(&results[0]))]
+    vec![Section::new("fig5", HEADING, render(&results[0]))]
 }
 
 /// DVA-over-REF speedup at one grid point.

@@ -12,9 +12,7 @@
 //! tolerance by construction; every *measured* point is byte-identical
 //! to the dense run's (same grid spec, same cache key).
 
-use crate::common::RunOpts;
-use dva_artifact::{ExperimentSpec, Invariant, Section, SweepPlan};
-use dva_metrics::Table;
+use crate::{ExperimentSpec, Invariant, RunOpts, Section, SweepPlan, Table};
 use dva_sim_api::{knee_latency, AdaptiveSweep, Machine, MemoryModelKind, SweepResults};
 use dva_workloads::Benchmark;
 
@@ -45,7 +43,6 @@ pub const KNEE_HEADING: &str =
 /// blanket ideal bound.
 pub const SPEC: ExperimentSpec = ExperimentSpec {
     name: "fig5_adaptive",
-    description: "Figure 5 at 100-latency resolution via adaptive sampling",
     all_header: None,
     sweeps: spec_sweeps,
     render: spec_render,
@@ -95,11 +92,11 @@ fn spec_sweeps(opts: &RunOpts) -> Vec<SweepPlan> {
 
 fn spec_render(_: &RunOpts, results: &[SweepResults]) -> Vec<Section> {
     vec![
-        Section::new("fig5_adaptive", HEADING, &render(&results[0])),
+        Section::new("fig5_adaptive", HEADING, render(&results[0])),
         Section::new(
             "fig5_adaptive_knees",
             KNEE_HEADING,
-            &render_knees(&results[0]),
+            render_knees(&results[0]),
         ),
     ]
 }

@@ -1,9 +1,8 @@
 //! Figure 6: busy-slot distribution of the vector load data queue (AVDQ)
 //! at three memory latencies.
 
-use crate::common::{RunOpts, FIG6_LATENCIES};
-use dva_artifact::{ExperimentSpec, Section, SweepPlan};
-use dva_metrics::Table;
+use crate::common::FIG6_LATENCIES;
+use crate::{ExperimentSpec, RunOpts, Section, SweepPlan, Table};
 use dva_sim_api::{Machine, Sweep, SweepResults};
 use dva_workloads::Benchmark;
 
@@ -19,7 +18,6 @@ pub const HEADING: &str = "Figure 6: AVDQ busy slots (kcycles at each occupancy)
 /// latencies.
 pub const SPEC: ExperimentSpec = ExperimentSpec {
     name: "fig6",
-    description: "Figure 6: AVDQ busy-slot distributions",
     all_header: Some("== Figure 6: AVDQ busy-slot distribution (kcycles) =="),
     sweeps: spec_sweeps,
     render: spec_render,
@@ -38,7 +36,7 @@ fn sweep_cfg(opts: &RunOpts) -> Sweep {
 }
 
 fn spec_render(_: &RunOpts, results: &[SweepResults]) -> Vec<Section> {
-    vec![Section::new("fig6", HEADING, &render(&results[0]))]
+    vec![Section::new("fig6", HEADING, render(&results[0]))]
 }
 
 /// Renders a DVA sweep into the Figure 6 histograms: cycles (in

@@ -1,9 +1,8 @@
 //! Figure 7: performance of the bypassing scheme — `BYP load/store`
 //! configurations against the base DVA and the IDEAL bound.
 
-use crate::common::{kcycles, latencies, RunOpts};
-use dva_artifact::{ExperimentSpec, Invariant, Section, SweepPlan};
-use dva_metrics::Table;
+use crate::common::{kcycles, latencies};
+use crate::{ExperimentSpec, Invariant, RunOpts, Section, SweepPlan, Table};
 use dva_sim_api::{Machine, Sweep, SweepResults};
 use dva_workloads::Benchmark;
 
@@ -20,7 +19,6 @@ pub const HEADING: &str = "Figure 7: performance of the bypassing scheme (kcycle
 /// and can dip below that bound (FLO52 does, at latency 1).
 pub const SPEC: ExperimentSpec = ExperimentSpec {
     name: "fig7",
-    description: "Figure 7: bypass configurations vs DVA and IDEAL",
     all_header: Some("== Figure 7: bypassing performance (kcycles) =="),
     sweeps: spec_sweeps,
     render: spec_render,
@@ -50,7 +48,7 @@ fn sweep_cfg(opts: &RunOpts) -> Sweep {
 }
 
 fn spec_render(_: &RunOpts, results: &[SweepResults]) -> Vec<Section> {
-    vec![Section::new("fig7", HEADING, &render(&results[0]))]
+    vec![Section::new("fig7", HEADING, render(&results[0]))]
 }
 
 /// The machine line-up of Figure 7: DVA, the bypass configurations, and

@@ -1,9 +1,7 @@
 //! Figure 8: ratio of total memory traffic between the DVA 256/16 and the
 //! BYP 256/16 configurations.
 
-use crate::common::RunOpts;
-use dva_artifact::{ExperimentSpec, Section, SweepPlan};
-use dva_metrics::Table;
+use crate::{ExperimentSpec, RunOpts, Section, SweepPlan, Table};
 use dva_sim_api::{Machine, Sweep, SweepResults};
 use dva_workloads::Benchmark;
 
@@ -18,7 +16,6 @@ pub const HEADING: &str = "Figure 8: total memory traffic, DVA 256/16 vs BYP 256
 /// Figure 8 as a declarative spec: one DVA-vs-BYP traffic sweep.
 pub const SPEC: ExperimentSpec = ExperimentSpec {
     name: "fig8",
-    description: "Figure 8: memory-traffic ratio BYP/DVA",
     all_header: Some("== Figure 8: memory traffic ratio =="),
     sweeps: spec_sweeps,
     render: spec_render,
@@ -37,7 +34,7 @@ fn sweep_cfg(opts: &RunOpts) -> Sweep {
 }
 
 fn spec_render(_: &RunOpts, results: &[SweepResults]) -> Vec<Section> {
-    vec![Section::new("fig8", HEADING, &render(&results[0]))]
+    vec![Section::new("fig8", HEADING, render(&results[0]))]
 }
 
 /// Renders a traffic sweep into the Figure 8 bars: memory words moved

@@ -1,12 +1,14 @@
-//! Experiment drivers that regenerate every table and figure of the
-//! paper's evaluation (Sections 2–7).
+//! The report layer of the reproduction: declarative experiment specs,
+//! one cache-backed runner, versioned artifacts, and the drivers that
+//! regenerate every table and figure of the paper's evaluation
+//! (Sections 2–7).
 //!
-//! Each module reproduces one artifact: it declares the sweeps it needs
-//! and renders their results into [`dva_metrics::Table`]s whose rows
-//! mirror what the paper plots; the `src/bin` binaries print them. All
-//! simulation fans out through [`dva_sim_api::Sweep`], so every figure
-//! parallelizes across the (machine × program × latency) grid. Run with
-//! `--release` — the sweeps simulate hundreds of millions of cycles:
+//! Each figure module declares the sweeps it needs and renders their
+//! results into [`Table`]s whose rows mirror what the paper plots; the
+//! `src/bin` binaries print them. All simulation fans out through
+//! [`dva_sim_api::Sweep`], so every figure parallelizes across the
+//! (machine × program × latency) grid. Run with `--release` — the sweeps
+//! simulate hundreds of millions of cycles:
 //!
 //! ```text
 //! cargo run --release -p dva-experiments --bin table1
@@ -27,21 +29,39 @@
 //! | [`fig8`] | Figure 8: memory-traffic ratio BYP/DVA |
 //! | [`queues`] | Section 5/6: queue-sizing sensitivity |
 //! | [`membanks`] | Beyond the paper: bank-conflict stride sweep over the memory backends |
+//! | [`ablation`] | Beyond the paper: chaining and register-bank ports |
 //!
-//! Every module exposes its experiment as a declarative
-//! [`dva_artifact::ExperimentSpec`] (`SPEC`), the one way to produce it,
-//! collected in [`registry::REGISTRY`]. This crate has no command line of
-//! its own: each binary looks its spec up with [`find`] and hands it to
-//! [`dva_artifact::cli::run_spec`] (`all` hands the whole registry to
-//! [`dva_artifact::cli::run_all`]), which parses the flags, executes
-//! specs through one cache-backed [`dva_artifact::Runner`], emits
-//! versioned artifacts (`--json` / `--csv`) and byte-checks them against
-//! `artifacts/golden/` (`--golden-check`).
+//! Every figure module exposes its experiment as a declarative
+//! [`ExperimentSpec`] (`SPEC`), the one way to produce it, collected in
+//! [`registry::REGISTRY`]. The report layer around them is four modules:
+//!
+//! * [`spec`] — [`ExperimentSpec`]: a name, the sweep plans its grid
+//!   needs (each dense or an adaptive latency-refinement session, see
+//!   [`SweepPlan`]), how its sections render from the measured results,
+//!   and the [`Invariant`]s (e.g. `IDEAL ≤ DVA ≤ REF`) they must satisfy.
+//! * [`runner`] — [`Runner`], the one execution path: sweeps flow through
+//!   the `dva-serve` content-addressed cache (so identical grid points
+//!   across specs simulate once), invariants are checked, and the
+//!   rendered sections are stamped into an artifact.
+//! * [`artifact`] — [`Artifact`], the versioned output: [`Section`]s of
+//!   pre-formatted [`Table`] cells (byte-stable by construction), the
+//!   producing [`ENGINE_VERSION`](dva_engine::ENGINE_VERSION) and the grid
+//!   options. It is written, never read back: canonical JSON (what
+//!   `artifacts/golden/` pins byte for byte), ASCII (the binaries'
+//!   stdout) and CSV.
+//! * [`cli`] — the one command line: each binary looks its spec up with
+//!   [`find`] and hands it to [`cli::run_spec`] (`all` hands the whole
+//!   registry to [`cli::run_all`]), which parses `--quick`/`--full`/
+//!   `--threads` and `--json`/`--csv`/`--golden-check`, runs the spec,
+//!   writes the artifacts and byte-checks them against
+//!   `artifacts/golden/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablation;
+pub mod artifact;
+pub mod cli;
 pub mod common;
 pub mod fig1;
 pub mod fig3;
@@ -54,10 +74,17 @@ pub mod fig8;
 pub mod membanks;
 pub mod queues;
 pub mod registry;
+pub mod runner;
+pub mod spec;
+pub mod table;
 pub mod table1;
 
-pub use common::{latencies, RunOpts};
-pub use dva_artifact::{Artifact, ExperimentSpec, Invariant, RunError, Runner};
+pub use artifact::{Artifact, Section};
+pub use cli::RunOpts;
+pub use common::latencies;
 pub use dva_sim_api::{Machine, SimResult, Sweep, SweepPoint, SweepResults};
 pub use dva_workloads::{Benchmark, Scale};
 pub use registry::{find, REGISTRY};
+pub use runner::{RunError, Runner};
+pub use spec::{ExperimentSpec, Invariant, SweepPlan};
+pub use table::Table;

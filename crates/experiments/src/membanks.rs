@@ -10,10 +10,8 @@
 //! manufacture bandwidth, so the DVA's banked/flat slowdown grows with
 //! stride at least as fast as the reference machine's.
 
-use crate::common::RunOpts;
-use dva_artifact::{ExperimentSpec, Section, SweepPlan};
+use crate::{ExperimentSpec, RunOpts, Section, SweepPlan, Table};
 use dva_isa::Program;
-use dva_metrics::Table;
 use dva_sim_api::{Machine, MemoryModelKind, Sweep, SweepResults};
 use dva_workloads::{Kernel, LoopSpec, Phase, ProgramSpec, Scale, StripOverhead};
 
@@ -22,7 +20,6 @@ use dva_workloads::{Kernel, LoopSpec, Phase, ProgramSpec, Scale, StripOverhead};
 /// like any benchmark, so the sweep still flows through the cache.
 pub const SPEC: ExperimentSpec = ExperimentSpec {
     name: "membanks",
-    description: "bank-conflict stride sweep over the memory backends",
     all_header: Some("\n== Bank conflicts: cycles vs stride (beyond the paper) =="),
     sweeps: spec_sweeps,
     render: spec_render,
@@ -39,7 +36,7 @@ fn spec_render(_: &RunOpts, results: &[SweepResults]) -> Vec<Section> {
          ({BANKS} banks, {BANK_BUSY}-cycle bank busy time)\n\
          (decoupling hides latency, not bandwidth: the DVA pays bank conflicts in full)"
     );
-    vec![Section::new("membanks", heading, &render(&results[0]))]
+    vec![Section::new("membanks", heading, render(&results[0]))]
 }
 
 /// The fixed memory latency of the study (the middle of the paper's

@@ -6,10 +6,8 @@
 //! machine-declaration order, so the cycles of one benchmark line up with
 //! the size grid positionally.
 
-use crate::common::RunOpts;
-use dva_artifact::{ExperimentSpec, Section, SweepPlan};
+use crate::{ExperimentSpec, RunOpts, Section, SweepPlan, Table};
 use dva_core::{DvaConfig, QueueConfig};
-use dva_metrics::Table;
 use dva_sim_api::{Machine, Sweep, SweepResults};
 use dva_workloads::Benchmark;
 
@@ -28,7 +26,6 @@ pub const HEADINGS: [&str; 3] = [
 /// per queue under test), three sections.
 pub const SPEC: ExperimentSpec = ExperimentSpec {
     name: "queue_sizing",
-    description: "Sections 5-7: queue-sizing sensitivity",
     all_header: Some("== Queue sizing (Sections 5-7) =="),
     sweeps: spec_sweeps,
     render: spec_render,
@@ -48,10 +45,10 @@ fn spec_render(_: &RunOpts, results: &[SweepResults]) -> Vec<Section> {
         Section::new(
             "instruction_queues",
             HEADINGS[0],
-            &render_instruction_queues(&results[0]),
+            render_instruction_queues(&results[0]),
         ),
-        Section::new("store_queue", HEADINGS[1], &render_store_queue(&results[1])),
-        Section::new("load_queue", HEADINGS[2], &render_load_queue(&results[2])),
+        Section::new("store_queue", HEADINGS[1], render_store_queue(&results[1])),
+        Section::new("load_queue", HEADINGS[2], render_load_queue(&results[2])),
     ]
 }
 

@@ -5,10 +5,10 @@
 //! `all_header: None`. Each entry is also a standalone binary of the
 //! same name.
 
+use crate::ExperimentSpec;
 use crate::{
     ablation, fig1, fig3, fig4, fig5, fig5_adaptive, fig6, fig7, fig8, membanks, queues, table1,
 };
-use dva_artifact::{ExperimentSpec, SpecManifest};
 
 /// Every experiment spec, in `all`-binary order.
 pub static REGISTRY: [ExperimentSpec; 12] = [
@@ -29,11 +29,6 @@ pub static REGISTRY: [ExperimentSpec; 12] = [
 /// Looks a spec up by its registry name.
 pub fn find(name: &str) -> Option<&'static ExperimentSpec> {
     REGISTRY.iter().find(|spec| spec.name == name)
-}
-
-/// The serializable manifests of every registered spec.
-pub fn manifests() -> Vec<SpecManifest> {
-    REGISTRY.iter().map(ExperimentSpec::manifest).collect()
 }
 
 #[cfg(test)]
@@ -61,13 +56,5 @@ mod tests {
             .map(|s| s.name)
             .collect();
         assert_eq!(outside, ["fig5_adaptive", "ablation"]);
-    }
-
-    #[test]
-    fn manifests_cover_the_registry() {
-        let manifests = manifests();
-        assert_eq!(manifests.len(), REGISTRY.len());
-        assert_eq!(manifests[0].name, "table1");
-        assert!(!manifests.last().unwrap().in_all);
     }
 }

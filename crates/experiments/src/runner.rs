@@ -11,8 +11,8 @@
 use crate::artifact::{Artifact, Section};
 use crate::cli::RunOpts;
 use crate::spec::{ExperimentSpec, SweepPlan};
+use crate::table::Table;
 use dva_engine::ENGINE_VERSION;
-use dva_metrics::Table;
 use dva_serve::{ResultCache, ServeError, SweepService, DEFAULT_MEMORY_CAPACITY};
 use dva_sim_api::{AdaptiveReport, AdaptiveSweep, Sweep, SweepResults};
 use std::fmt;
@@ -223,7 +223,7 @@ fn adaptive_section(index: usize, plans: usize, report: &AdaptiveReport) -> Sect
         report.skipped_interpolated,
         report.skipped_dominated,
     );
-    Section::new(key, heading, &table)
+    Section::new(key, heading, table)
 }
 
 #[cfg(test)]
@@ -231,7 +231,6 @@ mod tests {
     use super::*;
     use crate::artifact::Section;
     use crate::spec::Invariant;
-    use dva_metrics::Table;
     use dva_sim_api::Machine;
     use dva_workloads::Benchmark;
 
@@ -260,12 +259,11 @@ mod tests {
                     .to_string(),
             ]);
         }
-        vec![Section::new("demo", "Demo", &table)]
+        vec![Section::new("demo", "Demo", table)]
     }
 
     const DEMO: ExperimentSpec = ExperimentSpec {
         name: "demo",
-        description: "runner test spec",
         all_header: None,
         sweeps: demo_sweeps,
         render: demo_render,
@@ -279,7 +277,7 @@ mod tests {
         assert_eq!(artifact.experiment, "demo");
         assert_eq!(artifact.engine_version, ENGINE_VERSION);
         assert_eq!(artifact.sections.len(), 1);
-        assert_eq!(artifact.sections[0].table.rows.len(), 2);
+        assert_eq!(artifact.sections[0].table.len(), 2);
         // First run simulated everything…
         assert_eq!(runner.simulated(), 6);
         assert_eq!(runner.cache_hits(), 0);
@@ -312,12 +310,11 @@ mod tests {
         {
             table.row([latency.to_string(), point.result.cycles.to_string()]);
         }
-        vec![Section::new("demo", "Demo", &table)]
+        vec![Section::new("demo", "Demo", table)]
     }
 
     const ADAPTIVE_DEMO: ExperimentSpec = ExperimentSpec {
         name: "adaptive_demo",
-        description: "runner adaptive test spec",
         all_header: None,
         sweeps: adaptive_sweeps,
         render: adaptive_render,
@@ -341,16 +338,16 @@ mod tests {
             sampling.heading
         );
         assert_eq!(
-            sampling.table.headers,
+            sampling.table.headers(),
             ["Machine", "Curves", "Sampled", "Dense", "Pruned"]
         );
         // One row per label (REF, DVA, IDEAL) plus the total row.
-        assert_eq!(sampling.table.rows.len(), 4);
-        let ref_row = &sampling.table.rows[0];
+        assert_eq!(sampling.table.len(), 4);
+        let ref_row = &sampling.table.rows()[0];
         assert_eq!(ref_row[0], "REF");
         assert!(ref_row[4].contains("TRFD@r0"), "REF is pruned: {ref_row:?}");
         // Fewer points than dense, reported consistently with the runner.
-        let total = &sampling.table.rows[3];
+        let total = &sampling.table.rows()[3];
         assert_eq!(total[3], (3 * 40).to_string());
         assert_eq!(total[2], runner.simulated().to_string());
         assert!(runner.simulated() < 3 * 40);

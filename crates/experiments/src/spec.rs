@@ -10,7 +10,6 @@
 
 use crate::artifact::Section;
 use crate::cli::RunOpts;
-use dva_json::{FromJson, JsonError, Reader, ToJson, Writer};
 use dva_sim_api::{AdaptiveSweep, Sweep, SweepResults};
 
 /// One experiment, declaratively: its identity, grid, derived tables and
@@ -22,8 +21,6 @@ use dva_sim_api::{AdaptiveSweep, Sweep, SweepResults};
 pub struct ExperimentSpec {
     /// Registry name; also the binary name and the golden-artifact stem.
     pub name: &'static str,
-    /// One-line description (shown by `--help` via the registry).
-    pub description: &'static str,
     /// The `== … ==` header the `all` binary prints for this experiment,
     /// or `None` to exclude it from `all` (the ablation studies).
     pub all_header: Option<&'static str>,
@@ -46,23 +43,9 @@ impl std::fmt::Debug for ExperimentSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExperimentSpec")
             .field("name", &self.name)
-            .field("description", &self.description)
             .field("all_header", &self.all_header)
             .field("invariants", &self.invariants)
             .finish_non_exhaustive()
-    }
-}
-
-impl ExperimentSpec {
-    /// The serializable face of this spec: everything except the function
-    /// pointers (which cannot cross a process boundary).
-    pub fn manifest(&self) -> SpecManifest {
-        SpecManifest {
-            name: self.name.to_string(),
-            description: self.description.to_string(),
-            in_all: self.all_header.is_some(),
-            invariants: self.invariants.to_vec(),
-        }
     }
 }
 
@@ -92,44 +75,6 @@ impl From<Sweep> for SweepPlan {
 impl From<AdaptiveSweep> for SweepPlan {
     fn from(adaptive: AdaptiveSweep) -> SweepPlan {
         SweepPlan::Adaptive(adaptive)
-    }
-}
-
-/// The serializable description of an [`ExperimentSpec`] — its name,
-/// description, `all`-membership and declared invariants.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpecManifest {
-    /// See [`ExperimentSpec::name`].
-    pub name: String,
-    /// See [`ExperimentSpec::description`].
-    pub description: String,
-    /// Whether the `all` binary includes this experiment.
-    pub in_all: bool,
-    /// See [`ExperimentSpec::invariants`].
-    pub invariants: Vec<Invariant>,
-}
-
-impl ToJson for SpecManifest {
-    fn write_json(&self, w: &mut Writer<'_>) {
-        w.object(|w| {
-            w.field("name", self.name.as_str());
-            w.field("description", self.description.as_str());
-            w.field("in_all", &self.in_all);
-            w.field("invariants", &self.invariants);
-        })
-    }
-}
-
-impl FromJson for SpecManifest {
-    fn read_json(r: &mut Reader<'_>) -> Result<SpecManifest, JsonError> {
-        r.object(|o| {
-            Ok(SpecManifest {
-                name: o.field("name")?,
-                description: o.field("description")?,
-                in_all: o.field("in_all")?,
-                invariants: o.field("invariants")?,
-            })
-        })
     }
 }
 
@@ -248,59 +193,6 @@ fn check_ideal_bound(results: &SweepResults) -> Option<String> {
     None
 }
 
-impl ToJson for Invariant {
-    fn write_json(&self, w: &mut Writer<'_>) {
-        w.object(|w| match *self {
-            Invariant::CyclesOrdered {
-                lower,
-                upper,
-                tolerance,
-            } => {
-                w.field("kind", "cycles_ordered");
-                w.field("lower", lower);
-                w.field("upper", upper);
-                w.field("tolerance", &tolerance);
-            }
-            Invariant::IdealLowerBound => w.field("kind", "ideal_lower_bound"),
-        })
-    }
-}
-
-impl FromJson for Invariant {
-    fn read_json(r: &mut Reader<'_>) -> Result<Invariant, JsonError> {
-        r.object(|o| match &*o.field_with("kind", Reader::str)? {
-            // Labels decode to leaked statics: invariants are a handful of
-            // fixed machine names, declared once per spec.
-            "cycles_ordered" => Ok(Invariant::CyclesOrdered {
-                lower: leak(&o.field_with("lower", Reader::str)?),
-                upper: leak(&o.field_with("upper", Reader::str)?),
-                tolerance: o.field("tolerance")?,
-            }),
-            "ideal_lower_bound" => Ok(Invariant::IdealLowerBound),
-            other => Err(JsonError(format!("unknown invariant kind `{other}`"))),
-        })
-    }
-}
-
-/// Interns a decoded label. The set of machine labels appearing in
-/// invariants is tiny and fixed, so the leak is bounded.
-fn leak(s: &str) -> &'static str {
-    static KNOWN: &[&str] = &[
-        "IDEAL",
-        "DVA",
-        "REF",
-        "BYP 256/16",
-        "BYP 4/16",
-        "BYP 4/8",
-        "BYP 4/4",
-    ];
-    KNOWN
-        .iter()
-        .find(|k| **k == s)
-        .copied()
-        .unwrap_or_else(|| Box::leak(s.to_string().into_boxed_str()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,36 +265,5 @@ mod tests {
             tolerance: refc as f64 / dva as f64,
         };
         assert_eq!(slack.check(&results), None);
-    }
-
-    #[test]
-    fn invariants_round_trip_through_json() {
-        for invariant in [
-            Invariant::IdealLowerBound,
-            Invariant::CyclesOrdered {
-                lower: "DVA",
-                upper: "REF",
-                tolerance: 0.1,
-            },
-        ] {
-            let json = invariant.to_json();
-            assert_eq!(Invariant::from_json(&json).unwrap(), invariant);
-            assert_eq!(
-                Invariant::from_json(&json).unwrap().to_json().render(),
-                json.render()
-            );
-        }
-    }
-
-    #[test]
-    fn manifests_round_trip_through_json() {
-        let manifest = SpecManifest {
-            name: "fig3".to_string(),
-            description: "execution time vs latency".to_string(),
-            in_all: true,
-            invariants: Invariant::ideal_dva_ref(0.1).to_vec(),
-        };
-        let json = manifest.to_json();
-        assert_eq!(SpecManifest::from_json(&json).unwrap(), manifest);
     }
 }

@@ -1,70 +1,38 @@
-//! Minimal aligned-table rendering for experiment output.
+//! The one table type of the report layer: what a [`Section`] holds,
+//! renders and serializes.
+//!
+//! [`Section`]: crate::artifact::Section
 
-use std::fmt;
+use dva_json::{ToJson, Writer};
 
-/// Column alignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Align {
-    /// Left-aligned (names, labels).
-    Left,
-    /// Right-aligned (numbers).
-    Right,
-}
-
-/// A simple table of strings with a header row, rendered either as aligned
-/// ASCII (for terminals) or CSV (for plotting).
+/// A table of pre-formatted string cells with a header row, rendered
+/// either as aligned ASCII (for terminals) or CSV (for plotting), and
+/// serialized as `{"headers":…,"rows":…}` inside an artifact.
 ///
 /// # Examples
 ///
 /// ```
-/// use dva_metrics::Table;
+/// use dva_experiments::Table;
 /// let mut t = Table::new(["program", "cycles"]);
 /// t.row(["ARC2D", "123"]);
 /// let ascii = t.to_ascii();
 /// assert!(ascii.contains("ARC2D"));
 /// assert_eq!(t.to_csv().lines().count(), 2);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     headers: Vec<String>,
+    /// Every row has one cell per header ([`Table::row`] checks).
     rows: Vec<Vec<String>>,
-    aligns: Vec<Align>,
 }
 
 impl Table {
-    /// Creates a table with the given column headers. The first column is
-    /// left-aligned and the rest right-aligned by default.
+    /// Creates a table with the given column headers.
     pub fn new<S: Into<String>>(headers: impl IntoIterator<Item = S>) -> Table {
-        let headers: Vec<String> = headers.into_iter().map(Into::into).collect();
-        let aligns = headers
-            .iter()
-            .enumerate()
-            .map(|(i, _)| if i == 0 { Align::Left } else { Align::Right })
-            .collect();
         Table {
-            headers,
+            headers: headers.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
-            aligns,
         }
-    }
-
-    /// Rebuilds a table from a header row and data rows — the inverse of
-    /// [`headers`](Table::headers)/[`rows`](Table::rows), used by the
-    /// artifact layer to re-render tables that round-tripped through a
-    /// serialized form. Alignment is the [`Table::new`] default.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any row's width differs from the header's.
-    pub fn from_parts(
-        headers: impl IntoIterator<Item = String>,
-        rows: impl IntoIterator<Item = Vec<String>>,
-    ) -> Table {
-        let mut table = Table::new(headers);
-        for row in rows {
-            table.row(row);
-        }
-        table
     }
 
     /// The header row.
@@ -75,16 +43,6 @@ impl Table {
     /// The data rows, in insertion order.
     pub fn rows(&self) -> &[Vec<String>] {
         &self.rows
-    }
-
-    /// Overrides the alignment of one column.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `column` is out of range.
-    pub fn align(&mut self, column: usize, align: Align) -> &mut Self {
-        self.aligns[column] = align;
-        self
     }
 
     /// Appends a row.
@@ -116,7 +74,8 @@ impl Table {
     }
 
     /// Renders the table as aligned ASCII with a separator under the
-    /// header.
+    /// header: the first column left-aligned (names, labels), the rest
+    /// right-aligned (numbers).
     pub fn to_ascii(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
@@ -127,12 +86,10 @@ impl Table {
         let mut out = String::new();
         let render_row = |out: &mut String, cells: &[String]| {
             for (i, cell) in cells.iter().enumerate() {
-                if i > 0 {
-                    out.push_str("  ");
-                }
-                match self.aligns[i] {
-                    Align::Left => out.push_str(&format!("{:<width$}", cell, width = widths[i])),
-                    Align::Right => out.push_str(&format!("{:>width$}", cell, width = widths[i])),
+                if i == 0 {
+                    out.push_str(&format!("{:<width$}", cell, width = widths[i]));
+                } else {
+                    out.push_str(&format!("  {:>width$}", cell, width = widths[i]));
                 }
             }
             out.push('\n');
@@ -148,7 +105,7 @@ impl Table {
     }
 
     /// Renders the table as CSV (header row included, fields quoted only
-    /// when they contain commas).
+    /// when they contain commas or quotes).
     pub fn to_csv(&self) -> String {
         let quote = |cell: &str| -> String {
             if cell.contains(',') || cell.contains('"') {
@@ -171,9 +128,12 @@ impl Table {
     }
 }
 
-impl fmt::Display for Table {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_ascii())
+impl ToJson for Table {
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.object(|w| {
+            w.field("headers", &self.headers);
+            w.field("rows", &self.rows);
+        })
     }
 }
 
@@ -205,15 +165,5 @@ mod tests {
     fn mismatched_row_width_panics() {
         let mut t = Table::new(["only"]);
         t.row(["a", "b"]);
-    }
-
-    #[test]
-    fn alignment_override_applies() {
-        let mut t = Table::new(["x", "y"]);
-        t.align(1, Align::Left);
-        t.row(["q", "w"]);
-        assert!(t.to_ascii().contains('w'));
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
     }
 }

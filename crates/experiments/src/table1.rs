@@ -1,7 +1,6 @@
 //! Table 1: basic operation counts for the benchmark programs.
 
-use dva_artifact::{ExperimentSpec, RunOpts, Section, SweepPlan};
-use dva_metrics::Table;
+use crate::{ExperimentSpec, RunOpts, Section, SweepPlan, Table};
 use dva_sim_api::SweepResults;
 use dva_workloads::{stats, Benchmark};
 
@@ -11,7 +10,6 @@ pub const HEADING: &str = "Table 1: basic operation counts (measured vs paper ra
 /// Table 1 as a declarative spec: trace statistics only, no sweeps.
 pub const SPEC: ExperimentSpec = ExperimentSpec {
     name: "table1",
-    description: "Table 1: basic operation counts",
     all_header: Some("== Table 1: basic operation counts =="),
     sweeps: spec_sweeps,
     render: spec_render,
@@ -52,7 +50,7 @@ fn spec_render(opts: &RunOpts, _: &[SweepResults]) -> Vec<Section> {
                 .map_or("-".to_string(), |f| format!("{f:.3}")),
         ]);
     }
-    vec![Section::new("table1", HEADING, &table)]
+    vec![Section::new("table1", HEADING, table)]
 }
 
 #[cfg(test)]
@@ -62,7 +60,7 @@ mod tests {
     #[test]
     fn table_has_one_row_per_program() {
         let sections = spec_render(&RunOpts::quick(), &[]);
-        let t = sections[0].table.to_table();
+        let t = &sections[0].table;
         assert_eq!(t.len(), Benchmark::ALL.len());
         let ascii = t.to_ascii();
         for b in Benchmark::ALL {

@@ -8,13 +8,18 @@
 //!
 //! `table1` exercises the shared path for all twelve binaries — it is
 //! the cheapest spec (no sweeps), and every binary goes through the same
-//! `dva_artifact::cli` entry.
+//! `dva_experiments::cli` entry. `all` is run once, for the directory
+//! mode of its output flags.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn table1() -> Command {
     Command::new(env!("CARGO_BIN_EXE_table1"))
+}
+
+fn golden_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../artifacts/golden")
 }
 
 fn run(mut cmd: Command) -> Output {
@@ -68,6 +73,92 @@ fn unknown_flags_exit_two() {
         let err = String::from_utf8(out.stderr).unwrap();
         assert!(err.contains("usage:"), "stderr shows usage for {args:?}");
     }
+}
+
+/// A flag that takes a value must not take the next flag: `--json
+/// --golden-check` once wrote a file named `--golden-check`, skipped the
+/// check and exited 0.
+#[test]
+fn a_value_flag_followed_by_a_flag_exits_two_and_writes_nothing() {
+    let dir = temp_dir("flag-value");
+    let out = run({
+        let mut c = table1();
+        c.args(["--quick", "--json", "--golden-check"])
+            .current_dir(&dir)
+            .env("GOLDEN_DIR", dir.join("missing"))
+            .env_remove("GOLDEN_UPDATE");
+        c
+    });
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("--json"), "the error names the flag: {err}");
+    assert_eq!(
+        std::fs::read_dir(&dir).unwrap().count(),
+        0,
+        "nothing written"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `all` with `--json`/`--csv` treats each path as a directory and
+/// writes one `<name>.json` and `<name>.csv` per spec it prints; with
+/// `--golden-check` every artifact must match its checked-in golden.
+#[test]
+fn all_writes_one_artifact_pair_per_spec_and_matches_every_golden() {
+    let dir = temp_dir("all");
+    let (json_dir, csv_dir) = (dir.join("json"), dir.join("csv"));
+    let out = run({
+        let mut c = Command::new(env!("CARGO_BIN_EXE_all"));
+        c.args(["--quick", "--json"])
+            .arg(&json_dir)
+            .arg("--csv")
+            .arg(&csv_dir)
+            .arg("--golden-check")
+            .env("GOLDEN_DIR", golden_dir())
+            .env_remove("GOLDEN_UPDATE");
+        c
+    });
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    let names: Vec<&str> = dva_experiments::REGISTRY
+        .iter()
+        .filter(|spec| spec.all_header.is_some())
+        .map(|spec| spec.name)
+        .collect();
+    let listing = |dir: &Path| {
+        let mut files: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort_unstable();
+        files
+    };
+    let expected = |ext: &str| {
+        let mut files: Vec<String> = names.iter().map(|name| format!("{name}.{ext}")).collect();
+        files.sort_unstable();
+        files
+    };
+    assert_eq!(listing(&json_dir), expected("json"));
+    assert_eq!(listing(&csv_dir), expected("csv"));
+    for name in &names {
+        let file = format!("{name}.json");
+        assert_eq!(
+            std::fs::read(json_dir.join(&file)).unwrap(),
+            std::fs::read(golden_dir().join(&file)).unwrap(),
+            "{file} differs from its golden"
+        );
+        let csv = std::fs::read_to_string(csv_dir.join(format!("{name}.csv"))).unwrap();
+        assert!(
+            csv.starts_with(&format!("# artifact {name} ")),
+            "{name}.csv"
+        );
+        assert!(
+            err.contains(&format!("golden-check: {name} matches")),
+            "{err}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

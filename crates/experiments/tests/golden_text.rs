@@ -7,8 +7,8 @@
 //! require the bytes to be identical, which is the refactor's acceptance
 //! criterion.
 
-use dva_artifact::{RunOpts, Runner};
 use dva_experiments::registry::REGISTRY;
+use dva_experiments::{RunOpts, Runner};
 use std::path::PathBuf;
 
 fn golden_text(name: &str) -> String {

@@ -329,16 +329,6 @@ impl Inst {
         }
     }
 
-    /// The scalar register written by this instruction, if any.
-    pub fn sreg_write(&self) -> Option<ScalarReg> {
-        match self {
-            Inst::SAlu { dst, .. } | Inst::SLoad { dst, .. } | Inst::VReduce { dst, .. } => {
-                Some(*dst)
-            }
-            _ => None,
-        }
-    }
-
     /// The memory range accessed, for disambiguation purposes. Gathers and
     /// scatters return [`crate::MemRange::ALL`].
     pub fn mem_range(&self) -> Option<crate::MemRange> {

@@ -223,11 +223,6 @@ impl Json {
         non_negative(self.as_i64()?)
     }
 
-    /// This value as a `usize`.
-    pub fn as_usize(&self) -> Result<usize, JsonError> {
-        non_negative(self.as_i64()?)
-    }
-
     /// This value as an `f64` (integers widen).
     pub fn as_f64(&self) -> Result<f64, JsonError> {
         match self {

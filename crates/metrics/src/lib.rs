@@ -12,9 +12,6 @@
 //!   ([`Traffic`]), plus scalar-cache hit/miss counters split by access
 //!   kind ([`CacheStats`]).
 //!
-//! [`Table`] renders aligned ASCII / CSV tables so every experiment binary
-//! can print the same rows the paper reports.
-//!
 //! # Examples
 //!
 //! ```
@@ -35,14 +32,12 @@ mod diag;
 mod hist;
 mod serial;
 mod states;
-mod table;
 mod traffic;
 
 pub use cache_stats::CacheStats;
 pub use diag::Diag;
 pub use hist::Histogram;
 pub use states::{StateTracker, UnitState};
-pub use table::{Align, Table};
 pub use traffic::Traffic;
 
 /// Computes `reference_cycles / improved_cycles` as a speedup, returning 0

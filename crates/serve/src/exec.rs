@@ -5,8 +5,8 @@ use crate::cache::ResultCache;
 use crate::error::ServeError;
 use crate::key::PointKey;
 use dva_sim_api::{
-    AdaptiveOutcome, AdaptiveReport, AdaptiveSweep, CancelToken, IndexedSweepStream, PointError,
-    PointSpec, Sweep, SweepPoint, SweepResults,
+    AdaptiveOutcome, AdaptiveReport, AdaptiveSweep, CancelToken, PointError, PointSpec, Sweep,
+    SweepPoint, SweepResults, SweepStream,
 };
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -272,7 +272,7 @@ pub struct ServeRun {
     /// its position), until the stream takes them.
     misses: Vec<PointSpec>,
     /// Simulates the misses; started when the merge first needs one.
-    stream: Option<IndexedSweepStream>,
+    stream: Option<SweepStream>,
     /// Keys of the misses not yet yielded, in stream order.
     miss_keys: VecDeque<PointKey>,
     summary: JobSummary,

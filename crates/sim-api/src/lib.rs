@@ -69,7 +69,7 @@ pub use fault::{PointError, PointErrorKind};
 pub use machine::Machine;
 pub use prepare::{PreparedProgram, Runners};
 pub use result::{MachineDetail, SimResult};
-pub use stream::{IndexedSweepStream, PointSpec, SweepStream};
+pub use stream::{PointSpec, SweepStream};
 pub use sweep::{available_workers, Sweep, SweepPoint, SweepResults};
 
 // The core every [`SimResult`] carries, and the memory axis of [`Sweep`]

@@ -226,9 +226,26 @@ impl Ord for Sequenced {
     }
 }
 
-/// The engine behind both public stream types: workers, the result
-/// channel, and the reorder buffer that restores sequence order.
-pub(crate) struct RawStream {
+/// A running sweep yielding points in deterministic grid order as they
+/// complete: the workers, the result channel and the reorder buffer
+/// that restores sequence order. Created by
+/// [`Sweep::run_streaming`](crate::Sweep::run_streaming) and
+/// [`Sweep::run_subset_streaming`](crate::Sweep::run_subset_streaming).
+///
+/// Two ways to consume it:
+///
+/// * as an [`Iterator`] of points, all or nothing: a failed point — an
+///   isolated panic or deadlock — re-raises as a panic carrying the
+///   [`PointError`] message;
+/// * with [`next_outcome`](SweepStream::next_outcome), which yields each
+///   failure as a typed [`PointError`] alongside the healthy points,
+///   tagged with its grid index.
+///
+/// A cancelled sweep (see
+/// [`Sweep::cancel_handle`](crate::Sweep::cancel_handle)) truncates: the
+/// stream ends early at the last in-order point, which is the one
+/// deliberate exception to the [`ExactSizeIterator`] length promise.
+pub struct SweepStream {
     /// `None` once the stream has finished or been dropped.
     rx: Option<Receiver<Sequenced>>,
     /// Completed points that arrived ahead of their turn (min-heap).
@@ -248,7 +265,7 @@ pub(crate) fn spawn(
     workers: usize,
     fast_forward: bool,
     cancel: CancelToken,
-) -> RawStream {
+) -> SweepStream {
     let total = entries.len();
     let workers = workers.clamp(1, total.max(1));
 
@@ -292,7 +309,7 @@ pub(crate) fn spawn(
             })
         })
         .collect();
-    RawStream {
+    SweepStream {
         rx: Some(rx),
         pending: BinaryHeap::new(),
         next_pos: 0,
@@ -303,8 +320,12 @@ pub(crate) fn spawn(
     }
 }
 
-impl RawStream {
-    fn next_in_order(&mut self) -> Option<(usize, Result<SweepPoint, PointError>)> {
+impl SweepStream {
+    /// The next `(grid_index, outcome)` pair in submission order: a
+    /// measured point, or the typed [`PointError`] that poisoned it.
+    /// `None` once the stream is exhausted — or once a cancelled token
+    /// truncated it (see [`cancelled`](SweepStream::cancelled)).
+    pub fn next_outcome(&mut self) -> Option<(usize, Result<SweepPoint, PointError>)> {
         if self.next_pos >= self.total {
             self.finish();
             return None;
@@ -348,7 +369,9 @@ impl RawStream {
         }
     }
 
-    fn cancelled(&self) -> bool {
+    /// Whether this stream's sweep was cancelled (explicitly or by
+    /// deadline); a cancelled stream ends early.
+    pub fn cancelled(&self) -> bool {
         self.cancelled || self.cancel.is_cancelled()
     }
 
@@ -366,7 +389,7 @@ impl RawStream {
     }
 }
 
-impl Drop for RawStream {
+impl Drop for SweepStream {
     fn drop(&mut self) {
         // Closing the channel makes every pending send fail, so workers
         // abandon the rest of the grid; join them without re-raising (a
@@ -378,63 +401,20 @@ impl Drop for RawStream {
     }
 }
 
-/// A running sweep yielding points in deterministic grid order as they
-/// complete. Created by [`Sweep::run_streaming`](crate::Sweep::run_streaming).
-///
-/// A failed point — an isolated panic or deadlock — re-raises here as a
-/// panic carrying the [`PointError`] message, keeping this iterator's
-/// all-or-nothing contract; consumers that must survive poisoned points
-/// use [`IndexedSweepStream::next_outcome`] instead. A cancelled sweep
-/// (see [`Sweep::cancel_handle`](crate::Sweep::cancel_handle)) truncates:
-/// the iterator ends early at the last in-order point, which is the one
-/// deliberate exception to the [`ExactSizeIterator`] length promise.
-pub struct SweepStream {
-    pub(crate) inner: RawStream,
-}
-
 impl Iterator for SweepStream {
     type Item = SweepPoint;
 
     fn next(&mut self) -> Option<SweepPoint> {
-        self.inner
-            .next_in_order()
+        self.next_outcome()
             .map(|(_, outcome)| outcome.unwrap_or_else(|e| panic!("{e}")))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.inner.remaining(), Some(self.inner.remaining()))
+        (self.remaining(), Some(self.remaining()))
     }
 }
 
 impl ExactSizeIterator for SweepStream {}
-
-/// A running subset sweep yielding `(grid_index, point)` pairs in the
-/// order the specs were submitted. Created by
-/// [`Sweep::run_subset_streaming`](crate::Sweep::run_subset_streaming).
-///
-/// Poll it with [`next_outcome`](IndexedSweepStream::next_outcome):
-/// each failure arrives as a typed [`PointError`] alongside the healthy
-/// points.
-pub struct IndexedSweepStream {
-    pub(crate) inner: RawStream,
-}
-
-impl IndexedSweepStream {
-    /// The next `(grid_index, outcome)` pair in submission order: a
-    /// measured point, or the typed [`PointError`] that poisoned it.
-    /// `None` once the subset is exhausted — or once a cancelled token
-    /// truncated the stream (see
-    /// [`cancelled`](IndexedSweepStream::cancelled)).
-    pub fn next_outcome(&mut self) -> Option<(usize, Result<SweepPoint, PointError>)> {
-        self.inner.next_in_order()
-    }
-
-    /// Whether this stream's sweep was cancelled (explicitly or by
-    /// deadline); a cancelled stream ends early.
-    pub fn cancelled(&self) -> bool {
-        self.inner.cancelled()
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -575,7 +555,7 @@ mod tests {
     }
 
     /// Fault isolation: one poisoned point becomes a typed
-    /// [`PointError`] through [`IndexedSweepStream::next_outcome`],
+    /// [`PointError`] through [`SweepStream::next_outcome`],
     /// while every other point of the grid still arrives — byte-
     /// identical to a clean run.
     #[test]

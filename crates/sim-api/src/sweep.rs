@@ -3,7 +3,7 @@
 
 use crate::cancel::CancelToken;
 use crate::prepare::Runners;
-use crate::stream::{self, IndexedSweepStream, PointSpec, SweepStream};
+use crate::stream::{self, PointSpec, SweepStream};
 use crate::{Machine, SimResult};
 use dva_isa::Program;
 use dva_memory::MemoryModelKind;
@@ -390,16 +390,7 @@ impl Sweep {
     /// Dropping the stream early cancels the remaining work: workers
     /// finish the point in hand and exit.
     pub fn run_streaming(&self) -> SweepStream {
-        let specs = self.grid();
-        let workers = self.effective_threads().clamp(1, specs.len().max(1));
-        SweepStream {
-            inner: stream::spawn(
-                stream::prepare(specs),
-                workers,
-                self.fast_forward,
-                self.cancel.clone(),
-            ),
-        }
+        self.run_subset_streaming(self.grid())
     }
 
     /// Runs an arbitrary subset of this session's [`grid`](Sweep::grid),
@@ -411,16 +402,14 @@ impl Sweep {
     /// here and merges the streamed points with its hits by grid index.
     /// Specs need not come from this session's grid at all; threading and
     /// fast-forward come from `self`, everything else from each spec.
-    pub fn run_subset_streaming(&self, specs: Vec<PointSpec>) -> IndexedSweepStream {
+    pub fn run_subset_streaming(&self, specs: Vec<PointSpec>) -> SweepStream {
         let workers = self.effective_threads().clamp(1, specs.len().max(1));
-        IndexedSweepStream {
-            inner: stream::spawn(
-                stream::prepare(specs),
-                workers,
-                self.fast_forward,
-                self.cancel.clone(),
-            ),
-        }
+        stream::spawn(
+            stream::prepare(specs),
+            workers,
+            self.fast_forward,
+            self.cancel.clone(),
+        )
     }
 }
 
@@ -430,11 +419,6 @@ impl SweepResults {
         self.points
             .iter()
             .filter(move |p| p.benchmark == Some(benchmark))
-    }
-
-    /// The points of one machine label, in program-then-latency order.
-    pub fn of_machine<'a>(&'a self, label: &'a str) -> impl Iterator<Item = &'a SweepPoint> {
-        self.points.iter().filter(move |p| p.label == label)
     }
 
     /// Looks up one grid point by machine label, benchmark and latency.

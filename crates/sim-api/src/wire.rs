@@ -19,7 +19,7 @@
 //! test pins the format; changes must bump
 //! [`dva_engine::ENGINE_VERSION`] so persisted caches are discarded.
 
-use crate::sweep::{Sweep, SweepPoint, SweepResults};
+use crate::sweep::{Sweep, SweepPoint};
 use crate::{Machine, MachineDetail, SimResult};
 use dva_core::DvaDetail;
 use dva_isa::MAX_DELAY;
@@ -212,24 +212,6 @@ impl FromJson for SweepPoint {
     }
 }
 
-impl ToJson for SweepResults {
-    /// The stable JSON form of a whole result set, point order
-    /// preserved.
-    fn write_json(&self, w: &mut Writer<'_>) {
-        w.object(|w| w.field("points", &self.points))
-    }
-}
-
-impl FromJson for SweepResults {
-    fn read_json(r: &mut Reader<'_>) -> Result<SweepResults, JsonError> {
-        r.object(|o| {
-            Ok(SweepResults {
-                points: o.field("points")?,
-            })
-        })
-    }
-}
-
 impl Sweep {
     /// Writes the stable JSON form of this session's *specification* —
     /// the grid axes, scale, thread count and fast-forward flag — which
@@ -407,11 +389,6 @@ mod tests {
         let ours = sweep.run();
         let theirs = back.run();
         assert_eq!(ours, theirs);
-
-        let json = ours.to_json();
-        let restored = SweepResults::from_json(&json).unwrap();
-        assert_eq!(restored, ours);
-        assert_eq!(restored.to_json().render(), json.render());
     }
 
     /// Pins the rendered wire format. If this test fails you changed the

@@ -51,13 +51,6 @@ impl Default for StripOverhead {
     }
 }
 
-impl StripOverhead {
-    /// Total scalar instructions per strip including the closing branch.
-    pub fn insts_per_strip(&self) -> u32 {
-        self.addr_ops + self.scalar_ops + self.scalar_loads + 1
-    }
-}
-
 /// A strip-mined vector loop: `strips` executions of a [`Kernel`] body at
 /// vector length `vl`.
 #[derive(Debug, Clone)]
