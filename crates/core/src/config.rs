@@ -10,7 +10,7 @@ pub const MAX_QUEUE_CAPACITY: usize = 512;
 
 /// Capacities of the architectural queues (paper, Sections 4 and 5).
 /// Decoding holds each to `1..=`[`MAX_QUEUE_CAPACITY`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QueueConfig {
     /// Instruction queues (APIQ, SPIQ, VPIQ). The paper uses 16: reducing
     /// from 512 to 16 costs under 2%.
@@ -54,7 +54,7 @@ impl QueueConfig {
 }
 
 /// Full configuration of the decoupled vector architecture.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DvaConfig {
     /// Vector engine timing (shared with the reference machine).
     pub uarch: UarchParams,

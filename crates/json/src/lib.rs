@@ -400,6 +400,12 @@ impl<'o> Writer<'o> {
         write_string(s, self.value());
     }
 
+    /// Writes `json`, one value already rendered by a `Writer`, verbatim:
+    /// stored bytes spliced into a larger document without re-rendering.
+    pub fn raw(&mut self, json: &str) {
+        self.value().push_str(json);
+    }
+
     /// Writes an array whose elements `items` writes.
     pub fn array<R>(&mut self, items: impl FnOnce(&mut Self) -> R) -> R {
         self.nested(b'[', b']', items)

@@ -13,7 +13,7 @@ use std::fmt;
 pub const MAX_CACHE_LINES: usize = 512;
 
 /// Configuration of the direct-mapped scalar cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ScalarCacheParams {
     /// Number of cache lines (a power of two; decoding also bounds it by
     /// [`MAX_CACHE_LINES`]).

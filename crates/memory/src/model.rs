@@ -167,7 +167,7 @@ impl fmt::Display for MemoryModelKind {
 }
 
 /// Memory system configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemoryParams {
     /// Main memory latency `L` in cycles: the delay from an address issuing
     /// on the bus to the first data element arriving at the processor. The

@@ -15,7 +15,7 @@ use dva_uarch::{ChainPolicy, FuPipe, Producer, Scoreboard, UarchParams, VectorRe
 use std::sync::Arc;
 
 /// Configuration of the reference machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct RefParams {
     /// Vector engine timing.
     pub uarch: UarchParams,

@@ -1,32 +1,45 @@
 //! The content-addressed result store: an in-memory LRU tier over an
 //! optional on-disk tier.
 //!
-//! Both tiers map a [`PointKey`] to the full [`SimResult`] of that
-//! simulation. The memory tier is bounded (LRU eviction); the disk tier
-//! is an append-only JSON-lines file headed by an engine-version stamp —
-//! opening a file written by a different
-//! [`ENGINE_VERSION`] discards it wholesale,
-//! so stale results can never be served after the simulators change
-//! observable behaviour.
+//! Both tiers map a [`PointKey`] to a result held once, as its canonical
+//! JSON text — the bytes a [`SimResult`] renders to — in one exactly
+//! sized shared allocation (`Arc<str>`). The tiers share that
+//! allocation: promoting a disk entry into the memory tier, or storing a
+//! result in both, copies a pointer, not the result. The daemon splices
+//! the bytes into its `point` frames as they are, so a hit is never
+//! decoded or rendered again; the typed [`ResultCache::get`] decodes
+//! them for library callers.
+//!
+//! The memory tier is bounded (LRU eviction); the disk tier is an
+//! append-only JSON-lines file headed by an engine-version stamp —
+//! opening a file written by a different [`ENGINE_VERSION`] discards it
+//! wholesale, so stale results can never be served after the simulators
+//! change observable behaviour. Each row is `{"key":…,"result":…}`: the
+//! key's canonical string form and the stored bytes.
 //!
 //! Append-only files accumulate dead lines: a key appended twice (say by
 //! a writer that crashed before it could index its own append, or by two
 //! processes sharing the directory) leaves its older line superseded, and
-//! a torn trailing write leaves an unparsable row. Later appearances of a
-//! key win at load, matching append order. When the dead lines loaded
-//! past exceed a quarter of the live entries, opening the cache compacts:
-//! the file is rewritten — header plus one line per live key — through an
-//! atomic rename, so a crash mid-compaction leaves the old file intact.
+//! a torn trailing write leaves an unparsable row. A row whose key is not
+//! in canonical form for this engine (see [`PointKey`]'s string form) or
+//! whose result does not decode is dead too; a row that decodes is kept
+//! as the canonical re-rendering of its result, never as the text read.
+//! Later appearances of a key win at load, matching append order. When
+//! the dead lines loaded past exceed a quarter of the live entries,
+//! opening the cache compacts: the file is rewritten — header plus one
+//! line per live key — through an atomic rename, so a crash
+//! mid-compaction leaves the old file intact.
 
 use crate::key::PointKey;
 use dva_engine::ENGINE_VERSION;
-use dva_json::{Reader, Writer};
+use dva_json::{FromJson, Reader, ToJson, Writer};
 use dva_sim_api::SimResult;
 use dva_testutil::failpoint;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// How big the in-memory tier may grow before least-recently-used
 /// results are dropped (they survive on disk when a disk tier exists).
@@ -34,24 +47,36 @@ pub const DEFAULT_MEMORY_CAPACITY: usize = 4096;
 
 /// A two-tier result store. See the module docs.
 pub struct ResultCache {
-    /// Memory tier: key → (result, last-use stamp).
-    memory: HashMap<PointKey, (SimResult, u64)>,
+    /// Memory tier: key → (result bytes, last-use stamp).
+    memory: HashMap<PointKey, (Arc<str>, u64)>,
     /// Monotonic use counter backing the LRU order.
     clock: u64,
     capacity: usize,
+    /// Results the memory tier has evicted so far.
+    evictions: usize,
     disk: Option<DiskTier>,
 }
 
 struct DiskTier {
     /// Everything the file holds, loaded at open. Unbounded: the disk is
     /// the persistent tier, so it never evicts.
-    entries: HashMap<PointKey, SimResult>,
+    entries: HashMap<PointKey, Arc<str>>,
     /// `None` once a write has failed: the tier is demoted to read-only
     /// and the cache keeps serving from memory plus what was loaded.
     writer: Option<BufWriter<File>>,
     path: PathBuf,
     /// Write failures absorbed so far (the first one demotes the tier).
     errors: usize,
+}
+
+/// A result's canonical JSON text, the form both tiers store.
+pub(crate) fn render(result: &SimResult) -> Arc<str> {
+    Arc::from(result.render_json())
+}
+
+/// Reads stored bytes back as a result.
+pub(crate) fn decode(stored: &str) -> SimResult {
+    SimResult::parse_json(stored).expect("stored bytes are a rendered result")
 }
 
 impl ResultCache {
@@ -61,6 +86,7 @@ impl ResultCache {
             memory: HashMap::new(),
             clock: 0,
             capacity: capacity.max(1),
+            evictions: 0,
             disk: None,
         }
     }
@@ -95,15 +121,13 @@ impl ResultCache {
             writer.flush()?;
         }
         Ok(ResultCache {
-            memory: HashMap::new(),
-            clock: 0,
-            capacity: capacity.max(1),
             disk: Some(DiskTier {
                 entries,
                 writer: Some(writer),
                 path,
                 errors: 0,
             }),
+            ..ResultCache::in_memory(capacity)
         })
     }
 
@@ -122,6 +146,12 @@ impl ResultCache {
         self.disk.as_ref().map_or(0, |d| d.entries.len())
     }
 
+    /// Results the memory tier has evicted to stay within its capacity
+    /// (each stays servable from the disk tier, when there is one).
+    pub fn evictions(&self) -> usize {
+        self.evictions
+    }
+
     /// Disk-tier write failures absorbed so far. The first failure
     /// demotes the tier to read-only (see [`ResultCache::store`]); the
     /// count keeps growing if callers keep storing.
@@ -138,15 +168,20 @@ impl ResultCache {
     }
 
     /// Looks a result up, refreshing its LRU position (a disk hit is
-    /// promoted into the memory tier).
+    /// promoted into the memory tier), and decodes its stored bytes.
     pub fn get(&mut self, key: &PointKey) -> Option<SimResult> {
+        self.get_bytes(key).map(|stored| decode(&stored))
+    }
+
+    /// [`get`](ResultCache::get) without the decode: the stored bytes.
+    pub(crate) fn get_bytes(&mut self, key: &PointKey) -> Option<Arc<str>> {
         self.clock += 1;
-        if let Some((result, stamp)) = self.memory.get_mut(key) {
+        if let Some((stored, stamp)) = self.memory.get_mut(key) {
             *stamp = self.clock;
-            return Some(result.clone());
+            return Some(Arc::clone(stored));
         }
-        let promoted = self.disk.as_ref()?.entries.get(key)?.clone();
-        self.insert_memory(key.clone(), promoted.clone());
+        let promoted = Arc::clone(self.disk.as_ref()?.entries.get(key)?);
+        self.insert_memory(key.clone(), Arc::clone(&promoted));
         Some(promoted)
     }
 
@@ -156,8 +191,15 @@ impl ResultCache {
     /// read-only — previously loaded entries stay servable, new results
     /// live in memory only, and the server keeps serving.
     pub fn store(&mut self, key: PointKey, result: SimResult) {
+        self.store_bytes(key, render(&result));
+    }
+
+    /// [`store`](ResultCache::store) of a result already rendered by
+    /// [`render`]: the same allocation goes into both tiers, and its
+    /// bytes are the disk line's `result`.
+    pub(crate) fn store_bytes(&mut self, key: PointKey, stored: Arc<str>) {
         self.clock += 1;
-        self.insert_memory(key.clone(), result.clone());
+        self.insert_memory(key.clone(), Arc::clone(&stored));
         let Some(disk) = self.disk.as_mut() else {
             return;
         };
@@ -167,14 +209,14 @@ impl ResultCache {
         let Some(writer) = disk.writer.as_mut() else {
             return; // demoted: memory-only from here on
         };
-        let appended =
-            failpoint::hit("serve.cache.write", || key.as_str().to_string()).and_then(|()| {
-                writeln!(writer, "{}", entry_line(&key, &result))?;
-                writer.flush()
-            });
+        let text = key.to_string();
+        let appended = failpoint::hit("serve.cache.write", || text.clone()).and_then(|()| {
+            writeln!(writer, "{}", entry_line(&text, &stored))?;
+            writer.flush()
+        });
         match appended {
             Ok(()) => {
-                disk.entries.insert(key, result);
+                disk.entries.insert(key, stored);
             }
             Err(e) => {
                 disk.errors += 1;
@@ -188,8 +230,8 @@ impl ResultCache {
         }
     }
 
-    fn insert_memory(&mut self, key: PointKey, result: SimResult) {
-        self.memory.insert(key, (result, self.clock));
+    fn insert_memory(&mut self, key: PointKey, stored: Arc<str>) {
+        self.memory.insert(key, (stored, self.clock));
         while self.memory.len() > self.capacity {
             // O(n) eviction scan: capacities are small (thousands) and
             // eviction is off the simulation fast path.
@@ -200,6 +242,7 @@ impl ResultCache {
                 .map(|(key, _)| key.clone())
                 .expect("non-empty map over capacity");
             self.memory.remove(&oldest);
+            self.evictions += 1;
         }
     }
 }
@@ -211,12 +254,14 @@ fn header_line() -> String {
     line
 }
 
-/// One disk-tier entry: `{"key":…,"result":…}`.
-fn entry_line(key: &PointKey, result: &SimResult) -> String {
+/// One disk-tier entry, `{"key":…,"result":…}`, from a key's string form
+/// and its stored bytes.
+fn entry_line(key: &str, stored: &str) -> String {
     let mut line = String::new();
     Writer::new(&mut line).object(|w| {
-        w.field("key", key.as_str());
-        w.field("result", result);
+        w.field("key", key);
+        w.key("result");
+        w.raw(stored);
     });
     line
 }
@@ -229,16 +274,19 @@ fn needs_compaction(live: usize, dead: usize) -> bool {
 }
 
 /// Rewrites the disk tier as header + one line per live entry, in key
-/// order, swapped into place with an atomic rename.
-fn compact(path: &Path, entries: &HashMap<PointKey, SimResult>) -> io::Result<()> {
+/// string order, swapped into place with an atomic rename.
+fn compact(path: &Path, entries: &HashMap<PointKey, Arc<str>>) -> io::Result<()> {
     let tmp = path.with_extension("jsonl.tmp");
     {
         let mut writer = BufWriter::new(File::create(&tmp)?);
         writeln!(writer, "{}", header_line())?;
-        let mut keys: Vec<&PointKey> = entries.keys().collect();
-        keys.sort_by_key(|key| key.as_str());
-        for key in keys {
-            writeln!(writer, "{}", entry_line(key, &entries[key]))?;
+        let mut rows: Vec<(String, &str)> = entries
+            .iter()
+            .map(|(key, stored)| (key.to_string(), &**stored))
+            .collect();
+        rows.sort_unstable();
+        for (key, stored) in rows {
+            writeln!(writer, "{}", entry_line(&key, stored))?;
         }
         writer.flush()?;
     }
@@ -248,9 +296,10 @@ fn compact(path: &Path, entries: &HashMap<PointKey, SimResult>) -> io::Result<()
 /// Reads the disk tier. `Ok(None)` means "stale or absent — start over";
 /// `Err` is a real I/O failure on an existing file. The second element of
 /// a loaded pair counts the dead lines skipped over: rows a later append
-/// superseded, plus rows that failed to parse.
+/// superseded, plus rows that failed to parse, whose key is not in
+/// canonical form, or whose result does not decode.
 #[allow(clippy::type_complexity)]
-fn load_entries(path: &Path) -> io::Result<Option<(HashMap<PointKey, SimResult>, usize)>> {
+fn load_entries(path: &Path) -> io::Result<Option<(HashMap<PointKey, Arc<str>>, usize)>> {
     let file = match File::open(path) {
         Ok(file) => file,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
@@ -274,12 +323,15 @@ fn load_entries(path: &Path) -> io::Result<Option<(HashMap<PointKey, SimResult>,
         if line.trim().is_empty() {
             continue; // tolerate a torn trailing write
         }
-        let entry = Reader::decode(&line, |r| {
-            r.object(|o| Ok((PointKey::from_string(o.field("key")?), o.field("result")?)))
+        let row = Reader::decode(&line, |r| {
+            r.object(|o| Ok((o.field::<String>("key")?, o.field::<SimResult>("result")?)))
         });
-        match entry.ok() {
-            Some((key, result)) => {
-                if entries.insert(key, result).is_some() {
+        let entry = row
+            .ok()
+            .and_then(|(key, result)| Some((PointKey::parse(&key)?, render(&result))));
+        match entry {
+            Some((key, stored)) => {
+                if entries.insert(key, stored).is_some() {
                     dead += 1; // superseded an earlier append of this key
                 }
             }
@@ -320,14 +372,17 @@ mod tests {
         cache.store(points[1].0.clone(), points[1].1.clone());
         // Touch the older entry so the *other* one becomes LRU.
         assert!(cache.get(&points[0].0).is_some());
+        assert_eq!(cache.evictions(), 0);
         cache.store(points[2].0.clone(), points[2].1.clone());
         assert_eq!(cache.memory_len(), 2);
+        assert_eq!(cache.evictions(), 1, "one result made room for the third");
         assert!(cache.get(&points[0].0).is_some(), "recently used: kept");
         assert!(
             cache.get(&points[1].0).is_none(),
             "least recently used: evicted"
         );
         assert!(cache.get(&points[2].0).is_some(), "newest: kept");
+        assert_eq!(cache.evictions(), 1, "hits and misses evict nothing");
     }
 
     #[test]
@@ -377,7 +432,8 @@ mod tests {
         {
             let mut file = OpenOptions::new().append(true).open(&path).unwrap();
             for result in [&points[0].1, &points[1].1] {
-                writeln!(file, "{}", entry_line(&points[0].0, result)).unwrap();
+                let line = entry_line(&points[0].0.to_string(), &render(result));
+                writeln!(file, "{line}").unwrap();
             }
         }
         let lines = |p: &Path| std::fs::read_to_string(p).unwrap().lines().count();
@@ -430,7 +486,7 @@ mod tests {
         cache.store(points[0].0.clone(), points[0].1.clone());
         failpoint::arm(
             "serve.cache.write",
-            Failpoint::new(FailAction::IoError).filter(points[1].0.as_str()),
+            Failpoint::new(FailAction::IoError).filter(points[1].0.to_string()),
         );
         cache.store(points[1].0.clone(), points[1].1.clone());
         failpoint::disarm("serve.cache.write");
@@ -454,6 +510,68 @@ mod tests {
         assert_eq!(reopened.disk_len(), 1);
         assert!(reopened.get(&points[0].0).is_some());
         assert!(reopened.get(&points[1].0).is_none(), "was never persisted");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Rows the loader must not serve as written: each is dead, counted
+    /// toward compaction, and never becomes an entry. A result written
+    /// with extra whitespace is served as its canonical bytes.
+    #[test]
+    fn rows_out_of_canonical_form_are_dead_and_never_served() {
+        let dir = std::env::temp_dir().join(format!("dva-serve-dead-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let points = keyed_points(2);
+        let (key, result) = (points[0].0.to_string(), render(&points[0].1));
+        let other = points[1].0.to_string();
+        let out_of_bounds = other.replace(
+            "\"model\":{\"kind\":\"flat\"}",
+            "\"model\":{\"kind\":\"multiport\",\"ports\":4294967295}",
+        );
+        assert_ne!(out_of_bounds, other, "the bound must land in the key");
+        let rows = [
+            // Another engine version's key.
+            entry_line(
+                &key.replacen(&format!("v{ENGINE_VERSION};"), "v5;", 1),
+                &result,
+            ),
+            // Trailing bytes after the machine.
+            entry_line(&format!("{other} "), &result),
+            // A machine outside the decode bounds.
+            entry_line(&out_of_bounds, &result),
+            // A machine with whitespace in it.
+            entry_line(&other.replacen("machine={", "machine={ ", 1), &result),
+            // A result that does not decode.
+            entry_line(&other, r#"{"core":{"cycles":1}}"#),
+        ];
+        let spaced = result.replace(',', ", ").replace(':', ": ");
+        assert_ne!(spaced, *result);
+        let path = dir.join("results.jsonl");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut text = format!("{}\n", header_line());
+        for row in &rows {
+            text += row;
+            text.push('\n');
+        }
+        text += &entry_line(&key, &spaced);
+        text.push('\n');
+        std::fs::write(&path, &text).unwrap();
+
+        let (entries, dead) = load_entries(&path).unwrap().expect("current version");
+        assert_eq!(dead, rows.len(), "every malformed row is dead");
+        assert!(needs_compaction(entries.len(), dead));
+        assert_eq!(entries.len(), 1, "only the spaced row lives");
+        assert_eq!(entries[&points[0].0], result, "served as canonical bytes");
+
+        let mut cache = ResultCache::persistent(&dir, 64).unwrap();
+        assert_eq!(cache.disk_len(), 1);
+        assert_eq!(cache.get(&points[0].0).as_ref(), Some(&points[0].1));
+        assert!(cache.get(&points[1].0).is_none(), "no dead row is served");
+        let compacted = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(
+            compacted,
+            format!("{}\n{}\n", header_line(), entry_line(&key, &result)),
+            "compaction kept the canonical bytes alone"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

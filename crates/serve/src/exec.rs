@@ -1,7 +1,7 @@
 //! The sweep service: jobs in, streamed points out, every simulation
 //! checked against the result cache first.
 
-use crate::cache::ResultCache;
+use crate::cache::{self, ResultCache};
 use crate::error::ServeError;
 use crate::key::PointKey;
 use dva_sim_api::{
@@ -33,7 +33,9 @@ pub struct JobSummary {
 ///
 /// The service is cheap to share (`Arc` it for a multi-connection
 /// server); the cache behind it is a single mutex-guarded store, touched
-/// only at job setup and once per completed point.
+/// only at job setup and once per completed point. A hit costs the job
+/// setup one key and one lookup, and holds the result as its stored
+/// bytes until the point is yielded.
 pub struct SweepService {
     cache: Arc<Mutex<ResultCache>>,
 }
@@ -64,7 +66,7 @@ impl SweepService {
     /// runs share cache entries in both directions.
     pub fn submit_specs(&self, sweep: &Sweep, specs: Vec<PointSpec>) -> ServeRun {
         let total = specs.len();
-        let mut hits: VecDeque<(usize, SweepPoint)> = VecDeque::new();
+        let mut hits: VecDeque<(usize, PointSpec, Arc<str>)> = VecDeque::with_capacity(total);
         let mut misses: Vec<PointSpec> = Vec::new();
         let mut miss_keys: VecDeque<PointKey> = VecDeque::new();
         {
@@ -75,8 +77,8 @@ impl SweepService {
             // full grid the two coincide.)
             for (position, mut spec) in specs.into_iter().enumerate() {
                 let Ok(key) = PointKey::of(&spec, sweep.fast_forward_enabled());
-                match cache.get(&key) {
-                    Some(result) => hits.push_back((position, spec.point(result))),
+                match cache.get_bytes(&key) {
+                    Some(stored) => hits.push_back((position, spec, stored)),
                     None => {
                         spec.index = position;
                         misses.push(spec);
@@ -152,6 +154,16 @@ impl SweepService {
         adaptive: &AdaptiveSweep,
         mut on_point: impl FnMut(usize, &SweepPoint),
     ) -> Result<(AdaptiveOutcome, JobSummary), ServeError> {
+        self.run_adaptive_stored(adaptive, |index, point, _| on_point(index, point))
+    }
+
+    /// [`run_adaptive_with`](SweepService::run_adaptive_with), also
+    /// handing `on_point` each point's stored result bytes.
+    pub(crate) fn run_adaptive_stored(
+        &self,
+        adaptive: &AdaptiveSweep,
+        mut on_point: impl FnMut(usize, &SweepPoint, &str),
+    ) -> Result<(AdaptiveOutcome, JobSummary), ServeError> {
         let sweep = adaptive.dense();
         let cancel = adaptive.cancel_handle();
         let mut planner = adaptive.planner();
@@ -178,10 +190,10 @@ impl SweepService {
             summary.cache_hits += round.cache_hits;
             summary.simulated += round.simulated;
             let mut indices = indices.into_iter();
-            while let Some(outcome) = run.next_outcome() {
+            while let Some(outcome) = run.next_resolved() {
                 let index = indices.next().expect("one index per submitted spec");
-                let point = outcome?;
-                on_point(index, &point);
+                let (point, stored) = outcome?.into_parts();
+                on_point(index, &point, &stored);
                 planner.record(index, point);
             }
             if run.interrupted() {
@@ -201,6 +213,12 @@ impl SweepService {
     /// [`ResultCache::disk_errors`]).
     pub fn disk_errors(&self) -> usize {
         self.cache.lock().unwrap().disk_errors()
+    }
+
+    /// Results the cache's memory tier has evicted (see
+    /// [`ResultCache::evictions`]).
+    pub fn evictions(&self) -> usize {
+        self.cache.lock().unwrap().evictions()
     }
 }
 
@@ -263,8 +281,9 @@ fn interruption_of(cancel: &CancelToken) -> ServeError {
 /// truncates the run (see [`interrupted`](ServeRun::interrupted)).
 pub struct ServeRun {
     cache: Arc<Mutex<ResultCache>>,
-    /// Cached points, ascending submission position.
-    hits: VecDeque<(usize, SweepPoint)>,
+    /// Cached points — submission position, spec and stored result
+    /// bytes — ascending submission position.
+    hits: VecDeque<(usize, PointSpec, Arc<str>)>,
     /// The submitted sweep: threading, fast-forward and cancellation for
     /// the miss stream.
     sweep: Sweep,
@@ -306,6 +325,13 @@ impl ServeRun {
     /// exhausted or its cancel token tripped. Failed points are never
     /// cached, so a resubmitted job retries exactly them.
     pub fn next_outcome(&mut self) -> Option<Result<SweepPoint, PointError>> {
+        self.next_resolved()
+            .map(|outcome| outcome.map(|resolved| resolved.into_parts().0))
+    }
+
+    /// [`next_outcome`](ServeRun::next_outcome) before a hit is decoded:
+    /// the point as the cache resolved it, with its stored bytes.
+    pub(crate) fn next_resolved(&mut self) -> Option<Result<Resolved, PointError>> {
         if self.cancel.is_cancelled() {
             return None;
         }
@@ -314,10 +340,13 @@ impl ServeRun {
         if self
             .hits
             .front()
-            .is_some_and(|&(position, _)| position == self.yielded)
+            .is_some_and(|&(position, ..)| position == self.yielded)
         {
             self.yielded += 1;
-            return self.hits.pop_front().map(|(_, point)| Ok(point));
+            return self
+                .hits
+                .pop_front()
+                .map(|(_, spec, stored)| Ok(Resolved::Hit(spec, stored)));
         }
         if self.miss_keys.is_empty() {
             return None;
@@ -332,14 +361,39 @@ impl ServeRun {
         let key = self.miss_keys.pop_front().expect("one key per miss");
         Some(match outcome {
             Ok(point) => {
-                self.cache.lock().unwrap().store(key, point.result.clone());
-                Ok(point)
+                // Rendered once, outside the lock: these bytes are the
+                // cached value, the disk line's result and the frame's.
+                let stored = cache::render(&point.result);
+                self.cache
+                    .lock()
+                    .unwrap()
+                    .store_bytes(key, Arc::clone(&stored));
+                Ok(Resolved::Miss(Box::new(point), stored))
             }
             Err(error) => {
                 self.summary.errors += 1;
                 Err(error)
             }
         })
+    }
+}
+
+/// One point of a run as the cache resolved it, with its result's stored
+/// bytes (see [`crate::cache`]).
+pub(crate) enum Resolved {
+    /// Served from cache: the point's spec and the bytes found.
+    Hit(PointSpec, Arc<str>),
+    /// Simulated by this run: the point and the bytes its store kept.
+    Miss(Box<SweepPoint>, Arc<str>),
+}
+
+impl Resolved {
+    /// The typed point and the stored bytes; a hit is decoded.
+    fn into_parts(self) -> (SweepPoint, Arc<str>) {
+        match self {
+            Resolved::Hit(spec, stored) => (spec.point(cache::decode(&stored)), stored),
+            Resolved::Miss(point, stored) => (*point, stored),
+        }
     }
 }
 

@@ -4,11 +4,18 @@
 //! outcome — the program's instruction stream (by the content hash the
 //! program carries, [`Program::content_hash`]), the full
 //! machine configuration (including the stamped latency and memory
-//! model), the fast-forward flag, and the engine version — and nothing
-//! that doesn't (program *names*, benchmark labels, grid position).
-//! Two points with equal keys are guaranteed byte-identical results, so
-//! the cache in [`crate::cache`] never simulates the same point twice,
-//! across jobs or across process restarts.
+//! model), and the fast-forward flag — and nothing that doesn't (program
+//! *names*, benchmark labels, grid position). Two points with equal keys
+//! are guaranteed byte-identical results, so the cache in
+//! [`crate::cache`] never simulates the same point twice, across jobs or
+//! across process restarts.
+//!
+//! The key is structural: plain data compared and hashed field by field,
+//! so deriving and looking one up formats nothing and allocates nothing.
+//! Its canonical string form — `v{ENGINE_VERSION};prog={hash};ff={flag};
+//! machine={json}`, written by [`Display`](fmt::Display) — exists only
+//! where a key leaves the process: the disk tier's lines. The engine
+//! version is part of that form alone, since one process runs one engine.
 //!
 //! Because IDEAL machines carry no latency or memory knob, every IDEAL
 //! point of a latency grid collapses onto one key: a 4-machine × 6-latency
@@ -17,21 +24,22 @@
 //! [`Program::content_hash`]: dva_isa::Program::content_hash
 
 use dva_engine::ENGINE_VERSION;
-use dva_json::{ToJson, Writer};
-use dva_sim_api::PointSpec;
+use dva_json::{FromJson, ToJson};
+use dva_sim_api::{Machine, PointSpec};
 use std::convert::Infallible;
-use std::fmt::{self, Write as _};
+use std::fmt;
 
-/// The capacity a key is written into: enough for the prefix and the
-/// largest machine configuration (a decoupled machine's, about 330
-/// bytes), so writing never reallocates. The key is then shrunk to fit,
-/// since the cache keeps every key it stores.
-const KEY_CAPACITY: usize = 512;
-
-/// The canonical identity of one simulation, usable as a cache key and
-/// stable across processes (for one engine version).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PointKey(String);
+/// The canonical identity of one simulation, usable as a cache key. Its
+/// [`Display`](fmt::Display) form is stable across processes (for one
+/// engine version); see the module docs.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct PointKey {
+    /// The program's content hash.
+    program: u128,
+    fast_forward: bool,
+    /// The machine, with its latency and memory model stamped.
+    machine: Machine,
+}
 
 impl PointKey {
     /// Computes the key of a grid point. Every machine is plain data, so
@@ -39,32 +47,41 @@ impl PointKey {
     /// `Result` only keeps existing callers compiling
     /// (`let Ok(key) = PointKey::of(..);`).
     pub fn of(spec: &PointSpec, fast_forward: bool) -> Result<PointKey, Infallible> {
-        let program = spec.program.content_hash();
-        let mut key = String::with_capacity(KEY_CAPACITY);
-        let _ = write!(
-            key,
-            "v{ENGINE_VERSION};prog={program:032x};ff={fast_forward};machine="
-        );
-        spec.machine.write_json(&mut Writer::new(&mut key));
-        key.shrink_to_fit();
-        Ok(PointKey(key))
+        Ok(PointKey {
+            program: spec.program.content_hash(),
+            fast_forward,
+            machine: spec.machine,
+        })
     }
 
-    /// The canonical string form (what the disk tier stores).
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
-
-    /// Wraps a key string read back from the disk tier. No validation:
-    /// the string *is* the identity.
-    pub(crate) fn from_string(key: String) -> PointKey {
-        PointKey(key)
+    /// Reads a key back from its canonical string form. `None` unless the
+    /// text is exactly what [`Display`](fmt::Display) writes for the key
+    /// it decodes to, so another engine version's prefix, a machine
+    /// outside the decode bounds, or any byte out of canonical form is
+    /// refused.
+    pub(crate) fn parse(text: &str) -> Option<PointKey> {
+        let (_version, rest) = text.split_once(";prog=")?;
+        let (program, rest) = rest.split_once(";ff=")?;
+        let (fast_forward, machine) = rest.split_once(";machine=")?;
+        let key = PointKey {
+            program: u128::from_str_radix(program, 16).ok()?,
+            fast_forward: fast_forward.parse().ok()?,
+            machine: Machine::parse_json(machine).ok()?,
+        };
+        (key.to_string() == text).then_some(key)
     }
 }
 
 impl fmt::Display for PointKey {
+    /// The canonical string form.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        write!(
+            f,
+            "v{ENGINE_VERSION};prog={:032x};ff={};machine={}",
+            self.program,
+            self.fast_forward,
+            self.machine.render_json()
+        )
     }
 }
 
@@ -138,6 +155,16 @@ mod tests {
         let fast = key(spec, true);
         let naive = key(spec, false);
         assert_ne!(fast, naive);
-        assert!(fast.as_str().starts_with(&format!("v{ENGINE_VERSION};")));
+        assert!(fast.to_string().starts_with(&format!("v{ENGINE_VERSION};")));
+    }
+
+    #[test]
+    fn the_string_form_parses_back_to_the_same_key() {
+        for spec in spec_grid() {
+            for fast_forward in [true, false] {
+                let key = key(&spec, fast_forward);
+                assert_eq!(PointKey::parse(&key.to_string()), Some(key));
+            }
+        }
     }
 }

@@ -9,12 +9,14 @@
 //!
 //! 1. **Identity** ([`key`]): every grid point gets a [`PointKey`] built
 //!    from the *content* of its inputs — a 128-bit FNV hash of the
-//!    program's instruction stream, the machine's full JSON-rendered
-//!    configuration, the fast-forward flag, and the engine version.
-//!    Equal keys ⇒ byte-identical results.
+//!    program's instruction stream, the machine's full configuration and
+//!    the fast-forward flag — as plain data that hashes without
+//!    formatting anything. Equal keys ⇒ byte-identical results.
 //! 2. **Storage** ([`cache`]): a bounded in-memory LRU tier over an
 //!    optional append-only JSON-lines disk tier, invalidated wholesale
-//!    when [`dva_engine::ENGINE_VERSION`] moves.
+//!    when [`dva_engine::ENGINE_VERSION`] moves. Each result is held
+//!    once, as its canonical JSON bytes shared by both tiers, and the
+//!    daemon splices those bytes into its `point` frames.
 //! 3. **Execution** ([`exec`]): [`SweepService::submit`] resolves a job's
 //!    grid against the cache and simulates only the misses, streaming
 //!    merged results back in deterministic grid order — byte-identical
@@ -51,6 +53,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+/// Counts allocations, so that unit tests can pin what a warm job costs.
+#[cfg(test)]
+#[global_allocator]
+static ALLOC: dva_testutil::CountingAllocator = dva_testutil::CountingAllocator;
 
 pub mod cache;
 pub mod client;

@@ -38,7 +38,11 @@
 
 use crate::exec::{AdaptiveSummary, JobSummary};
 use dva_json::{JsonError, Reader, Writer};
-use dva_sim_api::{AdaptiveSweep, PointError, PointErrorKind, Sweep, SweepPoint};
+use dva_sim_api::{
+    AdaptiveSweep, Machine, MemoryModelKind, PointError, PointErrorKind, PointSpec, Sweep,
+    SweepPoint,
+};
+use dva_workloads::Benchmark;
 use std::convert::Infallible;
 
 /// The capacity [`Response::render`] starts a line with: most point
@@ -273,6 +277,67 @@ impl Response {
             Response::Bye => w.field("type", "bye"),
         })
     }
+}
+
+/// Every field of a point frame's [`SweepPoint`] but the result.
+pub(crate) struct Coordinates<'a> {
+    machine: &'a Machine,
+    label: &'a str,
+    benchmark: Option<Benchmark>,
+    program: &'a str,
+    latency: u64,
+    memory: MemoryModelKind,
+}
+
+impl<'a> Coordinates<'a> {
+    /// The coordinates of a measured point.
+    pub(crate) fn of_point(point: &'a SweepPoint) -> Coordinates<'a> {
+        Coordinates {
+            machine: &point.machine,
+            label: &point.label,
+            benchmark: point.benchmark,
+            program: &point.program,
+            latency: point.latency,
+            memory: point.memory,
+        }
+    }
+
+    /// The coordinates [`PointSpec::point`] gives a point of `spec`,
+    /// with the machine's label written into the reused `label` buffer.
+    pub(crate) fn of_spec(spec: &'a PointSpec, label: &'a mut String) -> Coordinates<'a> {
+        label.clear();
+        spec.machine.write_label(label);
+        Coordinates {
+            machine: &spec.machine,
+            label,
+            benchmark: spec.benchmark,
+            program: spec.program.name(),
+            latency: spec.latency,
+            memory: spec.memory,
+        }
+    }
+}
+
+/// Writes one `point` frame (no trailing newline) from its index, its
+/// coordinates and its result's stored bytes, spliced in as they are.
+/// The fields follow `SweepPoint`'s JSON, so the frame is byte for byte
+/// what [`Response::Point`] renders for the decoded point.
+pub(crate) fn write_point(w: &mut Writer<'_>, index: usize, at: &Coordinates<'_>, result: &str) {
+    w.object(|w| {
+        w.field("type", "point");
+        w.field("index", &index);
+        w.key("point");
+        w.object(|w| {
+            w.field("machine", at.machine);
+            w.field("label", at.label);
+            w.field("benchmark", &at.benchmark.map(Benchmark::name));
+            w.field("program", at.program);
+            w.field("latency", &at.latency);
+            w.field("memory", &at.memory);
+            w.key("result");
+            w.raw(result);
+        });
+    });
 }
 
 #[cfg(test)]

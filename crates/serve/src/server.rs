@@ -7,8 +7,8 @@
 //! never the process. See the README's Robustness section for the full
 //! taxonomy.
 
-use crate::exec::{AdaptiveSummary, SweepService};
-use crate::proto::{Request, Response};
+use crate::exec::{AdaptiveSummary, Resolved, SweepService};
+use crate::proto::{write_point, Coordinates, Request, Response};
 use dva_engine::ENGINE_VERSION;
 use dva_json::Writer;
 use dva_sim_api::{available_workers, CancelToken};
@@ -131,6 +131,19 @@ impl<W: Write> Responder<W> {
         // Cleared first, so a line a panic left half-written is dropped.
         self.line.clear();
         response.write_json(&mut Writer::new(&mut self.line));
+        self.send_line()
+    }
+
+    /// Sends a `point` frame: the coordinates, then the result's stored
+    /// bytes spliced in, so no result is rendered here.
+    fn send_point(&mut self, index: usize, at: &Coordinates<'_>, stored: &str) -> io::Result<()> {
+        self.line.clear();
+        write_point(&mut Writer::new(&mut self.line), index, at, stored);
+        self.send_line()
+    }
+
+    /// Sends the line built in the buffer.
+    fn send_line(&mut self) -> io::Result<()> {
         failpoint::hit("serve.socket.write", || self.line.clone())?;
         self.line.push('\n');
         self.writer.write_all(self.line.as_bytes())?;
@@ -256,17 +269,21 @@ fn serve_job(
     match request {
         Request::Sweep { spec, .. } => {
             let mut run = service.submit(&spec.cancel_token(cancel.clone()));
+            // Reused for the label of every cached point's frame.
+            let mut label = String::new();
             let mut index = 0;
-            while let Some(outcome) = run.next_outcome() {
-                let frame = match outcome {
-                    Ok(point) => Response::Point {
-                        index,
-                        point: Box::new(point),
-                    },
-                    Err(error) => Response::PointError(error),
+            while let Some(outcome) = run.next_resolved() {
+                let sent = match outcome {
+                    Ok(Resolved::Hit(spec, stored)) => {
+                        out.send_point(index, &Coordinates::of_spec(&spec, &mut label), &stored)
+                    }
+                    Ok(Resolved::Miss(point, stored)) => {
+                        out.send_point(index, &Coordinates::of_point(&point), &stored)
+                    }
+                    Err(error) => out.send(&Response::PointError(error)),
                 };
                 index += 1;
-                if let Err(e) = out.send(&frame) {
+                if let Err(e) = sent {
                     // The client is gone: stop simulating the rest of
                     // the job, keep the daemon.
                     cancel.cancel();
@@ -287,12 +304,9 @@ fn serve_job(
             // write failure is carried out through this slot and cancels
             // the session so no further round is simulated.
             let mut write_error: Option<io::Error> = None;
-            let outcome = service.run_adaptive_with(&adaptive, |index, point| {
+            let outcome = service.run_adaptive_stored(&adaptive, |index, point, stored| {
                 if write_error.is_none() {
-                    if let Err(e) = out.send(&Response::Point {
-                        index,
-                        point: Box::new(point.clone()),
-                    }) {
+                    if let Err(e) = out.send_point(index, &Coordinates::of_point(point), stored) {
                         cancel.cancel();
                         write_error = Some(e);
                     }
@@ -636,6 +650,55 @@ mod tests {
         for write in &writes.0 {
             assert_eq!(write.iter().filter(|&&b| b == b'\n').count(), 1);
             assert_eq!(write.last(), Some(&b'\n'));
+        }
+    }
+
+    /// A fully cached job allocates nine buffers whatever its size — the
+    /// sweep's clone (three vectors), its grid (four), the hit queue and
+    /// the label buffer — and nothing per point: each hit is a key, a
+    /// lookup and a copy of its stored bytes into the reused line. A
+    /// per-hit clone, decode or render moves these counts.
+    #[test]
+    fn a_cached_job_allocates_nothing_per_point() {
+        use dva_testutil::thread_allocation_count;
+        let service = SweepService::new(ResultCache::in_memory(1024));
+        let job = |latencies: u64| Request::Sweep {
+            spec: Box::new(
+                Sweep::new()
+                    .machines([
+                        Machine::reference(1),
+                        Machine::dva(1),
+                        Machine::byp(1, 4, 8),
+                        Machine::ideal(),
+                    ])
+                    .benchmark(Benchmark::Trfd)
+                    .latencies(1..=latencies)
+                    .scale(Scale::Quick)
+                    .threads(1),
+            ),
+            deadline_ms: None,
+        };
+        let mut out = Responder {
+            writer: Vec::with_capacity(1 << 20),
+            line: String::new(),
+        };
+        // Fills the cache, and grows the line to the longest frame.
+        serve_job(&service, job(16), &CancelToken::new(), &mut out).unwrap();
+        for latencies in [8, 16] {
+            out.writer.clear();
+            let (request, cancel) = (job(latencies), CancelToken::new());
+            let before = thread_allocation_count();
+            serve_job(&service, request, &cancel, &mut out).unwrap();
+            let allocations = thread_allocation_count() - before;
+            let text = std::str::from_utf8(&out.writer).unwrap();
+            let frames = text.lines().filter(|l| l.starts_with(r#"{"type":"point""#));
+            assert_eq!(frames.count() as u64, 4 * latencies);
+            let summary = format!(
+                "\"cache_hits\":{},\"simulated\":0,\"errors\":0}}\n",
+                4 * latencies
+            );
+            assert!(text.ends_with(&summary), "{text}");
+            assert_eq!(allocations, 9, "a job of {latencies} latencies");
         }
     }
 

@@ -7,6 +7,7 @@ use dva_core::DvaConfig;
 use dva_isa::Program;
 use dva_memory::MemoryModelKind;
 use dva_ref::{ChainPolicy, RefParams};
+use std::fmt::Write as _;
 
 /// One of the paper's machines, ready to simulate any [`Program`].
 ///
@@ -18,7 +19,7 @@ use dva_ref::{ChainPolicy, RefParams};
 /// type, so experiment code can treat "which machine" as data. The set
 /// is closed: every machine is plain data, so every point can be keyed,
 /// cached, served and serialized.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Machine {
     /// The reference (coupled) vector architecture — a Convex C3400 model.
     Ref(RefParams),
@@ -116,13 +117,26 @@ impl Machine {
     /// Sweeps over such variants should read their points positionally
     /// (declaration order) rather than by label.
     pub fn label(&self) -> String {
+        // The longest label, `BYP 512/512`, fits: one allocation.
+        let mut label = String::with_capacity(16);
+        self.write_label(&mut label);
+        label
+    }
+
+    /// Appends [`label`](Machine::label) to `out`, so that a caller
+    /// reusing one buffer labels points without allocating.
+    pub fn write_label(&self, out: &mut String) {
         match self {
-            Machine::Ref(_) => "REF".to_string(),
+            Machine::Ref(_) => out.push_str("REF"),
             Machine::Dva(config) if config.bypass => {
-                format!("BYP {}/{}", config.queues.avdq, config.queues.store_queue)
+                let _ = write!(
+                    out,
+                    "BYP {}/{}",
+                    config.queues.avdq, config.queues.store_queue
+                );
             }
-            Machine::Dva(_) => "DVA".to_string(),
-            Machine::Ideal => "IDEAL".to_string(),
+            Machine::Dva(_) => out.push_str("DVA"),
+            Machine::Ideal => out.push_str("IDEAL"),
         }
     }
 

@@ -5,7 +5,7 @@ use dva_isa::MAX_DELAY;
 use dva_json::{FromJson, JsonError, Reader, ToJson, Writer};
 
 /// Timing and feature knobs of the vector engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct UarchParams {
     /// Functional-unit startup (pipeline depth): cycles from instruction
     /// start to its first result element being written.
